@@ -3,13 +3,15 @@
 
 Runs the whole pipeline through the CLI entry points into ./desk_out and
 prints the mean-RA table comparing both recommenders against the static
-strategies. About 5 minutes with 8 workers.
+strategies. Workers default to the machine's CPU count; the outputs do not
+depend on it.
 
     python scripts/run_desk_scale.py [--out DIR] [--seed N] [--workers W]
 """
 
 import argparse
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -34,7 +36,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="desk_out")
     parser.add_argument("--seed", type=int, default=DESK_CONFIG["seed"])
-    parser.add_argument("--workers", type=int, default=8)
+    parser.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     args = parser.parse_args()
 
     config = dict(DESK_CONFIG)

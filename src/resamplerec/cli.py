@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import load_config
+from .config import ConfigError, load_config
 from .pipeline import (PipelineError, cmd_assess, cmd_gen, cmd_grid, cmd_meta,
                        cmd_recommend, cmd_report, cmd_train)
 
@@ -72,7 +72,7 @@ def main(argv: list[str] | None = None) -> int:
             cmd_assess(cfg)
         else:
             cmd_report(cfg)
-    except PipelineError as exc:
+    except (PipelineError, ConfigError) as exc:
         print(f"error {exc.code}: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError, KeyError) as exc:

@@ -8,7 +8,7 @@ override file values.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .data import MixtureConfig
@@ -16,6 +16,29 @@ from .learners import DEFAULT_LEARNERS, LearnerSpec
 from .recommender import DEFAULT_PRESETS, PRESETS
 
 DEFAULT_METHODS = ["ros", "rus", "smote1", "smote3", "smote5", "smote7"]
+
+_SCALAR_KEYS = ("seed", "out", "k", "k_prime", "alpha", "epsilon", "count", "csv_dir",
+                "label_column", "use_windowed_pval_for_targets", "workers")
+_TOP_KEYS = _SCALAR_KEYS + ("learner", "methods", "multipliers", "mixture", "approaches",
+                            "presets")
+_MIXTURE_RANGES = ("dim_range", "size_range", "minor_fraction_range", "components_range",
+                   "mean_range", "cov_scale_range")
+_MULTIPLIER_KEYS = ("min", "max", "step")
+
+
+class ConfigError(ValueError):
+    """A config document the pipeline cannot run; reported as E_CONFIG."""
+
+    code = "E_CONFIG"
+
+
+def _check_keys(d: dict, prefix: str, allowed, required=()) -> None:
+    for key in d:
+        if key not in allowed:
+            raise ConfigError(f"unknown config key '{prefix}{key}'")
+    for key in required:
+        if key not in d:
+            raise ConfigError(f"missing config key '{prefix}{key}'")
 
 
 @dataclass(frozen=True)
@@ -90,9 +113,12 @@ class RunConfig:
 
 
 def _mixture_from_dict(d: dict) -> MixtureConfig:
+    if "minor_cov_scale_range" in d:
+        # not parsed, nor hashed into the dataset manifest, so it would be ignored
+        raise ConfigError("config key 'mixture.minor_cov_scale_range' is not supported")
+    _check_keys(d, "mixture.", _MIXTURE_RANGES + ("seed",))
     kwargs = {}
-    for name in ("dim_range", "size_range", "minor_fraction_range", "components_range",
-                 "mean_range", "cov_scale_range"):
+    for name in _MIXTURE_RANGES:
         if name in d:
             lo, hi = d[name]
             kwargs[name] = (lo, hi)
@@ -101,24 +127,30 @@ def _mixture_from_dict(d: dict) -> MixtureConfig:
     return MixtureConfig(**kwargs)
 
 
+def _learner_from_config(learner) -> LearnerSpec:
+    if isinstance(learner, str):
+        learner = {"kind": learner}
+    _check_keys(learner, "learner.", [f.name for f in fields(LearnerSpec)], required=("kind",))
+    if learner["kind"] not in DEFAULT_LEARNERS:
+        raise ConfigError(f"unknown learner kind {learner['kind']!r} in 'learner.kind'")
+    base = DEFAULT_LEARNERS[learner["kind"]].to_dict()
+    base.update(learner)
+    return LearnerSpec.from_dict(base)
+
+
 def config_from_dict(doc: dict) -> RunConfig:
+    _check_keys(doc, "", _TOP_KEYS)
     kwargs: dict = {}
-    for name in ("seed", "out", "k", "k_prime", "alpha", "epsilon", "count",
-                 "csv_dir", "label_column", "use_windowed_pval_for_targets", "workers"):
+    for name in _SCALAR_KEYS:
         if name in doc:
             kwargs[name] = doc[name]
     if "learner" in doc:
-        learner = doc["learner"]
-        if isinstance(learner, str):
-            kwargs["learner"] = DEFAULT_LEARNERS[learner]
-        else:
-            base = DEFAULT_LEARNERS[learner["kind"]].to_dict()
-            base.update(learner)
-            kwargs["learner"] = LearnerSpec.from_dict(base)
+        kwargs["learner"] = _learner_from_config(doc["learner"])
     if "methods" in doc:
         kwargs["methods"] = tuple(doc["methods"])
     if "multipliers" in doc:
         m = doc["multipliers"]
+        _check_keys(m, "multipliers.", _MULTIPLIER_KEYS, required=_MULTIPLIER_KEYS)
         kwargs["multipliers"] = MultiplierGrid(min=float(m["min"]), max=float(m["max"]),
                                                step=float(m["step"]))
     if "mixture" in doc:

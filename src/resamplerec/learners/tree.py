@@ -1,9 +1,18 @@
 """CART trees (Gini classification, squared-error regression) with sample weights.
 
 Splits are axis-aligned thresholds at midpoints between consecutive distinct
-feature values. A split is accepted only if it strictly reduces the weighted
-impurity; ties go to the lower feature index and lower threshold, so fitting
-is fully deterministic.
+feature values. A split is accepted only if it reduces the weighted impurity
+by more than _GAIN_TOL; ties go to the lower feature index, then the lower
+threshold, so fitting is fully deterministic.
+
+Each fit sorts every feature once, stably, so equal values keep row order
+(the presorting of SLIQ and SPRINT). A node holds its rows in ascending order
+and, per feature, in that feature's sorted order; a split filters each line
+by the split mask, which keeps it sorted, so no node sorts again. One
+splitter scans all features at once from prefix sums along those lines, in
+the same summation order as a per-node sort would give, so the trees are
+bit-identical to the per-feature loop kept as the reference in
+tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -54,118 +63,90 @@ class TreeNode:
         )
 
 
-def _best_split_gini(x, y, w, min_leaf):
-    """Scan all features for the split with the largest weighted Gini decrease."""
-    n = y.shape[0]
-    w_total = w.sum()
-    w_pos = float(w[y == 1].sum())
-    p = w_pos / w_total
-    parent_imp = 2.0 * p * (1.0 - p)  # binary Gini: 1 - p^2 - (1-p)^2
-    best_gain, best_feature, best_threshold = _GAIN_TOL, -1, 0.0
-    for f in range(x.shape[1]):
-        order = np.argsort(x[:, f], kind="stable")
-        xs = x[order, f]
-        ws = w[order]
-        wy = ws * y[order]
-        cw = np.cumsum(ws)
-        cwy = np.cumsum(wy)
-        # candidate split after position i requires a value change and min_leaf rows
-        pos = np.arange(n - 1)
-        valid = (xs[:-1] < xs[1:]) & (pos + 1 >= min_leaf) & (n - pos - 1 >= min_leaf)
-        if not valid.any():
-            continue
-        idx = pos[valid]
-        wl = cw[idx]
-        wr = w_total - wl
-        pl = cwy[idx] / wl
-        pr = (w_pos - cwy[idx]) / wr
+def _best_split(xs, ws, wys, w_total, s, min_leaf, squares=None):
+    """Scan every feature at once for the split with the largest impurity decrease.
+
+    Row g of `xs`, `ws` and `wys` holds the node's feature-g values, w and w*y
+    in feature-g order, so prefix sums along each row give the left child's
+    sums at every candidate split. `w_total` is the node's weight and `s` its
+    class-1 weight (Gini) or, when `squares` = (sorted w*y^2, node w*y^2 sum)
+    selects squared error, its w*y sum. Returns (feature, threshold) or None.
+    """
+    n = xs.shape[1]
+    # a split after sorted position i (i in cand) leaves min_leaf rows per side
+    cand = slice(min_leaf - 1, n - min_leaf)
+    wl = np.add.accumulate(ws, axis=1)[:, cand]
+    sl = np.add.accumulate(wys, axis=1)[:, cand]
+    wr = w_total - wl
+    if squares is None:
+        p = s / w_total
+        parent = 2.0 * p * (1.0 - p)  # binary Gini: 1 - p^2 - (1-p)^2
+        pl = sl / wl
+        pr = (s - sl) / wr
         child = (wl * 2.0 * pl * (1.0 - pl) + wr * 2.0 * pr * (1.0 - pr)) / w_total
-        gains = parent_imp - child
-        j = int(np.argmax(gains))
-        if gains[j] > best_gain:
-            best_gain = float(gains[j])
-            best_feature = f
-            best_threshold = float((xs[idx[j]] + xs[idx[j] + 1]) / 2.0)
-    if best_feature < 0:
+    else:
+        wy2s, s2 = squares
+        parent = s2 - s * s / w_total
+        s2l = np.add.accumulate(wy2s, axis=1)[:, cand]
+        child = (s2l - sl ** 2 / wl) + ((s2 - s2l) - (s - sl) ** 2 / wr)
+    gains = np.where(xs[:, cand] < xs[:, min_leaf:n - min_leaf + 1], parent - child, -np.inf)
+    # a NaN gain (zero-weight child) makes its feature's max NaN, which drops
+    # the feature; ties go to the lowest feature, then the lowest threshold
+    best = np.fmax(gains.max(axis=1), -np.inf)
+    f = int(np.argmax(best))
+    if not best[f] > _GAIN_TOL:
         return None
-    return best_feature, best_threshold
-
-
-def _best_split_sse(x, y, w, min_leaf):
-    """Split with the largest weighted squared-error decrease."""
-    n = y.shape[0]
-    w_total = w.sum()
-    sum_wy = float((w * y).sum())
-    sum_wy2 = float((w * y * y).sum())
-    parent_sse = sum_wy2 - sum_wy * sum_wy / w_total
-    best_gain, best_feature, best_threshold = _GAIN_TOL, -1, 0.0
-    for f in range(x.shape[1]):
-        order = np.argsort(x[:, f], kind="stable")
-        xs = x[order, f]
-        ws = w[order]
-        ys = y[order]
-        cw = np.cumsum(ws)
-        cwy = np.cumsum(ws * ys)
-        cwy2 = np.cumsum(ws * ys * ys)
-        pos = np.arange(n - 1)
-        valid = (xs[:-1] < xs[1:]) & (pos + 1 >= min_leaf) & (n - pos - 1 >= min_leaf)
-        if not valid.any():
-            continue
-        idx = pos[valid]
-        wl = cw[idx]
-        wr = w_total - wl
-        sse_l = cwy2[idx] - cwy[idx] ** 2 / wl
-        sse_r = (sum_wy2 - cwy2[idx]) - (sum_wy - cwy[idx]) ** 2 / wr
-        gains = parent_sse - (sse_l + sse_r)
-        j = int(np.argmax(gains))
-        if gains[j] > best_gain:
-            best_gain = float(gains[j])
-            best_feature = f
-            best_threshold = float((xs[idx[j]] + xs[idx[j] + 1]) / 2.0)
-    if best_feature < 0:
-        return None
-    return best_feature, best_threshold
-
-
-def _grow(x, y, w, depth, max_depth, min_leaf, splitter, leaf_value):
-    node = TreeNode(value=leaf_value(y, w), n_samples=y.shape[0])
-    if max_depth is not None and depth >= max_depth:
-        return node
-    if y.shape[0] < 2 * min_leaf:
-        return node
-    found = splitter(x, y, w, min_leaf)
-    if found is None:
-        return node
-    f, t = found
-    mask = x[:, f] <= t
-    node.feature, node.threshold = f, t
-    node.left = _grow(x[mask], y[mask], w[mask], depth + 1, max_depth, min_leaf, splitter, leaf_value)
-    node.right = _grow(x[~mask], y[~mask], w[~mask], depth + 1, max_depth, min_leaf, splitter, leaf_value)
-    return node
-
-
-def _minor_fraction(y, w):
-    return float(w[y == 1].sum() / w.sum())
-
-
-def _weighted_mean(y, w):
-    return float((w * y).sum() / w.sum())
+    i = min_leaf - 1 + int(np.argmax(gains[f]))
+    return f, float((xs[f, i] + xs[f, i + 1]) / 2.0)
 
 
 def build_classification_tree(x: np.ndarray, y: np.ndarray, *, max_depth: int | None,
                               min_leaf: int, sample_weight: np.ndarray | None = None) -> TreeNode:
     count_fit()
-    w = _norm_weights(sample_weight, x.shape[0])
-    return _grow(x, y.astype(np.float64), w, 0, max_depth, min_leaf,
-                 _best_split_gini, _minor_fraction)
+    return _grow_tree(x, y, sample_weight, max_depth, min_leaf, regression=False)
 
 
 def build_regression_tree(x: np.ndarray, y: np.ndarray, *, max_depth: int | None,
                           min_leaf: int, sample_weight: np.ndarray | None = None) -> TreeNode:
     count_fit()
-    w = _norm_weights(sample_weight, x.shape[0])
-    return _grow(x, y.astype(np.float64), w, 0, max_depth, min_leaf,
-                 _best_split_sse, _weighted_mean)
+    return _grow_tree(x, y, sample_weight, max_depth, min_leaf, regression=True)
+
+
+def _grow_tree(x, y, sample_weight, max_depth, min_leaf, regression):
+    n = x.shape[0]
+    w = _norm_weights(sample_weight, n)
+    y = y.astype(np.float64)
+    wy = w * y
+    wy2 = wy * y if regression else None
+    d = x.shape[1]
+
+    def grow(rows, order, xs, depth):
+        # rows: the node's rows ascending; order/xs: its rows and values per feature
+        wn = w[rows]
+        w_total = wn.sum()
+        s = wy[rows].sum() if regression else wn[y[rows] == 1].sum()
+        node = TreeNode(value=float(s / w_total), n_samples=rows.shape[0])
+        if max_depth is not None and depth >= max_depth:
+            return node
+        if rows.shape[0] < 2 * min_leaf:
+            return node
+        squares = (wy2[order], float(wy2[rows].sum())) if regression else None
+        found = _best_split(xs, w[order], wy[order], w_total, float(s), min_leaf, squares)
+        if found is None:
+            return node
+        f, t = found
+        goes_left = x[:, f] <= t
+        left = goes_left[order]  # filtering a sorted line keeps it sorted
+        node.feature, node.threshold = f, t
+        node.left = grow(rows[goes_left[rows]], order[left].reshape(d, -1),
+                         xs[left].reshape(d, -1), depth + 1)
+        node.right = grow(rows[~goes_left[rows]], order[~left].reshape(d, -1),
+                          xs[~left].reshape(d, -1), depth + 1)
+        return node
+
+    order = np.argsort(x.T, axis=1, kind="stable")  # the fit's only sort
+    with np.errstate(divide="ignore", invalid="ignore"):  # zero-weight nodes give NaN
+        return grow(np.arange(n), order, np.take_along_axis(x.T, order, axis=1), 0)
 
 
 def _norm_weights(sample_weight, n):

@@ -11,6 +11,10 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
+from resamplerec.learners.tree import TreeNode, _norm_weights
+
+_GAIN_TOL = 1e-12
+
 
 def pr_auc_step_curve(labels, scores) -> float:
     """Area under the precision-recall step curve over all score thresholds."""
@@ -79,3 +83,117 @@ def point_on_some_smote_segment(x, minors, k: int, atol: float = 1e-9) -> bool:
 def ecdf_share_below(values, x: float) -> float:
     values = np.asarray(values, dtype=float)
     return float((values < x).sum()) / values.size
+
+
+def classification_tree(x, y, *, max_depth, min_leaf, sample_weight=None) -> TreeNode:
+    """Gini CART by per-node, per-feature sorting."""
+    w = _norm_weights(sample_weight, x.shape[0])
+    with np.errstate(divide="ignore", invalid="ignore"):  # zero-weight nodes give NaN
+        return _grow(x, y.astype(np.float64), w, 0, max_depth, min_leaf,
+                     _best_split_gini, _minor_fraction)
+
+
+def regression_tree(x, y, *, max_depth, min_leaf, sample_weight=None) -> TreeNode:
+    """Squared-error CART by per-node, per-feature sorting."""
+    w = _norm_weights(sample_weight, x.shape[0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _grow(x, y.astype(np.float64), w, 0, max_depth, min_leaf,
+                     _best_split_sse, _weighted_mean)
+
+
+def _best_split_gini(x, y, w, min_leaf):
+    """Scan all features for the split with the largest weighted Gini decrease."""
+    n = y.shape[0]
+    w_total = w.sum()
+    w_pos = float(w[y == 1].sum())
+    p = w_pos / w_total
+    parent_imp = 2.0 * p * (1.0 - p)  # binary Gini: 1 - p^2 - (1-p)^2
+    best_gain, best_feature, best_threshold = _GAIN_TOL, -1, 0.0
+    for f in range(x.shape[1]):
+        order = np.argsort(x[:, f], kind="stable")
+        xs = x[order, f]
+        ws = w[order]
+        wy = ws * y[order]
+        cw = np.cumsum(ws)
+        cwy = np.cumsum(wy)
+        # candidate split after position i requires a value change and min_leaf rows
+        pos = np.arange(n - 1)
+        valid = (xs[:-1] < xs[1:]) & (pos + 1 >= min_leaf) & (n - pos - 1 >= min_leaf)
+        if not valid.any():
+            continue
+        idx = pos[valid]
+        wl = cw[idx]
+        wr = w_total - wl
+        pl = cwy[idx] / wl
+        pr = (w_pos - cwy[idx]) / wr
+        child = (wl * 2.0 * pl * (1.0 - pl) + wr * 2.0 * pr * (1.0 - pr)) / w_total
+        gains = parent_imp - child
+        j = int(np.argmax(gains))
+        if gains[j] > best_gain:
+            best_gain = float(gains[j])
+            best_feature = f
+            best_threshold = float((xs[idx[j]] + xs[idx[j] + 1]) / 2.0)
+    if best_feature < 0:
+        return None
+    return best_feature, best_threshold
+
+
+def _best_split_sse(x, y, w, min_leaf):
+    """Split with the largest weighted squared-error decrease."""
+    n = y.shape[0]
+    w_total = w.sum()
+    sum_wy = float((w * y).sum())
+    sum_wy2 = float((w * y * y).sum())
+    parent_sse = sum_wy2 - sum_wy * sum_wy / w_total
+    best_gain, best_feature, best_threshold = _GAIN_TOL, -1, 0.0
+    for f in range(x.shape[1]):
+        order = np.argsort(x[:, f], kind="stable")
+        xs = x[order, f]
+        ws = w[order]
+        ys = y[order]
+        cw = np.cumsum(ws)
+        cwy = np.cumsum(ws * ys)
+        cwy2 = np.cumsum(ws * ys * ys)
+        pos = np.arange(n - 1)
+        valid = (xs[:-1] < xs[1:]) & (pos + 1 >= min_leaf) & (n - pos - 1 >= min_leaf)
+        if not valid.any():
+            continue
+        idx = pos[valid]
+        wl = cw[idx]
+        wr = w_total - wl
+        sse_l = cwy2[idx] - cwy[idx] ** 2 / wl
+        sse_r = (sum_wy2 - cwy2[idx]) - (sum_wy - cwy[idx]) ** 2 / wr
+        gains = parent_sse - (sse_l + sse_r)
+        j = int(np.argmax(gains))
+        if gains[j] > best_gain:
+            best_gain = float(gains[j])
+            best_feature = f
+            best_threshold = float((xs[idx[j]] + xs[idx[j] + 1]) / 2.0)
+    if best_feature < 0:
+        return None
+    return best_feature, best_threshold
+
+
+def _grow(x, y, w, depth, max_depth, min_leaf, splitter, leaf_value):
+    node = TreeNode(value=leaf_value(y, w), n_samples=y.shape[0])
+    if max_depth is not None and depth >= max_depth:
+        return node
+    if y.shape[0] < 2 * min_leaf:
+        return node
+    found = splitter(x, y, w, min_leaf)
+    if found is None:
+        return node
+    f, t = found
+    mask = x[:, f] <= t
+    node.feature, node.threshold = f, t
+    node.left = _grow(x[mask], y[mask], w[mask], depth + 1, max_depth, min_leaf, splitter, leaf_value)
+    node.right = _grow(x[~mask], y[~mask], w[~mask], depth + 1, max_depth, min_leaf, splitter, leaf_value)
+    return node
+
+
+def _minor_fraction(y, w):
+    return float(w[y == 1].sum() / w.sum())
+
+
+def _weighted_mean(y, w):
+    return float((w * y).sum() / w.sum())

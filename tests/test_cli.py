@@ -126,6 +126,24 @@ class TestPipelineCommands:
         err = capsys.readouterr().err.strip()
         assert err.startswith("error E_MISSING_INPUT:")
 
+    @pytest.mark.parametrize("extra, message", [
+        ({"kk": 3}, "unknown config key 'kk'"),
+        ({"mixture": {"dimrange": [2, 3]}}, "unknown config key 'mixture.dimrange'"),
+        ({"multipliers": {"min": 1.5, "max": 2.5, "step": 0.5, "stp": 1}},
+         "unknown config key 'multipliers.stp'"),
+        ({"multipliers": {"min": 1.5}}, "missing config key 'multipliers.max'"),
+        ({"learner": {"kind": "decision_tree", "maxdepth": 3}},
+         "unknown config key 'learner.maxdepth'"),
+        ({"mixture": {"minor_cov_scale_range": [1.0, 2.0]}},
+         "config key 'mixture.minor_cov_scale_range' is not supported"),
+    ], ids=["top", "mixture", "multipliers", "multipliers-missing", "learner",
+            "minor-cov-scale"])
+    def test_config_key_error(self, tmp_path, capsys, extra, message):
+        cfg_path = tiny_config(tmp_path, **extra)
+        assert main(["gen", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == f"error E_CONFIG: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_recommend_missing_model(self, tmp_path, capsys):
         cfg_path = tiny_config(tmp_path)
         assert main(["recommend", "--config", str(cfg_path),

@@ -1,6 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import oracles
 from resamplerec import learners
 from resamplerec.data import Dataset
 from resamplerec.learners import (DEFAULT_LEARNERS, LearnerSpec, Model, constant_model,
@@ -9,7 +15,9 @@ from resamplerec.learners import (DEFAULT_LEARNERS, LearnerSpec, Model, constant
                                   predict_labels, predict_score, predict_scores,
                                   save_model)
 from resamplerec.learners.logreg import fit_logreg_l1, log_loss, log_loss_grad, objective
-from resamplerec.learners.tree import TreeNode, build_classification_tree, tree_predict
+from resamplerec.learners.boost import fit_boosted_classifier, fit_boosted_regressor
+from resamplerec.learners.tree import (TreeNode, build_classification_tree,
+                                       build_regression_tree, tree_predict)
 
 from conftest import make_dataset
 
@@ -91,6 +99,78 @@ class TestDecisionTree:
         y = np.array([0, 1] * 5)
         model = fit_arrays(LearnerSpec("decision_tree"), x, y)
         assert model.tree.is_leaf
+
+
+@st.composite
+def tree_problems(draw, regression: bool):
+    """Small fits with tied values, constant columns, zero weights and every
+    min_leaf / max_depth regime the splitter distinguishes."""
+    n = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 4))
+    values = st.floats(-3, 3, allow_nan=False).map(lambda v: round(v, 1))
+    x = draw(hnp.arrays(np.float64, (n, d), elements=values))
+    if draw(st.booleans()):
+        x[:, draw(st.integers(0, d - 1))] = 0.5
+    if regression:
+        y = draw(hnp.arrays(np.float64, n, elements=values))
+    else:
+        y = draw(hnp.arrays(np.int64, n, elements=st.integers(0, 1)))
+    w = None
+    if draw(st.booleans()):
+        w = draw(hnp.arrays(np.float64, n,
+                            elements=st.sampled_from([0.0, 0.0, 0.25, 1.0, 3.0])))
+        w[0] += w.sum() == 0.0
+    return x, y, dict(max_depth=draw(st.sampled_from([None, 0, 1, 3])),
+                      min_leaf=draw(st.integers(1, 8)), sample_weight=w)
+
+
+def same_tree(a: TreeNode, b: TreeNode) -> bool:
+    # repr keeps NaN leaves (zero-weight nodes) comparable and every bit of a float
+    return repr(a.to_dict()) == repr(b.to_dict())
+
+
+def same_stages(a, b) -> bool:
+    return [(repr(s.tree.to_dict()), s.weight) for s in a] == \
+        [(repr(s.tree.to_dict()), s.weight) for s in b]
+
+
+class TestSplitterOracle:
+    """The presorted, all-features splitter grows exactly the trees of the
+    per-node, per-feature loop kept in tests/oracles.py."""
+
+    @given(tree_problems(regression=False))
+    @settings(max_examples=150, deadline=None)
+    def test_classification_tree_matches_oracle(self, problem):
+        x, y, kw = problem
+        assert same_tree(build_classification_tree(x, y, **kw),
+                         oracles.classification_tree(x, y, **kw))
+
+    @given(tree_problems(regression=True))
+    @settings(max_examples=150, deadline=None)
+    def test_regression_tree_matches_oracle(self, problem):
+        x, y, kw = problem
+        assert same_tree(build_regression_tree(x, y, **kw),
+                         oracles.regression_tree(x, y, **kw))
+
+    @given(tree_problems(regression=False), st.integers(1, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_boosted_classifier_matches_oracle(self, problem, rounds):
+        x, y, kw = problem
+        kw = dict(max_depth=kw["max_depth"], min_leaf=kw["min_leaf"], n_estimators=rounds)
+        stages = fit_boosted_classifier(x, y, **kw)
+        with mock.patch.object(learners.boost, "build_classification_tree",
+                               oracles.classification_tree):
+            assert same_stages(stages, fit_boosted_classifier(x, y, **kw))
+
+    @given(tree_problems(regression=True), st.integers(1, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_boosted_regressor_matches_oracle(self, problem, rounds):
+        x, y, kw = problem
+        kw = dict(max_depth=kw["max_depth"], min_leaf=kw["min_leaf"], n_estimators=rounds)
+        stages = fit_boosted_regressor(x, y, **kw)
+        with mock.patch.object(learners.boost, "build_regression_tree",
+                               oracles.regression_tree):
+            assert same_stages(stages, fit_boosted_regressor(x, y, **kw))
 
 
 class TestKNN:
@@ -210,7 +290,6 @@ class TestAdaBoostRegressor:
         y = np.sin(4 * x[:, 0])
         base = LearnerSpec("decision_tree", max_depth=3, min_leaf=2)
         boosted = fit_adaboost_regressor(base, 1, (x, y))
-        from resamplerec.learners.tree import build_regression_tree
         tree = build_regression_tree(x, y, max_depth=3, min_leaf=2)
         assert np.allclose(predict_scores(boosted, x), tree_predict(tree, x))
 
