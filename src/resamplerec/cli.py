@@ -18,6 +18,7 @@ import argparse
 import sys
 
 from .config import ConfigError, load_config
+from .evaluation import GridFileError
 from .pipeline import (PipelineError, cmd_assess, cmd_gen, cmd_grid, cmd_meta,
                        cmd_recommend, cmd_report, cmd_train)
 
@@ -72,7 +73,7 @@ def main(argv: list[str] | None = None) -> int:
             cmd_assess(cfg)
         else:
             cmd_report(cfg)
-    except (PipelineError, ConfigError) as exc:
+    except (PipelineError, ConfigError, GridFileError) as exc:
         print(f"error {exc.code}: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError, KeyError) as exc:

@@ -8,22 +8,44 @@ override file values.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .data import MixtureConfig
 from .learners import DEFAULT_LEARNERS, LearnerSpec
 from .recommender import DEFAULT_PRESETS, PRESETS
+from .resampling import ResamplingSpec
 
 DEFAULT_METHODS = ["ros", "rus", "smote1", "smote3", "smote5", "smote7"]
 
-_SCALAR_KEYS = ("seed", "out", "k", "k_prime", "alpha", "epsilon", "count", "csv_dir",
-                "label_column", "use_windowed_pval_for_targets", "workers")
-_TOP_KEYS = _SCALAR_KEYS + ("learner", "methods", "multipliers", "mixture", "approaches",
-                            "presets")
-_MIXTURE_RANGES = ("dim_range", "size_range", "minor_fraction_range", "components_range",
-                   "mean_range", "cov_scale_range")
+_INTEGER = "an integer"
+_NUMBER = "a number"
+_STRING = "a string"
+_KINDS = {
+    _INTEGER: lambda v: isinstance(v, int) and not isinstance(v, bool),
+    _NUMBER: lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    _STRING: lambda v: isinstance(v, str),
+    "true or false": lambda v: isinstance(v, bool),
+    "a string or null": lambda v: v is None or isinstance(v, str),
+    "an integer or null": lambda v: v is None or _KINDS[_INTEGER](v),
+    "an object": lambda v: isinstance(v, dict),
+    "a string or an object": lambda v: isinstance(v, (str, dict)),
+    "a list": lambda v: isinstance(v, list),
+}
+
+_SCALAR_KEYS = {"seed": _INTEGER, "out": _STRING, "k": _INTEGER, "k_prime": _INTEGER,
+                "alpha": _NUMBER, "epsilon": _NUMBER, "count": _INTEGER,
+                "csv_dir": "a string or null", "label_column": _STRING,
+                "use_windowed_pval_for_targets": "true or false", "workers": _INTEGER}
+_TOP_KEYS = tuple(_SCALAR_KEYS) + ("learner", "methods", "multipliers", "mixture",
+                                   "approaches", "presets")
+_MIXTURE_RANGES = {"dim_range": _INTEGER, "size_range": _INTEGER,
+                   "minor_fraction_range": _NUMBER, "components_range": _INTEGER,
+                   "mean_range": _NUMBER, "cov_scale_range": _NUMBER}
 _MULTIPLIER_KEYS = ("min", "max", "step")
+_LEARNER_KEYS = {"kind": _STRING, "max_depth": "an integer or null", "min_leaf": _INTEGER,
+                 "k": _INTEGER, "l1_strength": _NUMBER, "max_iter": _INTEGER, "tol": _NUMBER,
+                 "n_estimators": _INTEGER, "learning_rate": _NUMBER}
 
 
 class ConfigError(ValueError):
@@ -32,7 +54,22 @@ class ConfigError(ValueError):
     code = "E_CONFIG"
 
 
+def _typed(value, kind: str, path: str):
+    """Return value when it is of `kind` (a key of _KINDS); else raise ConfigError."""
+    if not _KINDS[kind](value):
+        raise ConfigError(f"config key '{path}' must be {kind}, got {json.dumps(value)}")
+    return value
+
+
+def _list_of(value, kind: str, path: str) -> list:
+    _typed(value, "a list", path)
+    for i, item in enumerate(value):
+        _typed(item, kind, f"{path}[{i}]")
+    return value
+
+
 def _check_keys(d: dict, prefix: str, allowed, required=()) -> None:
+    _typed(d, "an object", prefix.rstrip("."))
     for key in d:
         if key not in allowed:
             raise ConfigError(f"unknown config key '{prefix}{key}'")
@@ -116,21 +153,27 @@ def _mixture_from_dict(d: dict) -> MixtureConfig:
     if "minor_cov_scale_range" in d:
         # not parsed, nor hashed into the dataset manifest, so it would be ignored
         raise ConfigError("config key 'mixture.minor_cov_scale_range' is not supported")
-    _check_keys(d, "mixture.", _MIXTURE_RANGES + ("seed",))
+    _check_keys(d, "mixture.", tuple(_MIXTURE_RANGES) + ("seed",))
     kwargs = {}
-    for name in _MIXTURE_RANGES:
+    for name, kind in _MIXTURE_RANGES.items():
         if name in d:
-            lo, hi = d[name]
-            kwargs[name] = (lo, hi)
+            bounds = _list_of(d[name], kind, f"mixture.{name}")
+            if len(bounds) != 2:
+                raise ConfigError(f"config key 'mixture.{name}' must be [low, high], "
+                                  f"got {json.dumps(bounds)}")
+            kwargs[name] = tuple(bounds)
     if "seed" in d:
-        kwargs["seed"] = int(d["seed"])
+        kwargs["seed"] = _typed(d["seed"], _INTEGER, "mixture.seed")
     return MixtureConfig(**kwargs)
 
 
 def _learner_from_config(learner) -> LearnerSpec:
     if isinstance(learner, str):
         learner = {"kind": learner}
-    _check_keys(learner, "learner.", [f.name for f in fields(LearnerSpec)], required=("kind",))
+    _typed(learner, "a string or an object", "learner")
+    _check_keys(learner, "learner.", _LEARNER_KEYS, required=("kind",))
+    for key, value in learner.items():
+        _typed(value, _LEARNER_KEYS[key], f"learner.{key}")
     if learner["kind"] not in DEFAULT_LEARNERS:
         raise ConfigError(f"unknown learner kind {learner['kind']!r} in 'learner.kind'")
     base = DEFAULT_LEARNERS[learner["kind"]].to_dict()
@@ -139,25 +182,36 @@ def _learner_from_config(learner) -> LearnerSpec:
 
 
 def config_from_dict(doc: dict) -> RunConfig:
+    if not isinstance(doc, dict):
+        raise ConfigError("a config document must be a JSON object")
     _check_keys(doc, "", _TOP_KEYS)
     kwargs: dict = {}
-    for name in _SCALAR_KEYS:
+    for name, kind in _SCALAR_KEYS.items():
         if name in doc:
-            kwargs[name] = doc[name]
+            kwargs[name] = _typed(doc[name], kind, name)
     if "learner" in doc:
         kwargs["learner"] = _learner_from_config(doc["learner"])
     if "methods" in doc:
+        for i, method in enumerate(_list_of(doc["methods"], _STRING, "methods")):
+            try:
+                ResamplingSpec(method)
+            except ValueError:
+                raise ConfigError(f"unknown resampling method {method!r} in 'methods[{i}]'")
         kwargs["methods"] = tuple(doc["methods"])
     if "multipliers" in doc:
         m = doc["multipliers"]
         _check_keys(m, "multipliers.", _MULTIPLIER_KEYS, required=_MULTIPLIER_KEYS)
-        kwargs["multipliers"] = MultiplierGrid(min=float(m["min"]), max=float(m["max"]),
-                                               step=float(m["step"]))
+        kwargs["multipliers"] = MultiplierGrid(
+            **{key: float(_typed(m[key], _NUMBER, f"multipliers.{key}"))
+               for key in _MULTIPLIER_KEYS})
     if "mixture" in doc:
         kwargs["mixture"] = _mixture_from_dict(doc["mixture"])
     if "approaches" in doc:
-        kwargs["approaches"] = tuple(doc["approaches"])
+        kwargs["approaches"] = tuple(_list_of(doc["approaches"], _STRING, "approaches"))
     if "presets" in doc:
+        _typed(doc["presets"], "an object", "presets")
+        for approach, name in doc["presets"].items():
+            _typed(name, _STRING, f"presets.{approach}")
         kwargs["presets"] = dict(doc["presets"])
     cfg = RunConfig(**kwargs)
     # the generator seed follows the master seed unless set explicitly
@@ -169,7 +223,11 @@ def config_from_dict(doc: dict) -> RunConfig:
 def load_config(path: str | Path | None, overrides: dict | None = None) -> RunConfig:
     doc: dict = {}
     if path is not None:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if overrides:
+        text = Path(path).read_text(encoding="utf-8")
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+    if overrides and isinstance(doc, dict):  # config_from_dict rejects any other document
         doc.update({k: v for k, v in overrides.items() if v is not None})
     return config_from_dict(doc)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import Dataset, FoldAssignment, stratified_folds
 from .learners import LearnerSpec, fit_arrays, predict_scores
-from .resampling import ResamplingSpec, feasible, resample
+from .resampling import ResamplingSpec, feasible, resample, smote_neighbor_order
 from .rng import derive_seed
 
 BASELINE_KEY = ("none", 1.0)
@@ -58,31 +58,67 @@ def pr_auc(labels: np.ndarray, scores: np.ndarray) -> float:
     return float((precision * pos_per_group).sum() / n_pos)
 
 
-def _check_feasible_on_splits(s: Dataset, spec: ResamplingSpec, folds: FoldAssignment) -> None:
-    for j in range(folds.k):
-        test = folds.test_mask(j)
-        y_train = s.labels[~test]
-        reason = feasible(spec, int((y_train == 0).sum()), int((y_train == 1).sum()))
+class FoldSplits:
+    """Each fold's training split and held-out rows of one dataset, built on first use.
+
+    All cells of a grid share one fold assignment, so a grid builds each
+    training `Dataset` once, and for SMOTE cells its neighbour order once,
+    and hands them to every cell.
+    """
+
+    def __init__(self, s: Dataset, folds: FoldAssignment):
+        self.s = s
+        self.folds = folds
+        self._train: dict[int, Dataset] = {}
+        self._order: dict[int, np.ndarray] = {}
+
+    def train(self, j: int) -> Dataset:
+        if j not in self._train:
+            keep = ~self.folds.test_mask(j)
+            self._train[j] = Dataset(id=f"{self.s.id}#train{j}",
+                                     features=self.s.features[keep], labels=self.s.labels[keep])
+        return self._train[j]
+
+    def test(self, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """(features, labels) of held-out fold j."""
+        mask = self.folds.test_mask(j)
+        return self.s.features[mask], self.s.labels[mask]
+
+    def neighbor_order(self, j: int) -> np.ndarray:
+        if j not in self._order:
+            self._order[j] = smote_neighbor_order(self.train(j))
+        return self._order[j]
+
+
+def _check_feasible_on_splits(spec: ResamplingSpec, splits: FoldSplits) -> None:
+    for j in range(splits.folds.k):
+        train = splits.train(j)
+        reason = feasible(spec, train.n_major, train.n_minor)
         if reason is not None:
             raise CellInfeasible(f"fold {j}: {reason}")
 
 
 def cv_quality(s: Dataset, learner: LearnerSpec, spec: ResamplingSpec,
-               folds: FoldAssignment, seed: int) -> np.ndarray:
+               folds: FoldAssignment, seed: int,
+               splits: FoldSplits | None = None) -> np.ndarray:
     """One PR-AUC per fold: resample the training split, fit, score the held-out fold.
 
     Raises CellInfeasible when the spec cannot be applied to every training
-    split; callers building grids record that as a skipped cell.
+    split; callers building grids record that as a skipped cell. A grid
+    passes its `FoldSplits` of (s, folds) so cells share the splits.
     """
-    _check_feasible_on_splits(s, spec, folds)
+    if splits is None:
+        splits = FoldSplits(s, folds)
+    _check_feasible_on_splits(spec, splits)
     scores = np.empty(folds.k)
     for j in range(folds.k):
-        test = folds.test_mask(j)
         fold_seed = derive_seed(seed, "fold", j)
-        train = Dataset(id=f"{s.id}#train{j}", features=s.features[~test], labels=s.labels[~test])
-        resampled = resample(train, spec, fold_seed)
+        train = splits.train(j)
+        order = splits.neighbor_order(j) if spec.smote_k is not None else None
+        resampled = resample(train, spec, fold_seed, neighbor_order=order)
         model = fit_arrays(learner, resampled.features, resampled.labels, seed=fold_seed)
-        scores[j] = pr_auc(s.labels[test], predict_scores(model, s.features[test]))
+        x_test, y_test = splits.test(j)
+        scores[j] = pr_auc(y_test, predict_scores(model, x_test))
     return scores
 
 
@@ -120,11 +156,11 @@ def cell_seed(master_seed: int, dataset_id: str, method: str, mult_index: int) -
     return derive_seed(master_seed, dataset_id, method, mult_index)
 
 
-def _evaluate_cell(s, learner, folds, master_seed, method, multiplier, mult_index):
+def _evaluate_cell(splits, learner, master_seed, method, multiplier, mult_index):
     spec = ResamplingSpec(method, multiplier)
-    seed = cell_seed(master_seed, s.id, method, mult_index)
+    seed = cell_seed(master_seed, splits.s.id, method, mult_index)
     try:
-        return cv_quality(s, learner, spec, folds, seed)
+        return cv_quality(splits.s, learner, spec, splits.folds, seed, splits=splits)
     except CellInfeasible as exc:
         return exc.reason
 
@@ -133,13 +169,13 @@ _WORKER_CTX: dict = {}
 
 
 def _init_grid_worker(s, learner, folds, master_seed):
-    _WORKER_CTX["args"] = (s, learner, folds, master_seed)
+    _WORKER_CTX["args"] = (FoldSplits(s, folds), learner, master_seed)
 
 
 def _grid_cell_task(task):
     method, multiplier, mult_index = task
-    s, learner, folds, master_seed = _WORKER_CTX["args"]
-    return (method, multiplier), _evaluate_cell(s, learner, folds, master_seed,
+    splits, learner, master_seed = _WORKER_CTX["args"]
+    return (method, multiplier), _evaluate_cell(splits, learner, master_seed,
                                                 method, multiplier, mult_index)
 
 
@@ -180,8 +216,9 @@ def quality_grid(s: Dataset, learner: LearnerSpec, methods: list[str],
             for key, value in pool.map(_grid_cell_task, pending):
                 results[key] = value
     else:
+        splits = FoldSplits(s, folds)
         for method, m, i in pending:
-            results[(method, m)] = _evaluate_cell(s, learner, folds, seed, method, m, i)
+            results[(method, m)] = _evaluate_cell(splits, learner, seed, method, m, i)
 
     for method, m, _ in tasks:
         value = results[(method, m)]
@@ -232,25 +269,66 @@ def _meta_path(csv_path: Path) -> Path:
     return csv_path.with_suffix(".meta.json")
 
 
+class GridFileError(ValueError):
+    """A saved grid that is unreadable, truncated or disagrees with its meta file."""
+
+    code = "E_GRID_CORRUPT"
+
+
+def _read_rows(path: Path) -> list[dict]:
+    """CSV rows as dicts; a row with missing or extra fields raises ValueError."""
+    rows = []
+    with path.open("r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        for row in reader:
+            if None in row or None in row.values():
+                raise ValueError(f"{path.name} line {reader.line_num} has the wrong field count")
+            rows.append(row)
+    return rows
+
+
 def load_grid(csv_path: str | Path) -> QualityGrid:
+    """Read a grid written by `save_grid`; raise GridFileError unless it is whole.
+
+    Every cell the meta file defines must be either scored, with one finite
+    score in [0, 1] for each fold 0..k-1, or skipped, and no row may name a
+    cell, dataset or learner outside that definition.
+    """
     csv_path = Path(csv_path)
-    meta = json.loads(_meta_path(csv_path).read_text(encoding="utf-8"))
-    by_cell: dict[tuple[str, float], dict[int, float]] = {}
-    with csv_path.open("r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            key = (row["method"], float(row["multiplier"]))
-            by_cell.setdefault(key, {})[int(row["fold"])] = float(row["score"])
-    cells = {}
-    for key, folds in by_cell.items():
-        vec = np.array([folds[j] for j in sorted(folds)], dtype=np.float64)
-        cells[key] = vec
-    skips = {}
-    skips_file = _skips_path(csv_path)
-    if skips_file.exists():
-        with skips_file.open("r", encoding="utf-8", newline="") as fh:
-            for row in csv.DictReader(fh):
-                skips[(row["method"], float(row["multiplier"]))] = row["reason"]
-    return QualityGrid(
-        dataset_id=meta["dataset_id"], learner_id=meta["learner"], k=int(meta["k"]),
-        seed=int(meta["seed"]), methods=list(meta["methods"]),
-        multipliers=[float(m) for m in meta["multipliers"]], cells=cells, skips=skips)
+    try:
+        meta = json.loads(_meta_path(csv_path).read_text(encoding="utf-8"))
+        grid = QualityGrid(
+            dataset_id=meta["dataset_id"], learner_id=meta["learner"], k=int(meta["k"]),
+            seed=int(meta["seed"]), methods=list(meta["methods"]),
+            multipliers=[float(m) for m in meta["multipliers"]])
+        rows = [((row["dataset_id"], row["learner"]), (row["method"], float(row["multiplier"])),
+                 int(row["fold"]), float(row["score"])) for row in _read_rows(csv_path)]
+        skips = {(row["method"], float(row["multiplier"])): row["reason"]
+                 for row in _read_rows(_skips_path(csv_path))}
+    except (OSError, KeyError, TypeError, ValueError, csv.Error) as exc:
+        raise GridFileError(f"cannot read grid {csv_path}: {exc}") from exc
+
+    by_cell: dict[tuple[str, float], list[tuple[int, float]]] = {}
+    for owner, key, j, score in rows:
+        if owner != (grid.dataset_id, grid.learner_id):
+            raise GridFileError(f"grid {csv_path}: a row names another dataset or learner")
+        by_cell.setdefault(key, []).append((j, score))
+    defined = grid.cell_keys()
+    for key in list(by_cell) + list(skips):
+        if key not in defined:
+            raise GridFileError(f"grid {csv_path}: cell {key} is not in its definition")
+    for key in defined:
+        if key in skips:
+            if key in by_cell or key == BASELINE_KEY:
+                raise GridFileError(f"grid {csv_path}: cell {key} cannot be skipped")
+            continue
+        entries = sorted(by_cell.get(key, []))
+        if [j for j, _ in entries] != list(range(grid.k)):
+            raise GridFileError(f"grid {csv_path}: cell {key} has {len(entries)} fold rows "
+                                f"(expected folds 0..{grid.k - 1}, each once)")
+        vec = np.array([score for _, score in entries], dtype=np.float64)
+        if not np.all((vec >= 0.0) & (vec <= 1.0)):  # False for NaN
+            raise GridFileError(f"grid {csv_path}: cell {key} has a score outside [0, 1]")
+        grid.cells[key] = vec
+    grid.skips = skips
+    return grid

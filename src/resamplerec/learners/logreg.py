@@ -2,6 +2,9 @@
 
 Objective: mean log-loss + l1_strength * ||coef||_1 (intercept unpenalized).
 Backtracking line search keeps the objective non-increasing at every step.
+The fit carries the logit `x @ coef + intercept` and the smooth loss of the
+accepted candidate into the next iteration, so each line-search trial costs
+one forward product and each iteration one backward product.
 """
 
 from __future__ import annotations
@@ -20,15 +23,23 @@ def _sigmoid(z):
     return out
 
 
-def log_loss(x: np.ndarray, y: np.ndarray, coef: np.ndarray, intercept: float) -> float:
-    """Mean logistic loss, computed via logaddexp for stability."""
-    z = x @ coef + intercept
+def _loss_from_logit(z: np.ndarray, y: np.ndarray) -> float:
+    """Mean logistic loss at logits z, computed via logaddexp for stability."""
     return float(np.mean(np.logaddexp(0.0, z) - y * z))
 
 
-def log_loss_grad(x, y, coef, intercept):
-    r = _sigmoid(x @ coef + intercept) - y
+def _grad_from_logit(x: np.ndarray, y: np.ndarray, z: np.ndarray):
+    r = _sigmoid(z) - y
     return x.T @ r / x.shape[0], float(r.mean())
+
+
+def log_loss(x: np.ndarray, y: np.ndarray, coef: np.ndarray, intercept: float) -> float:
+    """Mean logistic loss."""
+    return _loss_from_logit(x @ coef + intercept, y)
+
+
+def log_loss_grad(x, y, coef, intercept):
+    return _grad_from_logit(x, y, x @ coef + intercept)
 
 
 def objective(x, y, coef, intercept, l1_strength) -> float:
@@ -54,12 +65,13 @@ def fit_logreg_l1(x: np.ndarray, y: np.ndarray, *, l1_strength: float = 1.0,
     coef = np.zeros(x.shape[1])
     intercept = 0.0
     step = 1.0
-    f_prev = objective(x, y, coef, intercept, l1_strength)
+    z = x @ coef + intercept
+    f_smooth = _loss_from_logit(z, y)
+    f_prev = f_smooth + l1_strength * float(np.abs(coef).sum())
     if history is not None:
         history.append(f_prev)
     for _ in range(max_iter):
-        g_coef, g_int = log_loss_grad(x, y, coef, intercept)
-        f_smooth = log_loss(x, y, coef, intercept)
+        g_coef, g_int = _grad_from_logit(x, y, z)
         while True:
             new_coef = _soft_threshold(coef - step * g_coef, step * l1_strength)
             new_int = intercept - step * g_int
@@ -67,13 +79,15 @@ def fit_logreg_l1(x: np.ndarray, y: np.ndarray, *, l1_strength: float = 1.0,
             di = new_int - intercept
             quad = f_smooth + float(g_coef @ dc) + g_int * di \
                 + (float(dc @ dc) + di * di) / (2.0 * step)
-            if log_loss(x, y, new_coef, new_int) <= quad + 1e-15:
+            new_z = x @ new_coef + new_int
+            new_smooth = _loss_from_logit(new_z, y)
+            if new_smooth <= quad + 1e-15:
                 break
             step *= 0.5
             if step < 1e-12:
                 return coef, intercept
-        coef, intercept = new_coef, new_int
-        f_new = objective(x, y, coef, intercept, l1_strength)
+        coef, intercept, z, f_smooth = new_coef, new_int, new_z, new_smooth
+        f_new = f_smooth + l1_strength * float(np.abs(coef).sum())
         if history is not None:
             history.append(f_new)
         if f_prev - f_new < tol:

@@ -113,12 +113,30 @@ def random_undersample(s: Dataset, m: float, seed: int) -> Dataset:
     return Dataset(id=s.id, features=s.features[keep], labels=s.labels[keep])
 
 
-def smote(s: Dataset, m: float, k: int, seed: int) -> Dataset:
+def smote_neighbor_order(s: Dataset) -> np.ndarray:
+    """Every minor row's other minor rows, nearest first.
+
+    Row i of the (n_minor, n_minor) result ranks the minor rows of s (in
+    dataset order) by Euclidean distance to minor row i; ties go to the lower
+    index and row i itself comes last. `smote` with k neighbors uses the
+    first k columns, so one order serves every k.
+    """
+    minors = s.features[s.labels == 1]
+    diff = minors[:, None, :] - minors[None, :, :]
+    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    np.fill_diagonal(dist, np.inf)
+    # stable sort keeps lower indices first among equal distances
+    return np.argsort(dist, axis=1, kind="stable")
+
+
+def smote(s: Dataset, m: float, k: int, seed: int,
+          neighbor_order: np.ndarray | None = None) -> Dataset:
     """Append synthetic minors on segments to k-nearest minor neighbors.
 
     Each new point is x_i + u * (x_j - x_i) with u ~ U[0,1], x_i uniform over
     the minor class and x_j uniform over x_i's k nearest minor neighbors
     (Euclidean, self excluded, distance ties broken by lower index).
+    `neighbor_order` is `smote_neighbor_order(s)`, computed here when omitted.
     """
     if m < 1.0:
         raise ValueError("multiplier must be >= 1")
@@ -131,13 +149,13 @@ def smote(s: Dataset, m: float, k: int, seed: int) -> Dataset:
     n_add = round_half_up((m - 1.0) * n_minor)
     if n_add == 0:
         return s
+    if neighbor_order is None:
+        neighbor_order = smote_neighbor_order(s)
+    elif neighbor_order.shape != (n_minor, n_minor):
+        raise ValueError("neighbor order does not match the minor class")
     rng = derive_rng(seed, "smote")
     minors = s.features[minor_idx]
-    diff = minors[:, None, :] - minors[None, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    np.fill_diagonal(dist, np.inf)
-    # stable sort keeps lower indices first among equal distances
-    neighbors = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    neighbors = neighbor_order[:, :k]
     base = rng.integers(0, n_minor, size=n_add)
     pick = rng.integers(0, k, size=n_add)
     u = rng.uniform(0.0, 1.0, size=n_add)
@@ -149,12 +167,17 @@ def smote(s: Dataset, m: float, k: int, seed: int) -> Dataset:
     return Dataset(id=s.id, features=x, labels=y)
 
 
-def resample(s: Dataset, spec: ResamplingSpec, seed: int) -> Dataset:
-    """Apply spec to s; the no-resampling method returns s unchanged."""
+def resample(s: Dataset, spec: ResamplingSpec, seed: int,
+             neighbor_order: np.ndarray | None = None) -> Dataset:
+    """Apply spec to s; the no-resampling method returns s unchanged.
+
+    `neighbor_order` (`smote_neighbor_order(s)`) is passed on to SMOTE and
+    ignored by the other methods.
+    """
     if spec.method == METHOD_NONE:
         return s
     if spec.method == METHOD_ROS:
         return random_oversample(s, spec.multiplier, seed)
     if spec.method == METHOD_RUS:
         return random_undersample(s, spec.multiplier, seed)
-    return smote(s, spec.multiplier, spec.smote_k, seed)
+    return smote(s, spec.multiplier, spec.smote_k, seed, neighbor_order)

@@ -4,6 +4,8 @@ These deliberately take different routes than the production code: the
 PR-AUC oracle walks the explicit precision/recall step curve over all
 thresholds, the t-tail oracle integrates the density numerically, and the
 SMOTE oracle re-derives neighbor sets with plain sorted() instead of numpy.
+The tree, L1-logreg and SMOTE-neighbor references are earlier versions of the
+production code, kept verbatim so that faster rewrites are checked bit for bit.
 """
 
 import math
@@ -197,3 +199,89 @@ def _minor_fraction(y, w):
 
 def _weighted_mean(y, w):
     return float((w * y).sum() / w.sum())
+
+
+# --- SMOTE neighbors as computed inline in smote() before the order was shared
+
+
+def smote_neighbors(minors, k: int) -> np.ndarray:
+    diff = minors[:, None, :] - minors[None, :, :]
+    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    np.fill_diagonal(dist, np.inf)
+    # stable sort keeps lower indices first among equal distances
+    neighbors = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    return neighbors
+
+
+# --- L1 logistic regression recomputing the logit in every loss and gradient
+
+
+def _sigmoid(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def log_loss(x: np.ndarray, y: np.ndarray, coef: np.ndarray, intercept: float) -> float:
+    """Mean logistic loss, computed via logaddexp for stability."""
+    z = x @ coef + intercept
+    return float(np.mean(np.logaddexp(0.0, z) - y * z))
+
+
+def log_loss_grad(x, y, coef, intercept):
+    r = _sigmoid(x @ coef + intercept) - y
+    return x.T @ r / x.shape[0], float(r.mean())
+
+
+def objective(x, y, coef, intercept, l1_strength) -> float:
+    return log_loss(x, y, coef, intercept) + l1_strength * float(np.abs(coef).sum())
+
+
+def _soft_threshold(v, t):
+    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+
+
+def fit_logreg_l1(x: np.ndarray, y: np.ndarray, *, l1_strength: float = 1.0,
+                  max_iter: int = 500, tol: float = 1e-6,
+                  history: list | None = None) -> tuple[np.ndarray, float]:
+    """Return (coef, intercept) minimizing the penalized mean log-loss.
+
+    When a list is passed as `history`, the objective value after every
+    iteration is appended to it.
+    """
+    if l1_strength < 0:
+        raise ValueError("l1_strength must be >= 0")
+    y = y.astype(np.float64)
+    coef = np.zeros(x.shape[1])
+    intercept = 0.0
+    step = 1.0
+    f_prev = objective(x, y, coef, intercept, l1_strength)
+    if history is not None:
+        history.append(f_prev)
+    for _ in range(max_iter):
+        g_coef, g_int = log_loss_grad(x, y, coef, intercept)
+        f_smooth = log_loss(x, y, coef, intercept)
+        while True:
+            new_coef = _soft_threshold(coef - step * g_coef, step * l1_strength)
+            new_int = intercept - step * g_int
+            dc = new_coef - coef
+            di = new_int - intercept
+            quad = f_smooth + float(g_coef @ dc) + g_int * di \
+                + (float(dc @ dc) + di * di) / (2.0 * step)
+            if log_loss(x, y, new_coef, new_int) <= quad + 1e-15:
+                break
+            step *= 0.5
+            if step < 1e-12:
+                return coef, intercept
+        coef, intercept = new_coef, new_int
+        f_new = objective(x, y, coef, intercept, l1_strength)
+        if history is not None:
+            history.append(f_new)
+        if f_prev - f_new < tol:
+            break
+        f_prev = f_new
+        step *= 1.5  # allow the step to recover between iterations
+    return coef, intercept

@@ -3,7 +3,7 @@
 Each test prints one `[acceptance] criterion N (...): PASS/FAIL` line
 (visible with `pytest -s` or `-v` on failures). The desk-scale criterion
 runs the full 60-dataset pipeline once per session; set
-RESAMPLEREC_TEST_WORKERS to control its parallelism (default 8).
+RESAMPLEREC_TEST_WORKERS to control its parallelism (default: the CPU count).
 """
 
 import functools
@@ -35,7 +35,7 @@ from oracles import (point_on_some_smote_segment, pr_auc_step_curve,
                      student_t_sf_quadrature)
 from test_qualityvars import random_grid
 
-WORKERS = int(os.environ.get("RESAMPLEREC_TEST_WORKERS", "8"))
+WORKERS = int(os.environ.get("RESAMPLEREC_TEST_WORKERS", os.cpu_count() or 1))
 DESK_SEED = 11
 DESK_MULTS = [1.5, 2.0, 2.5, 3.0, 3.5, 4.0]
 DESK_METHODS = ["ros", "rus", "smote5"]

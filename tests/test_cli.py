@@ -120,6 +120,22 @@ class TestPipelineCommands:
         assert err.count("\n") == 0  # single line
         assert err.startswith("error E_CACHE_MISMATCH:")
 
+    def test_truncated_grid_refused(self, tmp_path, capsys):
+        cfg_path = tiny_config(tmp_path)
+        assert main(["gen", "--config", str(cfg_path)]) == 0
+        assert main(["grid", "--config", str(cfg_path)]) == 0
+        grid_csv = sorted((tmp_path / "out" / "grids").glob("synth-*[0-9].csv"))[0]
+        lines = grid_csv.read_text().splitlines(keepends=True)
+        grid_csv.write_text("".join(lines[:-1]))
+        before = grid_csv.read_bytes()
+        capsys.readouterr()
+        assert main(["grid", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error E_GRID_CORRUPT: grid {grid_csv}: cell ")
+        assert "has 3 fold rows" in err
+        assert grid_csv.read_bytes() == before  # refused, not overwritten
+
     def test_missing_artifact_error(self, tmp_path, capsys):
         cfg_path = tiny_config(tmp_path)
         assert main(["assess", "--config", str(cfg_path)]) == 1
@@ -136,10 +152,30 @@ class TestPipelineCommands:
          "unknown config key 'learner.maxdepth'"),
         ({"mixture": {"minor_cov_scale_range": [1.0, 2.0]}},
          "config key 'mixture.minor_cov_scale_range' is not supported"),
+        ({"learner": 5}, "config key 'learner' must be a string or an object, got 5"),
+        ([{"k": 4}], "a config document must be a JSON object"),
+        ({"mixture": {"dim_range": [3]}},
+         "config key 'mixture.dim_range' must be [low, high], got [3]"),
+        ({"k": "ten"}, 'config key \'k\' must be an integer, got "ten"'),
+        ({"seed": True}, "config key 'seed' must be an integer, got true"),
+        ({"learner": {"kind": "knn", "k": 2.5}},
+         "config key 'learner.k' must be an integer, got 2.5"),
+        ({"multipliers": {"min": "1.5", "max": 2.5, "step": 0.5}},
+         'config key \'multipliers.min\' must be a number, got "1.5"'),
+        ({"mixture": {"size_range": [60.5, 90]}},
+         "config key 'mixture.size_range[0]' must be an integer, got 60.5"),
+        ({"methods": ["ros", "smote0"]}, "unknown resampling method 'smote0' in 'methods[1]'"),
+        ({"presets": {"a1": 1}}, "config key 'presets.a1' must be a string, got 1"),
     ], ids=["top", "mixture", "multipliers", "multipliers-missing", "learner",
-            "minor-cov-scale"])
+            "minor-cov-scale", "learner-type", "document-type", "range-length", "int-type",
+            "bool-is-not-int", "learner-field-type", "multiplier-type", "range-item-type",
+            "unknown-method", "preset-type"])
     def test_config_key_error(self, tmp_path, capsys, extra, message):
-        cfg_path = tiny_config(tmp_path, **extra)
+        if isinstance(extra, dict):
+            cfg_path = tiny_config(tmp_path, **extra)
+        else:  # the whole document
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(extra))
         assert main(["gen", "--config", str(cfg_path)]) == 1
         assert capsys.readouterr().err == f"error E_CONFIG: {message}\n"
         assert not (tmp_path / "out").exists()

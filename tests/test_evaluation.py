@@ -1,20 +1,25 @@
+import csv
+import io
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import resamplerec.evaluation as evaluation
 from resamplerec.config import MultiplierGrid
 from resamplerec.data import stratified_folds
-from resamplerec.evaluation import (CellInfeasible, cv_quality, load_grid, pr_auc,
-                                    quality_grid, save_grid)
+from resamplerec.evaluation import (CellInfeasible, GridFileError, cell_seed, cv_quality,
+                                    load_grid, pr_auc, quality_grid, save_grid)
 from resamplerec.learners import DEFAULT_LEARNERS, LearnerSpec
 from resamplerec.resampling import ResamplingSpec
+from resamplerec.rng import derive_seed
 
 from conftest import make_dataset
 from oracles import pr_auc_step_curve
 
 TREE = LearnerSpec("decision_tree", max_depth=3, min_leaf=2)
+LOGREG = LearnerSpec("logreg_l1", l1_strength=0.05, max_iter=50)
 
 
 class TestPrAuc:
@@ -164,6 +169,28 @@ class TestQualityGrid:
         for key in seq.cells:
             assert np.array_equal(seq.cells[key], par.cells[key])
 
+    @given(st.integers(4, 12), st.integers(0, 2**16))
+    @example(8, 1)  # 6 minors per training split: every smote7 cell is skipped
+    @settings(max_examples=6, deadline=None)
+    def test_shared_splits_match_per_cell_cv_quality(self, n_minor, seed):
+        """Grid cells reuse each fold's split and neighbor order; they equal a
+        standalone cv_quality per cell, skips included, at any worker count."""
+        s = make_dataset(30, n_minor, seed=seed % 50)
+        methods, multipliers = ["ros", "smote1", "smote7"], [1.5, 3.0]
+        grids = [quality_grid(s, LOGREG, methods, multipliers, k=4, seed=seed, workers=w)
+                 for w in (1, 2)]
+        folds = stratified_folds(s, 4, derive_seed(seed, s.id, "folds"))
+        for method, m in grids[0].cell_keys():
+            index = multipliers.index(m) if method != "none" else -1
+            try:
+                expected = cv_quality(s, LOGREG, ResamplingSpec(method, m), folds,
+                                      cell_seed(seed, s.id, method, index)).tobytes()
+            except CellInfeasible as exc:
+                expected = exc.reason
+            for g in grids:
+                got = g.skips.get((method, m)) or g.cells[(method, m)].tobytes()
+                assert got == expected
+
     def test_precomputed_cells_reused(self):
         s = make_dataset(60, 20, seed=6)
         full = quality_grid(s, TREE, ["ros"], [1.5, 2.0], k=4, seed=3)
@@ -184,3 +211,65 @@ class TestQualityGrid:
         for key in g.cells:
             assert np.array_equal(back.cells[key], g.cells[key])
         assert back.skips == g.skips
+
+
+def _drop_last_row(lines):
+    return lines[:-1]
+
+
+def _set_last_field(index, value):
+    def corrupt(lines):
+        fields = next(csv.reader(lines[-1:]))
+        fields[index] = value
+        out = io.StringIO()
+        csv.writer(out, lineterminator="").writerow(fields)
+        return lines[:-1] + [out.getvalue()]
+    return corrupt
+
+
+class TestGridFile:
+    """load_grid refuses a grid that save_grid could not have written whole."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        s = make_dataset(40, 20, seed=4)  # IR = 2: ('rus', 2.5) is skipped
+        save_grid(quality_grid(s, TREE, ["ros", "rus"], [1.5, 2.5], k=4, seed=9),
+                  tmp_path / "g.csv")
+        return tmp_path / "g.csv"
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (_drop_last_row, r"\('rus', 1.5\) has 3 fold rows"),
+        (lambda lines: lines + lines[-1:], "has 5 fold rows"),
+        (lambda lines: [ln for ln in lines if ",rus,1.5," not in ln], "has 0 fold rows"),
+        (_set_last_field(5, "1.5"), "score outside"),
+        (_set_last_field(5, "nan"), "score outside"),
+        (_set_last_field(5, "-0.25"), "score outside"),
+        (_set_last_field(4, "4"), "fold rows"),
+        (_set_last_field(2, "smote9"), "not in its definition"),
+        (_set_last_field(3, "1.75"), "not in its definition"),
+        (_set_last_field(0, "other"), "another dataset"),
+        (lambda lines: lines[:-1] + [lines[-1][:lines[-1].rindex(",")]], "field count"),
+        (lambda lines: lines[:-1] + [lines[-1].replace(",", ";")], "field count"),
+    ], ids=["truncated", "duplicate-row", "missing-cell", "score-above-1", "score-nan",
+            "score-negative", "fold-out-of-range", "unknown-method", "unknown-multiplier",
+            "other-dataset", "short-row", "bad-separator"])
+    def test_corrupt_csv_rejected(self, saved, corrupt, message):
+        lines = saved.read_text().splitlines()
+        saved.write_text("\n".join(corrupt(lines)) + "\n")
+        with pytest.raises(GridFileError, match=message):
+            load_grid(saved)
+
+    @pytest.mark.parametrize("sidecar, text, message", [
+        (".skips.csv", None, "cannot read grid"),
+        (".skips.csv", "dataset_id,learner,method,multiplier,reason\n", r"\('rus', 2.5\) has 0"),
+        (".meta.json", None, "cannot read grid"),
+        (".meta.json", "{", "cannot read grid"),
+    ], ids=["skips-missing", "skips-empty", "meta-missing", "meta-corrupt"])
+    def test_corrupt_sidecar_rejected(self, saved, sidecar, text, message):
+        path = saved.with_suffix(sidecar)
+        if text is None:
+            path.unlink()
+        else:
+            path.write_text(text)
+        with pytest.raises(GridFileError, match=message):
+            load_grid(saved)

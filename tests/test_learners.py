@@ -239,6 +239,71 @@ class TestLogRegL1:
         assert acc >= 0.95
 
 
+@st.composite
+def logreg_problems(draw):
+    """Small fits whose runs end by tol, by max_iter and, with feature values
+    near 1e7, by the line search's step falling below 1e-12."""
+    n = draw(st.integers(2, 30))
+    d = draw(st.integers(1, 4))
+    scale = draw(st.sampled_from([1.0, 1e3, 1e7]))
+    x = draw(hnp.arrays(np.float64, (n, d),
+                        elements=st.floats(-3, 3).map(lambda v: round(v, 1)))) * scale
+    y = draw(hnp.arrays(np.int64, n, elements=st.integers(0, 1)))
+    return x, y, dict(l1_strength=draw(st.sampled_from([0.0, 0.01, 0.1, 1.0])),
+                      max_iter=draw(st.sampled_from([0, 1, 3, 50, 500])),
+                      tol=draw(st.sampled_from([0.0, 1e-6, 1e-2])))
+
+
+class TestLogRegOracle:
+    """Carrying the logit across iterations fits exactly what recomputing it
+    in every loss and gradient call (tests/oracles.py) fits."""
+
+    @given(logreg_problems())
+    @settings(max_examples=150, deadline=None)
+    def test_fit_matches_oracle(self, problem):
+        x, y, kw = problem
+        history, expected_history = [], []
+        coef, intercept = fit_logreg_l1(x, y, history=history, **kw)
+        expected = oracles.fit_logreg_l1(x, y, history=expected_history, **kw)
+        assert coef.tobytes() == expected[0].tobytes()
+        assert repr(intercept) == repr(expected[1])
+        assert repr(history) == repr(expected_history)
+
+    @pytest.mark.parametrize("scale, max_iter, tol, exit_by", [
+        (1.0, 500, 1e-6, "tol"), (1.0, 3, 0.0, "max_iter"), (1e7, 50, 1e-6, "step")])
+    def test_every_exit_matches_oracle(self, scale, max_iter, tol, exit_by):
+        rng = np.random.default_rng(4)
+        x = np.round(rng.normal(size=(10, 2)), 1) * scale
+        y = np.array([0, 1] * 5)
+        history, expected_history = [], []
+        kw = dict(l1_strength=0.0, max_iter=max_iter, tol=tol)
+        coef, intercept = fit_logreg_l1(x, y, history=history, **kw)
+        expected = oracles.fit_logreg_l1(x, y, history=expected_history, **kw)
+        if len(history) == max_iter + 1:
+            ended = "max_iter"
+        elif len(history) > 1 and history[-2] - history[-1] < tol:
+            ended = "tol"
+        else:
+            ended = "step"
+        assert ended == exit_by
+        assert (coef.tobytes(), repr(intercept), repr(history)) == \
+            (expected[0].tobytes(), repr(expected[1]), repr(expected_history))
+
+    @given(logreg_problems(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_losses_match_oracle(self, problem, seed):
+        x, y, kw = problem
+        y = y.astype(np.float64)
+        rng = np.random.default_rng(seed)
+        coef, b = rng.normal(size=x.shape[1]), float(rng.normal())
+        assert repr(log_loss(x, y, coef, b)) == repr(oracles.log_loss(x, y, coef, b))
+        g, g_b = log_loss_grad(x, y, coef, b)
+        g_oracle, g_b_oracle = oracles.log_loss_grad(x, y, coef, b)
+        assert (g.tobytes(), repr(g_b)) == (g_oracle.tobytes(), repr(g_b_oracle))
+        assert repr(objective(x, y, coef, b, kw["l1_strength"])) == \
+            repr(oracles.objective(x, y, coef, b, kw["l1_strength"]))
+
+
 class TestAdaBoostClassifier:
     def test_separable_stops_with_capped_alpha(self):
         s = make_dataset(30, 15, seed=1, separation=8.0)

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from resamplerec.data import imbalance_ratio
+from resamplerec.data import Dataset, imbalance_ratio
 from resamplerec.resampling import (ResamplingSpec, feasible, random_oversample,
-                                    random_undersample, resample, smote)
+                                    random_undersample, resample, smote,
+                                    smote_neighbor_order)
 
+import oracles
 from conftest import make_dataset
 from oracles import point_on_some_smote_segment
 
@@ -137,6 +140,42 @@ class TestSMOTE:
         out = smote(s, 3.0, k=1, seed=2)
         for x in out.features[s.n:]:
             assert np.allclose(x, [1.0, 1.0])
+
+
+@st.composite
+def tied_datasets(draw):
+    """Datasets whose minor rows repeat and sit on a coarse lattice, so many
+    neighbor distances tie."""
+    n_minor = draw(st.integers(2, 12))
+    n_major = draw(st.integers(1, 8))
+    d = draw(st.integers(1, 3))
+    x = draw(hnp.arrays(np.float64, (n_minor + n_major, d),
+                        elements=st.sampled_from([-1.0, 0.0, 0.5, 1.0])))
+    x[draw(st.integers(0, n_minor - 1))] = x[0]
+    labels = np.array([1] * n_minor + [0] * n_major)
+    order = draw(st.permutations(range(labels.size)))
+    return Dataset(id="tied", features=x[order], labels=labels[order])
+
+
+class TestSMOTENeighborOrder:
+    """One shared neighbor order gives what smote() computed inline per call."""
+
+    @given(tied_datasets(), st.sampled_from([1.25, 2.0, 3.5]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_shared_order_matches_inline_neighbors(self, s, m, seed):
+        order = smote_neighbor_order(s)
+        minors = s.features[s.labels == 1]
+        for k in range(1, s.n_minor):
+            assert np.array_equal(order[:, :k], oracles.smote_neighbors(minors, k))
+            shared = smote(s, m, k, seed, neighbor_order=order)
+            inline = smote(s, m, k, seed)
+            assert shared.features.tobytes() == inline.features.tobytes()
+            assert shared.labels.tobytes() == inline.labels.tobytes()
+
+    def test_order_must_match_minor_class(self):
+        s = make_dataset(10, 6, seed=3)
+        with pytest.raises(ValueError, match="neighbor order"):
+            smote(s, 2.0, 2, seed=1, neighbor_order=np.zeros((5, 5), dtype=np.int64))
 
 
 class TestResampleContract:
