@@ -43,6 +43,7 @@ _MIXTURE_RANGES = {"dim_range": _INTEGER, "size_range": _INTEGER,
                    "minor_fraction_range": _NUMBER, "components_range": _INTEGER,
                    "mean_range": _NUMBER, "cov_scale_range": _NUMBER}
 _MULTIPLIER_KEYS = ("min", "max", "step")
+_MINIMUMS = {"count": 1, "k": 2, "k_prime": 2, "workers": 1}
 _LEARNER_KEYS = {"kind": _STRING, "max_depth": "an integer or null", "min_leaf": _INTEGER,
                  "k": _INTEGER, "l1_strength": _NUMBER, "max_iter": _INTEGER, "tol": _NUMBER,
                  "n_estimators": _INTEGER, "learning_rate": _NUMBER}
@@ -86,7 +87,8 @@ class MultiplierGrid:
 
     def __post_init__(self):
         if self.min < 1.0 or self.max < self.min or self.step <= 0:
-            raise ValueError("invalid multiplier grid")
+            raise ConfigError("config key 'multipliers' must have 1 <= min <= max and step > 0, "
+                              f"got min {self.min}, max {self.max}, step {self.step}")
 
     def values(self) -> list[float]:
         out = []
@@ -121,15 +123,20 @@ class RunConfig:
     workers: int = 1
 
     def __post_init__(self):
+        for key, low in _MINIMUMS.items():
+            if getattr(self, key) < low:
+                raise ConfigError(f"config key '{key}' must be >= {low}, "
+                                  f"got {json.dumps(getattr(self, key))}")
         if not (0.0 < self.alpha < 1.0):
-            raise ValueError("alpha must be in (0, 1)")
+            raise ConfigError(f"config key 'alpha' must be in (0, 1), got {json.dumps(self.alpha)}")
         if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+            raise ConfigError(f"config key 'epsilon' must be positive, "
+                              f"got {json.dumps(self.epsilon)}")
         if not self.methods:
-            raise ValueError("method list must be non-empty")
-        for a in self.approaches:
+            raise ConfigError("config key 'methods' must be non-empty")
+        for i, a in enumerate(self.approaches):
             if a not in ("a1", "a2"):
-                raise ValueError(f"unknown approach {a!r}")
+                raise ConfigError(f"unknown approach {a!r} in 'approaches[{i}]'")
 
     def preset_for(self, approach: str) -> str:
         if approach in self.presets:
@@ -164,7 +171,10 @@ def _mixture_from_dict(d: dict) -> MixtureConfig:
             kwargs[name] = tuple(bounds)
     if "seed" in d:
         kwargs["seed"] = _typed(d["seed"], _INTEGER, "mixture.seed")
-    return MixtureConfig(**kwargs)
+    try:
+        return MixtureConfig(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"config key 'mixture' is invalid: {exc}") from None
 
 
 def _learner_from_config(learner) -> LearnerSpec:

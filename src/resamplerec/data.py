@@ -213,9 +213,9 @@ def ingest_csv(path: str | Path, label_column: str = "label", dataset_id: str | 
                 continue
             if len(row) != len(header):
                 raise ValueError(f"line {lineno}: expected {len(header)} cells, got {len(row)}")
-            raw_labels.append(row[label_pos])
+            raw_labels.append(row.pop(label_pos))
             try:
-                rows.append([float(row[i]) for i in range(len(header)) if i != label_pos])
+                rows.append(list(map(float, row)))
             except ValueError:
                 raise ValueError(f"line {lineno}: non-numeric feature cell") from None
     distinct = sorted(set(raw_labels))

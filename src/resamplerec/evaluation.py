@@ -9,7 +9,9 @@ across cells.
 from __future__ import annotations
 
 import csv
+import io
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -229,27 +231,44 @@ def quality_grid(s: Dataset, learner: LearnerSpec, methods: list[str],
     return grid
 
 
+def _csv_text(header: list[str], rows) -> str:
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def write_files_atomically(files: dict[Path, str]) -> None:
+    """Write every text to a temp file beside its path, then move each into place.
+
+    A reader sees each file either whole or as it was. The files are moved in
+    the given order, so put the one that vouches for the others last. Temp
+    files that were not moved are removed, also when a write or move fails.
+    """
+    temps = {path: path.with_name(f".{path.name}.tmp") for path in files}
+    try:
+        for path, text in files.items():
+            temps[path].write_text(text, encoding="utf-8", newline="")
+        for path, temp in temps.items():
+            os.replace(temp, path)
+    finally:
+        for temp in temps.values():
+            temp.unlink(missing_ok=True)
+
+
 def save_grid(grid: QualityGrid, csv_path: str | Path) -> None:
-    """Long-format CSV plus a skip sidecar and a JSON meta file; reload is bit-exact."""
+    """Long-format CSV plus a skip sidecar and a JSON meta file; reload is bit-exact.
+
+    Each file is written atomically (`write_files_atomically`).
+    """
     csv_path = Path(csv_path)
     csv_path.parent.mkdir(parents=True, exist_ok=True)
-    with csv_path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["dataset_id", "learner", "method", "multiplier", "fold", "score"])
-        for key in grid.cell_keys():
-            if key not in grid.cells:
-                continue
-            method, m = key
-            for j, score in enumerate(grid.cells[key]):
-                writer.writerow([grid.dataset_id, grid.learner_id, method,
-                                 repr(float(m)), j, repr(float(score))])
-    with _skips_path(csv_path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["dataset_id", "learner", "method", "multiplier", "reason"])
-        for key in grid.cell_keys():
-            if key in grid.skips:
-                writer.writerow([grid.dataset_id, grid.learner_id, key[0],
-                                 repr(float(key[1])), grid.skips[key]])
+    scores = [[grid.dataset_id, grid.learner_id, method, repr(float(m)), j, repr(float(score))]
+              for method, m in grid.cell_keys() if (method, m) in grid.cells
+              for j, score in enumerate(grid.cells[(method, m)])]
+    skips = [[grid.dataset_id, grid.learner_id, key[0], repr(float(key[1])), grid.skips[key]]
+             for key in grid.cell_keys() if key in grid.skips]
     meta = {
         "dataset_id": grid.dataset_id,
         "learner": grid.learner_id,
@@ -258,7 +277,13 @@ def save_grid(grid: QualityGrid, csv_path: str | Path) -> None:
         "methods": grid.methods,
         "multipliers": [repr(float(m)) for m in grid.multipliers],
     }
-    _meta_path(csv_path).write_text(json.dumps(meta, sort_keys=True), encoding="utf-8")
+    write_files_atomically({
+        csv_path: _csv_text(["dataset_id", "learner", "method", "multiplier", "fold", "score"],
+                            scores),
+        _skips_path(csv_path): _csv_text(
+            ["dataset_id", "learner", "method", "multiplier", "reason"], skips),
+        _meta_path(csv_path): json.dumps(meta, sort_keys=True),
+    })
 
 
 def _skips_path(csv_path: Path) -> Path:

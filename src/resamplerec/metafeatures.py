@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -66,40 +67,50 @@ class MetaFeatures:
         return {name: float(v) for name, v in zip(META_FEATURE_NAMES, self.values)}
 
 
-def _central_moments(sample: np.ndarray) -> tuple[float, float, float]:
-    mean = sample.mean()
-    dev = sample - mean
-    return float((dev ** 2).mean()), float((dev ** 3).mean()), float((dev ** 4).mean())
+def _column_moments(x: np.ndarray) -> tuple[list[float], list[float], list[float]]:
+    """Central moments m2, m3, m4 of every column of the (n, d) matrix x.
+
+    Each column is reduced along a contiguous row of the transposed copy, the
+    same pairwise summation numpy applies to a single 1-D column.
+    """
+    xt = np.ascontiguousarray(x.T)
+    dev = xt - xt.mean(axis=1)[:, None]
+    return tuple((dev ** p).mean(axis=1).tolist() for p in (2, 3, 4))
 
 
-def skewness(sample: np.ndarray) -> float:
-    """Adjusted Fisher-Pearson skewness; 0.0 for n < 3 or zero variance."""
-    n = sample.shape[0]
-    if n < 3:
-        return 0.0
-    m2, m3, _ = _central_moments(sample)
-    if m2 <= 0.0:
+def _sample_moments(sample: np.ndarray) -> tuple[int, float, float, float]:
+    """(n, m2, m3, m4) of a 1-D sample, the arguments of every statistic below."""
+    sample = np.asarray(sample, dtype=np.float64)
+    m2, m3, m4 = _column_moments(sample[:, None])
+    return sample.shape[0], m2[0], m3[0], m4[0]
+
+
+# Each statistic is written once, over a column's (n, m2, m3, m4), in scalar
+# `math`: numpy's vectorised log/asinh/power are not bit-equal to libm.
+
+
+def _skewness(n: int, m2: float, m3: float, m4: float) -> float:
+    if n < 3 or m2 <= 0.0:
         return 0.0
     g1 = m3 / m2 ** 1.5
     return math.sqrt(n * (n - 1)) / (n - 2) * g1
 
 
-def kurtosis(sample: np.ndarray) -> float:
-    """Excess kurtosis m4/m2^2 - 3; 0.0 for zero variance."""
-    m2, _, m4 = _central_moments(sample)
+def _kurtosis(n: int, m2: float, m3: float, m4: float) -> float:
     if m2 <= 0.0:
         return 0.0
     return m4 / m2 ** 2 - 3.0
 
 
-def skew_test_zstat(sample: np.ndarray) -> float:
-    """D'Agostino's normality Z for sample skewness."""
-    n = sample.shape[0]
+class _DegenerateSample(ValueError):
+    """A test statistic that is undefined for the sample; its p-value is 1.0."""
+
+
+def _skew_zstat(n: int, m2: float, m3: float, m4: float) -> float:
     if n < MIN_TEST_SAMPLE:
         raise ValueError(f"skewness test needs n >= {MIN_TEST_SAMPLE}")
-    m2, m3, _ = _central_moments(sample)
     if m2 <= 0.0:
-        raise ValueError("zero-variance sample")
+        raise _DegenerateSample("zero-variance sample")
     g1 = m3 / m2 ** 1.5
     y = g1 * math.sqrt((n + 1.0) * (n + 3.0) / (6.0 * (n - 2.0)))
     beta2 = 3.0 * (n * n + 27.0 * n - 70.0) * (n + 1.0) * (n + 3.0) \
@@ -110,14 +121,11 @@ def skew_test_zstat(sample: np.ndarray) -> float:
     return delta * math.asinh(y / alpha)
 
 
-def kurt_test_zstat(sample: np.ndarray) -> float:
-    """Anscombe-Glynn normality Z for sample kurtosis."""
-    n = sample.shape[0]
+def _kurt_zstat(n: int, m2: float, m3: float, m4: float) -> float:
     if n < MIN_TEST_SAMPLE:
         raise ValueError(f"kurtosis test needs n >= {MIN_TEST_SAMPLE}")
-    m2, _, m4 = _central_moments(sample)
     if m2 <= 0.0:
-        raise ValueError("zero-variance sample")
+        raise _DegenerateSample("zero-variance sample")
     b2 = m4 / m2 ** 2
     mean_b2 = 3.0 * (n - 1.0) / (n + 1.0)
     var_b2 = 24.0 * n * (n - 2.0) * (n - 3.0) / ((n + 1.0) ** 2 * (n + 3.0) * (n + 5.0))
@@ -128,33 +136,55 @@ def kurt_test_zstat(sample: np.ndarray) -> float:
     term1 = 1.0 - 2.0 / (9.0 * a)
     denom = 1.0 + x * math.sqrt(2.0 / (a - 4.0))
     if denom == 0.0:
-        raise ValueError("degenerate kurtosis statistic")
+        raise _DegenerateSample("degenerate kurtosis statistic")
     term2 = math.copysign(abs((1.0 - 2.0 / a) / denom) ** (1.0 / 3.0), denom)
     return (term1 - term2) / math.sqrt(2.0 / (9.0 * a))
 
 
+def _pvalue(zstat, n: int, m2: float, m3: float, m4: float) -> float:
+    """Two-sided normal p-value of zstat; 1.0 where the statistic is degenerate."""
+    try:
+        return normal_two_sided_pvalue(zstat(n, m2, m3, m4))
+    except _DegenerateSample:
+        return 1.0
+
+
+_skew_pvalue = partial(_pvalue, _skew_zstat)
+_kurt_pvalue = partial(_pvalue, _kurt_zstat)
+
+
+def skewness(sample: np.ndarray) -> float:
+    """Adjusted Fisher-Pearson skewness; 0.0 for n < 3 or zero variance."""
+    return _skewness(*_sample_moments(sample))
+
+
+def kurtosis(sample: np.ndarray) -> float:
+    """Excess kurtosis m4/m2^2 - 3; 0.0 for zero variance."""
+    return _kurtosis(*_sample_moments(sample))
+
+
+def skew_test_zstat(sample: np.ndarray) -> float:
+    """D'Agostino's normality Z for sample skewness."""
+    return _skew_zstat(*_sample_moments(sample))
+
+
+def kurt_test_zstat(sample: np.ndarray) -> float:
+    """Anscombe-Glynn normality Z for sample kurtosis."""
+    return _kurt_zstat(*_sample_moments(sample))
+
+
 def skew_test_pvalue(sample: np.ndarray) -> float:
     """Two-sided p-value of the skewness normality test; 1.0 on zero variance."""
-    sample = np.asarray(sample, dtype=np.float64)
-    try:
-        z = skew_test_zstat(sample)
-    except ValueError as exc:
-        if "zero-variance" in str(exc):
-            return 1.0
-        raise
-    return normal_two_sided_pvalue(z)
+    return _skew_pvalue(*_sample_moments(sample))
 
 
 def kurt_test_pvalue(sample: np.ndarray) -> float:
     """Two-sided p-value of the kurtosis normality test; 1.0 on zero variance."""
-    sample = np.asarray(sample, dtype=np.float64)
-    try:
-        z = kurt_test_zstat(sample)
-    except ValueError as exc:
-        if "zero-variance" in str(exc) or "degenerate" in str(exc):
-            return 1.0
-        raise
-    return normal_two_sided_pvalue(z)
+    return _kurt_pvalue(*_sample_moments(sample))
+
+
+_COLUMN_STATS = {"skewness": _skewness, "skew_pval": _skew_pvalue,
+                 "kurtosis": _kurtosis, "kurt_pval": _kurt_pvalue}
 
 
 def _abs_cov_eigs(x: np.ndarray) -> tuple[float, float]:
@@ -177,30 +207,17 @@ def compute_meta_features(s: Dataset) -> MetaFeatures:
         s.n_minor / s.n_major,
         center_dist,
     ]
+    columns = {c: list(zip(*_column_moments(x))) for c, x in by_class.items()}
     for stat in _MOMENT_NAMES:
         for c in (0, 1):
-            x = by_class[c]
-            n_c = x.shape[0]
+            n_c = by_class[c].shape[0]
             if stat == "abs_cov_eig":
-                lo, hi = _abs_cov_eigs(x)
-            elif stat == "skewness":
-                vals = [skewness(x[:, f]) for f in range(x.shape[1])]
-                lo, hi = min(vals), max(vals)
-            elif stat == "skew_pval":
-                if n_c < MIN_TEST_SAMPLE:
-                    lo = hi = 1.0
-                else:
-                    vals = [skew_test_pvalue(x[:, f]) for f in range(x.shape[1])]
-                    lo, hi = min(vals), max(vals)
-            elif stat == "kurtosis":
-                vals = [kurtosis(x[:, f]) for f in range(x.shape[1])]
-                lo, hi = min(vals), max(vals)
+                lo, hi = _abs_cov_eigs(by_class[c])
+            elif stat.endswith("_pval") and n_c < MIN_TEST_SAMPLE:
+                lo = hi = 1.0
             else:
-                if n_c < MIN_TEST_SAMPLE:
-                    lo = hi = 1.0
-                else:
-                    vals = [kurt_test_pvalue(x[:, f]) for f in range(x.shape[1])]
-                    lo, hi = min(vals), max(vals)
+                vals = [_COLUMN_STATS[stat](n_c, *m) for m in columns[c]]
+                lo, hi = min(vals), max(vals)
             base.extend([lo, hi])
     values = base + [slog(v) for v in base]
     return MetaFeatures(values=np.array(values))

@@ -27,7 +27,8 @@ import numpy as np
 from .assessment import ALL_STATIC_STRATEGIES, assess_bank, format_ara_table, write_report
 from .config import RunConfig
 from .data import Dataset, generate_mixture, ingest_csv, write_csv
-from .evaluation import QualityGrid, load_grid, quality_grid, save_grid
+from .evaluation import (QualityGrid, load_grid, quality_grid, save_grid,
+                         write_files_atomically)
 from .metafeatures import META_FEATURE_NAMES, MetaFeatures, compute_meta_features
 from .qualityvars import (CellVars, MethodVars, QualityVariables, binarize_targets,
                           format_multiplier, quality_row)
@@ -157,8 +158,8 @@ def _compute_grid_for(cfg: RunConfig, s: Dataset, workers: int = 1) -> tuple[str
     grid = quality_grid(s, cfg.learner, list(cfg.methods), cfg.multiplier_values(),
                         cfg.k, cfg.seed, workers=workers, precomputed=precomputed)
     save_grid(grid, csv_path)
-    cache_path.write_text(json.dumps({"input_hash": input_hash}, sort_keys=True),
-                          encoding="utf-8")
+    # the cache marker goes last: a grid is resumed only when all its files are whole
+    write_files_atomically({cache_path: json.dumps({"input_hash": input_hash}, sort_keys=True)})
     return s.id, n_cells - cached, cached
 
 

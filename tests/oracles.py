@@ -4,16 +4,23 @@ These deliberately take different routes than the production code: the
 PR-AUC oracle walks the explicit precision/recall step curve over all
 thresholds, the t-tail oracle integrates the density numerically, and the
 SMOTE oracle re-derives neighbor sets with plain sorted() instead of numpy.
-The tree, L1-logreg and SMOTE-neighbor references are earlier versions of the
-production code, kept verbatim so that faster rewrites are checked bit for bit.
+The tree, L1-logreg, SMOTE-neighbor, meta-feature and CSV-ingest references
+are earlier versions of the production code, kept verbatim so that faster
+rewrites are checked bit for bit.
 """
 
+import csv
 import math
+from pathlib import Path
 
 import numpy as np
 from scipy.integrate import quad
 
+from resamplerec.data import Dataset
 from resamplerec.learners.tree import TreeNode, _norm_weights
+from resamplerec.metafeatures import (_MOMENT_NAMES, MIN_TEST_SAMPLE, MetaFeatures,
+                                      _abs_cov_eigs, slog)
+from resamplerec.stats import normal_two_sided_pvalue
 
 _GAIN_TOL = 1e-12
 
@@ -285,3 +292,189 @@ def fit_logreg_l1(x: np.ndarray, y: np.ndarray, *, l1_strength: float = 1.0,
         f_prev = f_new
         step *= 1.5  # allow the step to recover between iterations
     return coef, intercept
+
+
+# --- meta-features computing the central moments of each column once per statistic
+
+
+def _central_moments(sample: np.ndarray) -> tuple[float, float, float]:
+    mean = sample.mean()
+    dev = sample - mean
+    return float((dev ** 2).mean()), float((dev ** 3).mean()), float((dev ** 4).mean())
+
+
+def skewness(sample: np.ndarray) -> float:
+    """Adjusted Fisher-Pearson skewness; 0.0 for n < 3 or zero variance."""
+    n = sample.shape[0]
+    if n < 3:
+        return 0.0
+    m2, m3, _ = _central_moments(sample)
+    if m2 <= 0.0:
+        return 0.0
+    g1 = m3 / m2 ** 1.5
+    return math.sqrt(n * (n - 1)) / (n - 2) * g1
+
+
+def kurtosis(sample: np.ndarray) -> float:
+    """Excess kurtosis m4/m2^2 - 3; 0.0 for zero variance."""
+    m2, _, m4 = _central_moments(sample)
+    if m2 <= 0.0:
+        return 0.0
+    return m4 / m2 ** 2 - 3.0
+
+
+def skew_test_zstat(sample: np.ndarray) -> float:
+    """D'Agostino's normality Z for sample skewness."""
+    n = sample.shape[0]
+    if n < MIN_TEST_SAMPLE:
+        raise ValueError(f"skewness test needs n >= {MIN_TEST_SAMPLE}")
+    m2, m3, _ = _central_moments(sample)
+    if m2 <= 0.0:
+        raise ValueError("zero-variance sample")
+    g1 = m3 / m2 ** 1.5
+    y = g1 * math.sqrt((n + 1.0) * (n + 3.0) / (6.0 * (n - 2.0)))
+    beta2 = 3.0 * (n * n + 27.0 * n - 70.0) * (n + 1.0) * (n + 3.0) \
+        / ((n - 2.0) * (n + 5.0) * (n + 7.0) * (n + 9.0))
+    w2 = -1.0 + math.sqrt(2.0 * (beta2 - 1.0))
+    delta = 1.0 / math.sqrt(0.5 * math.log(w2))
+    alpha = math.sqrt(2.0 / (w2 - 1.0))
+    return delta * math.asinh(y / alpha)
+
+
+def kurt_test_zstat(sample: np.ndarray) -> float:
+    """Anscombe-Glynn normality Z for sample kurtosis."""
+    n = sample.shape[0]
+    if n < MIN_TEST_SAMPLE:
+        raise ValueError(f"kurtosis test needs n >= {MIN_TEST_SAMPLE}")
+    m2, _, m4 = _central_moments(sample)
+    if m2 <= 0.0:
+        raise ValueError("zero-variance sample")
+    b2 = m4 / m2 ** 2
+    mean_b2 = 3.0 * (n - 1.0) / (n + 1.0)
+    var_b2 = 24.0 * n * (n - 2.0) * (n - 3.0) / ((n + 1.0) ** 2 * (n + 3.0) * (n + 5.0))
+    x = (b2 - mean_b2) / math.sqrt(var_b2)
+    sqrt_beta1 = 6.0 * (n * n - 5.0 * n + 2.0) / ((n + 7.0) * (n + 9.0)) \
+        * math.sqrt(6.0 * (n + 3.0) * (n + 5.0) / (n * (n - 2.0) * (n - 3.0)))
+    a = 6.0 + 8.0 / sqrt_beta1 * (2.0 / sqrt_beta1 + math.sqrt(1.0 + 4.0 / sqrt_beta1 ** 2))
+    term1 = 1.0 - 2.0 / (9.0 * a)
+    denom = 1.0 + x * math.sqrt(2.0 / (a - 4.0))
+    if denom == 0.0:
+        raise ValueError("degenerate kurtosis statistic")
+    term2 = math.copysign(abs((1.0 - 2.0 / a) / denom) ** (1.0 / 3.0), denom)
+    return (term1 - term2) / math.sqrt(2.0 / (9.0 * a))
+
+
+def skew_test_pvalue(sample: np.ndarray) -> float:
+    """Two-sided p-value of the skewness normality test; 1.0 on zero variance."""
+    sample = np.asarray(sample, dtype=np.float64)
+    try:
+        z = skew_test_zstat(sample)
+    except ValueError as exc:
+        if "zero-variance" in str(exc):
+            return 1.0
+        raise
+    return normal_two_sided_pvalue(z)
+
+
+def kurt_test_pvalue(sample: np.ndarray) -> float:
+    """Two-sided p-value of the kurtosis normality test; 1.0 on zero variance."""
+    sample = np.asarray(sample, dtype=np.float64)
+    try:
+        z = kurt_test_zstat(sample)
+    except ValueError as exc:
+        if "zero-variance" in str(exc) or "degenerate" in str(exc):
+            return 1.0
+        raise
+    return normal_two_sided_pvalue(z)
+
+
+def compute_meta_features(s: Dataset) -> MetaFeatures:
+    """Full 50-value registry vector; requires >= 2 points per class."""
+    by_class = {c: s.features[s.labels == c] for c in (0, 1)}
+    for c, x in by_class.items():
+        if x.shape[0] < 2:
+            raise ValueError(f"class {c} has fewer than 2 elements")
+    center_dist = float(np.linalg.norm(by_class[0].mean(axis=0) - by_class[1].mean(axis=0)))
+    base = [
+        float(s.n),
+        float(s.dim),
+        s.n / s.dim,
+        s.n_minor / s.n_major,
+        center_dist,
+    ]
+    for stat in _MOMENT_NAMES:
+        for c in (0, 1):
+            x = by_class[c]
+            n_c = x.shape[0]
+            if stat == "abs_cov_eig":
+                lo, hi = _abs_cov_eigs(x)
+            elif stat == "skewness":
+                vals = [skewness(x[:, f]) for f in range(x.shape[1])]
+                lo, hi = min(vals), max(vals)
+            elif stat == "skew_pval":
+                if n_c < MIN_TEST_SAMPLE:
+                    lo = hi = 1.0
+                else:
+                    vals = [skew_test_pvalue(x[:, f]) for f in range(x.shape[1])]
+                    lo, hi = min(vals), max(vals)
+            elif stat == "kurtosis":
+                vals = [kurtosis(x[:, f]) for f in range(x.shape[1])]
+                lo, hi = min(vals), max(vals)
+            else:
+                if n_c < MIN_TEST_SAMPLE:
+                    lo = hi = 1.0
+                else:
+                    vals = [kurt_test_pvalue(x[:, f]) for f in range(x.shape[1])]
+                    lo, hi = min(vals), max(vals)
+            base.extend([lo, hi])
+    values = base + [slog(v) for v in base]
+    return MetaFeatures(values=np.array(values))
+
+
+# --- CSV ingestion indexing every cell of a row
+
+
+def ingest_csv(path: str | Path, label_column: str = "label", dataset_id: str | None = None) -> Dataset:
+    """Read a UTF-8 comma-separated file with a header row into a Dataset.
+
+    The less frequent label class is remapped to 1; on a tie the
+    lexicographically larger raw label becomes 1.
+    """
+    path = Path(path)
+    if not path.is_file():
+        raise ValueError(f"no such file: {path}")
+    with path.open("r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError(f"empty file: {path}") from None
+        if label_column not in header:
+            raise ValueError(f"label column {label_column!r} not in header")
+        label_pos = header.index(label_column)
+        feature_names = [h for i, h in enumerate(header) if i != label_pos]
+        if not feature_names:
+            raise ValueError("no feature columns")
+        rows: list[list[float]] = []
+        raw_labels: list[str] = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ValueError(f"line {lineno}: expected {len(header)} cells, got {len(row)}")
+            raw_labels.append(row[label_pos])
+            try:
+                rows.append([float(row[i]) for i in range(len(header)) if i != label_pos])
+            except ValueError:
+                raise ValueError(f"line {lineno}: non-numeric feature cell") from None
+    distinct = sorted(set(raw_labels))
+    if len(distinct) != 2:
+        raise ValueError(f"not binary: {len(distinct)} distinct labels")
+    counts = {v: raw_labels.count(v) for v in distinct}
+    if counts[distinct[0]] == counts[distinct[1]]:
+        minor_raw = distinct[1]  # lexicographically larger
+    else:
+        minor_raw = min(distinct, key=lambda v: counts[v])
+    y = np.fromiter((1 if v == minor_raw else 0 for v in raw_labels), dtype=np.int64)
+    x = np.asarray(rows, dtype=np.float64)
+    return Dataset(id=dataset_id or path.stem, features=x, labels=y)

@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -166,10 +167,25 @@ class TestPipelineCommands:
          "config key 'mixture.size_range[0]' must be an integer, got 60.5"),
         ({"methods": ["ros", "smote0"]}, "unknown resampling method 'smote0' in 'methods[1]'"),
         ({"presets": {"a1": 1}}, "config key 'presets.a1' must be a string, got 1"),
+        ({"count": -1}, "config key 'count' must be >= 1, got -1"),
+        ({"k": 1}, "config key 'k' must be >= 2, got 1"),
+        ({"k_prime": 1}, "config key 'k_prime' must be >= 2, got 1"),
+        ({"workers": 0}, "config key 'workers' must be >= 1, got 0"),
+        ({"alpha": 2}, "config key 'alpha' must be in (0, 1), got 2"),
+        ({"epsilon": -1}, "config key 'epsilon' must be positive, got -1"),
+        ({"approaches": ["a1", "a3"]}, "unknown approach 'a3' in 'approaches[1]'"),
+        ({"methods": []}, "config key 'methods' must be non-empty"),
+        ({"multipliers": {"min": 0.5, "max": 2.5, "step": 0.5}},
+         "config key 'multipliers' must have 1 <= min <= max and step > 0, "
+         "got min 0.5, max 2.5, step 0.5"),
+        ({"mixture": {"dim_range": [4, 3]}},
+         "config key 'mixture' is invalid: dim_range is empty: 4 > 3"),
     ], ids=["top", "mixture", "multipliers", "multipliers-missing", "learner",
             "minor-cov-scale", "learner-type", "document-type", "range-length", "int-type",
             "bool-is-not-int", "learner-field-type", "multiplier-type", "range-item-type",
-            "unknown-method", "preset-type"])
+            "unknown-method", "preset-type", "count-range", "k-range", "k-prime-range",
+            "workers-range", "alpha-range", "epsilon-range", "approach", "methods-empty",
+            "multiplier-range", "mixture-range"])
     def test_config_key_error(self, tmp_path, capsys, extra, message):
         if isinstance(extra, dict):
             cfg_path = tiny_config(tmp_path, **extra)
@@ -179,6 +195,47 @@ class TestPipelineCommands:
         assert main(["gen", "--config", str(cfg_path)]) == 1
         assert capsys.readouterr().err == f"error E_CONFIG: {message}\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--workers", "0", "config key 'workers' must be >= 1, got 0"),
+        ("--count", "0", "config key 'count' must be >= 1, got 0"),
+    ])
+    def test_override_range_error(self, tmp_path, capsys, flag, value, message):
+        assert main(["gen", "--config", str(tiny_config(tmp_path)), flag, value]) == 1
+        assert capsys.readouterr().err == f"error E_CONFIG: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_grid_resumes_after_crash_mid_save(self, tmp_path, monkeypatch, capsys):
+        """A save that dies after moving its first file leaves no grid a later run trusts."""
+        import os
+
+        cfg_path = tiny_config(tmp_path, count=2)
+        assert main(["gen", "--config", str(cfg_path)]) == 0
+        assert main(["grid", "--config", str(cfg_path)]) == 0
+        whole = read_tree(tmp_path / "out")
+        assert not [name for name in whole if Path(name).name.startswith(".")]  # no temp files
+
+        shutil.rmtree(tmp_path / "out" / "grids")
+        real_replace = os.replace
+        moved = []
+
+        def replace_then_crash(src, dst):
+            if moved:
+                raise OSError("disk gone")
+            moved.append(dst)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace_then_crash)
+        assert main(["grid", "--config", str(cfg_path)]) == 1
+        monkeypatch.setattr(os, "replace", real_replace)
+        assert capsys.readouterr().err == "error E_FAILED: disk gone\n"
+        grids = tmp_path / "out" / "grids"
+        assert [p.name for p in grids.iterdir()] == [moved[0].name]  # no temp file left
+        assert moved[0].suffix == ".csv" and not moved[0].name.startswith(".")
+
+        assert main(["grid", "--config", str(cfg_path)]) == 0
+        assert "0 cached" in capsys.readouterr().out
+        assert read_tree(tmp_path / "out") == whole
 
     def test_recommend_missing_model(self, tmp_path, capsys):
         cfg_path = tiny_config(tmp_path)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from resamplerec.data import (Dataset, MixtureConfig, generate_mixture, imbalance_ratio,
                               ingest_csv, round_half_up, stratified_folds, write_csv)
 
@@ -59,6 +60,64 @@ class TestIngest:
         back = ingest_csv(f, dataset_id=s.id)
         assert np.array_equal(s.labels, back.labels)
         assert np.max(np.abs(s.features - back.features)) <= 1e-12
+
+
+class TestIngestOracle:
+    """ingest_csv equals the per-cell reference in tests/oracles.py."""
+
+    @given(n=st.integers(2, 40), dim=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1),
+           label_pos=st.integers(0, 5), tokens=st.sampled_from([("0", "1"), ("pos", "neg"),
+                                                                 ("b", "a")]),
+           blank_after=st.sets(st.integers(0, 40), max_size=3))
+    @settings(max_examples=100, deadline=None)
+    def test_round_trip_equals_oracle(self, tmp_path_factory, n, dim, seed, label_pos, tokens,
+                                      blank_after):
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(0, 2, size=n)
+        labels[:2] = [0, 1]
+        x = rng.standard_normal((n, dim)) * 10.0 ** rng.integers(-3, 8)
+        path = tmp_path_factory.mktemp("rt") / "d.csv"
+        write_csv(Dataset(id="rt", features=x, labels=labels), path)
+        # move the label column (written last) to label_pos, rename the raw
+        # labels and add blank rows
+        lines = []
+        for i, line in enumerate(path.read_text().splitlines()):
+            cells = line.split(",")
+            label = cells.pop()
+            cells.insert(min(label_pos, dim), label if i == 0 else tokens[int(label)])
+            lines.append(",".join(cells))
+            if i in blank_after:
+                lines.append("")
+        path.write_text("\n".join(lines) + "\n")
+        ours, theirs = ingest_csv(path), oracles.ingest_csv(path)
+        assert ours.id == theirs.id
+        assert ours.features.tobytes() == theirs.features.tobytes()
+        assert ours.labels.tobytes() == theirs.labels.tobytes()
+        assert ours.features.shape == (n, dim)
+
+    @pytest.mark.parametrize("text", [
+        "a,label,b\n1,x,2\n3,y\n",
+        "a,label,b\n1,x,2\n\n3,y,oops\n",
+        "a,label,b\n1,x,1_000\n3,y,2\n",
+        "a,label\n1,x\n2,y\n3,z\n",
+        "a,label\n1,x\n2,x\n",
+        "a,label,b\n",
+        "",
+        "a,b\n1,2\n",
+        "label\nx\ny\n",
+    ], ids=["short-row", "non-numeric", "underscore-digits", "three-labels", "one-label",
+            "header-only", "empty", "no-label-column", "no-features"])
+    def test_same_result_or_error_as_oracle(self, tmp_path, text):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        outcomes = []
+        for ingest in (ingest_csv, oracles.ingest_csv):
+            try:
+                s = ingest(path)
+                outcomes.append((s.features.tobytes(), s.labels.tobytes()))
+            except ValueError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestDatasetInvariants:

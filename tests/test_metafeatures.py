@@ -6,7 +6,9 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resamplerec.data import Dataset
+import oracles
+from resamplerec import metafeatures
+from resamplerec.data import Dataset, MixtureConfig, generate_mixture
 from resamplerec.metafeatures import (BASE_META_FEATURE_NAMES, META_FEATURE_NAMES,
                                       compute_meta_features, kurt_test_pvalue,
                                       kurt_test_zstat, kurtosis, skew_test_pvalue,
@@ -168,3 +170,60 @@ class TestComputeMetaFeatures:
         mf = compute_meta_features(s)
         sel = mf.select(["center_distance", "n_objects"])
         assert sel[1] == 50.0
+
+
+# class sizes: too small for skewness (2), too small for the normality tests
+# (3-7), and large enough for both (>= 8)
+_CLASS_SIZE = st.one_of(st.just(2), st.integers(3, 7), st.integers(8, 60))
+
+
+class TestMetaFeaturesOracle:
+    """compute_meta_features equals the per-column, per-statistic reference in
+    tests/oracles.py bit for bit."""
+
+    @given(n_major=_CLASS_SIZE, n_minor=_CLASS_SIZE, dim=st.integers(1, 6),
+           seed=st.integers(0, 2 ** 32 - 1), scale_exp=st.integers(-3, 7),
+           offset=st.sampled_from([0.0, 1.0, -250.0, 1e7]),
+           decimals=st.sampled_from([None, 0, 1, 3]),
+           constant=st.booleans(), duplicate=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_oracle(self, n_major, n_minor, dim, seed, scale_exp, offset, decimals,
+                           constant, duplicate):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n_major + n_minor, dim)) * 10.0 ** scale_exp + offset
+        if decimals is not None:
+            x = np.round(x, decimals)
+        if constant:
+            x[:, 0] = offset + 0.5
+        if duplicate and dim > 1:
+            x[:, -1] = x[:, 0]
+        labels = rng.permutation(np.array([0] * n_major + [1] * n_minor))
+        s = Dataset(id="o", features=x, labels=labels)
+        assert compute_meta_features(s).values.tobytes() == \
+            oracles.compute_meta_features(s).values.tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_default_mixture_equals_oracle(self, seed):
+        s = generate_mixture(MixtureConfig(seed=seed), seed)
+        assert compute_meta_features(s).values.tobytes() == \
+            oracles.compute_meta_features(s).values.tobytes()
+
+    @given(st.lists(st.floats(-1e7, 1e7), min_size=1, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_sample_statistics_equal_oracle(self, values):
+        sample = np.array(values, dtype=np.float64)
+        for name in ("skewness", "kurtosis", "skew_test_zstat", "kurt_test_zstat",
+                     "skew_test_pvalue", "kurt_test_pvalue"):
+            assert _outcome(getattr(metafeatures, name), sample) == \
+                _outcome(getattr(oracles, name), sample), name
+
+
+def _outcome(fn, sample):
+    """The result as bytes, or the raised error's kind and message."""
+    try:
+        with np.errstate(all="ignore"):
+            return np.float64(fn(sample)).tobytes()
+    except ArithmeticError as exc:  # m2 ** 1.5 underflows to 0 on tiny variances
+        return type(exc).__name__, str(exc)
+    except ValueError as exc:
+        return "ValueError", str(exc)
