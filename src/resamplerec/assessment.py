@@ -10,7 +10,6 @@ on demand.
 
 from __future__ import annotations
 
-import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -19,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, imbalance_ratio, stratified_folds
+from .data import Dataset, csv_text, imbalance_ratio, stratified_folds, write_files_atomically
 from .evaluation import BASELINE_KEY, CellInfeasible, QualityGrid, cv_quality
 from .learners import LearnerSpec
 from .recommender import (MetaRecord, Recommendation, RecommenderPreset,
@@ -316,27 +315,25 @@ def ecdf_svg(ecdf_points: dict[str, list[tuple[float, float]]]) -> str:
 
 
 def write_report(report: AssessmentReport, out_dir: str | Path) -> None:
-    """report/ra.csv, report/ecdf_<strategy>.csv, report/summary.json, report/ecdf.svg."""
+    """report/ra.csv, report/ecdf_<strategy>.csv, report/ecdf.svg, report/summary.json.
+
+    The files are written atomically, summary.json last.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with (out_dir / "ra.csv").open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["dataset_id", "strategy", "ra"])
-        for (ds_id, strategy), value in sorted(report.ra.items()):
-            writer.writerow([ds_id, strategy, repr(value)])
+    files = {out_dir / "ra.csv": csv_text(
+        ["dataset_id", "strategy", "ra"],
+        [[ds_id, strategy, repr(value)] for (ds_id, strategy), value in sorted(report.ra.items())])}
     for name, points in sorted(report.ecdf_points.items()):
-        with (out_dir / f"ecdf_{name}.csv").open("w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "y"])
-            for x, y in points:
-                writer.writerow([repr(x), repr(y)])
+        files[out_dir / f"ecdf_{name}.csv"] = csv_text(
+            ["x", "y"], [[repr(x), repr(y)] for x, y in points])
+    files[out_dir / "ecdf.svg"] = ecdf_svg(report.ecdf_points)
     summary = {
         "ara": {name: report.ara[name] for name in sorted(report.ara)},
         "metadata": report.metadata,
     }
-    (out_dir / "summary.json").write_text(
-        json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    (out_dir / "ecdf.svg").write_text(ecdf_svg(report.ecdf_points), encoding="utf-8")
+    files[out_dir / "summary.json"] = json.dumps(summary, sort_keys=True, indent=2) + "\n"
+    write_files_atomically(files)
 
 
 def format_ara_table(ara: dict[str, float]) -> str:

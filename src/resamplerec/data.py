@@ -9,7 +9,9 @@ requires both classes to be non-empty.
 from __future__ import annotations
 
 import csv
+import io
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -40,7 +42,7 @@ class Dataset:
             raise ValueError("dataset needs at least 2 rows and 1 feature")
         if not np.isfinite(x).all():
             raise ValueError("features contain non-finite values")
-        if not np.isin(y, (0, 1)).all():
+        if not ((y == 0) | (y == 1)).all():
             raise ValueError("labels must be 0 or 1")
         if not (y == 0).any() or not (y == 1).any():
             raise ValueError("both classes must be non-empty")
@@ -229,6 +231,33 @@ def ingest_csv(path: str | Path, label_column: str = "label", dataset_id: str | 
     y = np.fromiter((1 if v == minor_raw else 0 for v in raw_labels), dtype=np.int64)
     x = np.asarray(rows, dtype=np.float64)
     return Dataset(id=dataset_id or path.stem, features=x, labels=y)
+
+
+def csv_text(header: list[str], rows) -> str:
+    """The CSV file text of a header and rows, as `csv.writer` writes it."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def write_files_atomically(files: dict[Path, str]) -> None:
+    """Write every text to a temp file beside its path, then move each into place.
+
+    A reader sees each file either whole or as it was. The files are moved in
+    the given order, so put the one that vouches for the others last. Temp
+    files that were not moved are removed, also when a write or move fails.
+    """
+    temps = {path: path.with_name(f".{path.name}.tmp") for path in files}
+    try:
+        for path, text in files.items():
+            temps[path].write_text(text, encoding="utf-8", newline="")
+        for path, temp in temps.items():
+            os.replace(temp, path)
+    finally:
+        for temp in temps.values():
+            temp.unlink(missing_ok=True)
 
 
 def write_csv(s: Dataset, path: str | Path, label_column: str = "label") -> None:

@@ -9,16 +9,14 @@ across cells.
 from __future__ import annotations
 
 import csv
-import io
 import json
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, FoldAssignment, stratified_folds
+from .data import Dataset, FoldAssignment, csv_text, stratified_folds, write_files_atomically
 from .learners import LearnerSpec, fit_arrays, predict_scores
 from .resampling import ResamplingSpec, feasible, resample, smote_neighbor_order
 from .rng import derive_seed
@@ -231,32 +229,6 @@ def quality_grid(s: Dataset, learner: LearnerSpec, methods: list[str],
     return grid
 
 
-def _csv_text(header: list[str], rows) -> str:
-    buf = io.StringIO(newline="")
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def write_files_atomically(files: dict[Path, str]) -> None:
-    """Write every text to a temp file beside its path, then move each into place.
-
-    A reader sees each file either whole or as it was. The files are moved in
-    the given order, so put the one that vouches for the others last. Temp
-    files that were not moved are removed, also when a write or move fails.
-    """
-    temps = {path: path.with_name(f".{path.name}.tmp") for path in files}
-    try:
-        for path, text in files.items():
-            temps[path].write_text(text, encoding="utf-8", newline="")
-        for path, temp in temps.items():
-            os.replace(temp, path)
-    finally:
-        for temp in temps.values():
-            temp.unlink(missing_ok=True)
-
-
 def save_grid(grid: QualityGrid, csv_path: str | Path) -> None:
     """Long-format CSV plus a skip sidecar and a JSON meta file; reload is bit-exact.
 
@@ -278,9 +250,9 @@ def save_grid(grid: QualityGrid, csv_path: str | Path) -> None:
         "multipliers": [repr(float(m)) for m in grid.multipliers],
     }
     write_files_atomically({
-        csv_path: _csv_text(["dataset_id", "learner", "method", "multiplier", "fold", "score"],
+        csv_path: csv_text(["dataset_id", "learner", "method", "multiplier", "fold", "score"],
                             scores),
-        _skips_path(csv_path): _csv_text(
+        _skips_path(csv_path): csv_text(
             ["dataset_id", "learner", "method", "multiplier", "reason"], skips),
         _meta_path(csv_path): json.dumps(meta, sort_keys=True),
     })

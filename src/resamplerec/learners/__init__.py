@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..data import Dataset
+from ..data import Dataset, write_files_atomically
 from .boost import (BoostStage, boosted_classifier_scores, boosted_regressor_predict,
                     fit_boosted_classifier, fit_boosted_regressor)
 from .instrument import count_fit as _count_fit
@@ -257,7 +257,7 @@ def model_from_dict(doc: dict) -> Model:
 
 
 def save_model(model: Model, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(model_to_dict(model), sort_keys=True), encoding="utf-8")
+    write_files_atomically({Path(path): json.dumps(model_to_dict(model), sort_keys=True)})
 
 
 def load_model(path: str | Path) -> Model:

@@ -4,7 +4,13 @@ Objective: mean log-loss + l1_strength * ||coef||_1 (intercept unpenalized).
 Backtracking line search keeps the objective non-increasing at every step.
 The fit carries the logit `x @ coef + intercept` and the smooth loss of the
 accepted candidate into the next iteration, so each line-search trial costs
-one forward product and each iteration one backward product.
+one forward product and each iteration one backward product. While every
+coefficient is zero (at l1_strength >= lambda_max the whole fit stays there)
+the logit is the scalar intercept, so the loss and the sigmoid evaluate one
+transcendental each instead of one per row. The results are bit-identical to
+the per-row form: every row of `x @ 0 + b` equals `b` up to the sign of a
+zero, and logaddexp(0, +-0), y * (+-0) subtracted from it, and sigmoid(+-0)
+do not depend on that sign.
 """
 
 from __future__ import annotations
@@ -15,22 +21,24 @@ from .instrument import count_fit
 
 
 def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # -|z| is exactly -z for z >= 0 and z for z < 0, so each branch sees the
+    # same exp argument as the stable two-sided form.
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def _loss_from_logit(z: np.ndarray, y: np.ndarray) -> float:
-    """Mean logistic loss at logits z, computed via logaddexp for stability."""
-    return float(np.mean(np.logaddexp(0.0, z) - y * z))
+def _loss_from_logit(z, y: np.ndarray) -> float:
+    """Mean logistic loss at logits z, computed via logaddexp for stability.
+
+    z may be a scalar standing for the same logit in every row.
+    """
+    t = np.logaddexp(0.0, z) - y * z
+    return float(t.sum() / y.shape[0])
 
 
-def _grad_from_logit(x: np.ndarray, y: np.ndarray, z: np.ndarray):
+def _grad_from_logit(x: np.ndarray, y: np.ndarray, z):
     r = _sigmoid(z) - y
-    return x.T @ r / x.shape[0], float(r.mean())
+    return x.T @ r / x.shape[0], float(r.sum() / r.shape[0])
 
 
 def log_loss(x: np.ndarray, y: np.ndarray, coef: np.ndarray, intercept: float) -> float:
@@ -65,7 +73,7 @@ def fit_logreg_l1(x: np.ndarray, y: np.ndarray, *, l1_strength: float = 1.0,
     coef = np.zeros(x.shape[1])
     intercept = 0.0
     step = 1.0
-    z = x @ coef + intercept
+    z = intercept
     f_smooth = _loss_from_logit(z, y)
     f_prev = f_smooth + l1_strength * float(np.abs(coef).sum())
     if history is not None:
@@ -79,7 +87,7 @@ def fit_logreg_l1(x: np.ndarray, y: np.ndarray, *, l1_strength: float = 1.0,
             di = new_int - intercept
             quad = f_smooth + float(g_coef @ dc) + g_int * di \
                 + (float(dc @ dc) + di * di) / (2.0 * step)
-            new_z = x @ new_coef + new_int
+            new_z = x @ new_coef + new_int if new_coef.any() else new_int
             new_smooth = _loss_from_logit(new_z, y)
             if new_smooth <= quad + 1e-15:
                 break

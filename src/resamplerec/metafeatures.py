@@ -86,20 +86,24 @@ def _sample_moments(sample: np.ndarray) -> tuple[int, float, float, float]:
 
 
 # Each statistic is written once, over a column's (n, m2, m3, m4), in scalar
-# `math`: numpy's vectorised log/asinh/power are not bit-equal to libm.
+# `math`: numpy's vectorised log/asinh/power are not bit-equal to libm. A
+# denominator m2 ** 1.5 or m2 ** 2 that is zero, because m2 is or because the
+# power underflows (m2 below ~1e-216 or ~1e-162), counts as zero variance.
 
 
 def _skewness(n: int, m2: float, m3: float, m4: float) -> float:
-    if n < 3 or m2 <= 0.0:
+    scale = m2 ** 1.5
+    if n < 3 or scale <= 0.0:
         return 0.0
-    g1 = m3 / m2 ** 1.5
+    g1 = m3 / scale
     return math.sqrt(n * (n - 1)) / (n - 2) * g1
 
 
 def _kurtosis(n: int, m2: float, m3: float, m4: float) -> float:
-    if m2 <= 0.0:
+    scale = m2 ** 2
+    if scale <= 0.0:
         return 0.0
-    return m4 / m2 ** 2 - 3.0
+    return m4 / scale - 3.0
 
 
 class _DegenerateSample(ValueError):
@@ -109,9 +113,10 @@ class _DegenerateSample(ValueError):
 def _skew_zstat(n: int, m2: float, m3: float, m4: float) -> float:
     if n < MIN_TEST_SAMPLE:
         raise ValueError(f"skewness test needs n >= {MIN_TEST_SAMPLE}")
-    if m2 <= 0.0:
+    scale = m2 ** 1.5
+    if scale <= 0.0:
         raise _DegenerateSample("zero-variance sample")
-    g1 = m3 / m2 ** 1.5
+    g1 = m3 / scale
     y = g1 * math.sqrt((n + 1.0) * (n + 3.0) / (6.0 * (n - 2.0)))
     beta2 = 3.0 * (n * n + 27.0 * n - 70.0) * (n + 1.0) * (n + 3.0) \
         / ((n - 2.0) * (n + 5.0) * (n + 7.0) * (n + 9.0))
@@ -124,9 +129,10 @@ def _skew_zstat(n: int, m2: float, m3: float, m4: float) -> float:
 def _kurt_zstat(n: int, m2: float, m3: float, m4: float) -> float:
     if n < MIN_TEST_SAMPLE:
         raise ValueError(f"kurtosis test needs n >= {MIN_TEST_SAMPLE}")
-    if m2 <= 0.0:
+    scale = m2 ** 2
+    if scale <= 0.0:
         raise _DegenerateSample("zero-variance sample")
-    b2 = m4 / m2 ** 2
+    b2 = m4 / scale
     mean_b2 = 3.0 * (n - 1.0) / (n + 1.0)
     var_b2 = 24.0 * n * (n - 2.0) * (n - 3.0) / ((n + 1.0) ** 2 * (n + 3.0) * (n + 5.0))
     x = (b2 - mean_b2) / math.sqrt(var_b2)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -26,9 +27,8 @@ import numpy as np
 
 from .assessment import ALL_STATIC_STRATEGIES, assess_bank, format_ara_table, write_report
 from .config import RunConfig
-from .data import Dataset, generate_mixture, ingest_csv, write_csv
-from .evaluation import (QualityGrid, load_grid, quality_grid, save_grid,
-                         write_files_atomically)
+from .data import Dataset, generate_mixture, ingest_csv, write_csv, write_files_atomically
+from .evaluation import QualityGrid, load_grid, quality_grid, save_grid
 from .metafeatures import META_FEATURE_NAMES, MetaFeatures, compute_meta_features
 from .qualityvars import (CellVars, MethodVars, QualityVariables, binarize_targets,
                           format_multiplier, quality_row)
@@ -92,8 +92,8 @@ def cmd_gen(cfg: RunConfig) -> None:
         "config_hash": _hash_bytes(json.dumps(_gen_config_doc(cfg), sort_keys=True).encode()),
         "datasets": entries,
     }
-    _manifest_path(cfg).write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n",
-                                   encoding="utf-8")
+    write_files_atomically({_manifest_path(cfg): json.dumps(manifest, sort_keys=True, indent=2)
+                            + "\n"})
     print(f"gen: wrote {len(entries)} datasets to {ds_dir}")
 
 
@@ -233,14 +233,14 @@ def cmd_meta(cfg: RunConfig) -> None:
     records = build_meta_dataset(list(zip(bank, grids)), cfg.epsilon, cfg.alpha)
     columns = _meta_columns(cfg)
     meta_path = cfg.out_dir() / "meta.csv"
-    with meta_path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=columns)
-        writer.writeheader()
-        for rec in records:
-            row = {"dataset_id": rec.dataset_id}
-            row.update({name: repr(v) for name, v in rec.features.as_dict().items()})
-            row.update(quality_row(rec.qv, rec.targets))
-            writer.writerow(row)
+    buf = io.StringIO(newline="")
+    writer = csv.DictWriter(buf, fieldnames=columns)
+    writer.writeheader()
+    for rec in records:
+        row = {"dataset_id": rec.dataset_id}
+        row.update({name: repr(v) for name, v in rec.features.as_dict().items()})
+        row.update(quality_row(rec.qv, rec.targets))
+        writer.writerow(row)
     sidecar = {
         "epsilon": cfg.epsilon,
         "alpha": cfg.alpha,
@@ -249,8 +249,8 @@ def cmd_meta(cfg: RunConfig) -> None:
         "k": cfg.k,
         "learner": cfg.learner.token(),
     }
-    (cfg.out_dir() / "meta.meta.json").write_text(json.dumps(sidecar, sort_keys=True),
-                                                  encoding="utf-8")
+    write_files_atomically({meta_path: buf.getvalue(),
+                            cfg.out_dir() / "meta.meta.json": json.dumps(sidecar, sort_keys=True)})
     print(f"meta: wrote {len(records)} meta-examples to {meta_path}")
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, write_files_atomically
 from .evaluation import QualityGrid
 from .learners import (LearnerSpec, Model, constant_model, fit_arrays, model_from_dict,
                        model_to_dict, predict_score)
@@ -306,8 +306,7 @@ def recommender_from_dict(doc: dict) -> RecommenderModel:
 
 
 def save_recommender(model: RecommenderModel, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(recommender_to_dict(model), sort_keys=True),
-                          encoding="utf-8")
+    write_files_atomically({Path(path): json.dumps(recommender_to_dict(model), sort_keys=True)})
 
 
 def load_recommender(path: str | Path) -> RecommenderModel:

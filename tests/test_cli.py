@@ -2,6 +2,7 @@ import json
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from resamplerec.cli import main
@@ -236,6 +237,64 @@ class TestPipelineCommands:
         assert main(["grid", "--config", str(cfg_path)]) == 0
         assert "0 cached" in capsys.readouterr().out
         assert read_tree(tmp_path / "out") == whole
+
+    def test_meta_reruns_after_crash_mid_save(self, tmp_path, monkeypatch, capsys):
+        """A meta save that dies after moving meta.csv leaves no sidecar, so
+        `train` refuses it until `meta` runs again."""
+        import os
+
+        cfg_path = tiny_config(tmp_path, count=2)
+        for command in ("gen", "grid", "meta"):
+            assert main([command, "--config", str(cfg_path)]) == 0, command
+        out = tmp_path / "out"
+        whole = read_tree(out)
+        (out / "meta.csv").unlink()
+        (out / "meta.meta.json").unlink()
+        real_replace = os.replace
+        moved = []
+
+        def replace_then_crash(src, dst):
+            if moved:
+                raise OSError("disk gone")
+            moved.append(dst)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace_then_crash)
+        assert main(["meta", "--config", str(cfg_path)]) == 1
+        monkeypatch.setattr(os, "replace", real_replace)
+        assert capsys.readouterr().err == "error E_FAILED: disk gone\n"
+        assert [p.name for p in moved] == ["meta.csv"]
+        assert sorted(p.name for p in out.iterdir()) == ["datasets", "grids", "meta.csv"]
+
+        assert main(["train", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err.startswith("error E_MISSING_INPUT: meta.csv missing")
+        assert main(["meta", "--config", str(cfg_path)]) == 0
+        assert read_tree(out) == whole
+
+    def test_recommend_tiny_variance_column(self, tmp_path, capsys):
+        """A class column whose variance underflows in m2 ** 1.5 is answered
+        as a zero-variance column, not with a traceback."""
+        from resamplerec.data import Dataset, ingest_csv, write_csv
+
+        cfg_path = tiny_config(tmp_path)
+        for command in ("gen", "grid", "meta", "train"):
+            assert main([command, "--config", str(cfg_path)]) == 0, command
+        s = ingest_csv(next((tmp_path / "out" / "datasets").glob("synth-*.csv")))
+        x = s.features.copy()
+        x[:, 0] = 0.0
+        x[np.flatnonzero(s.labels == 1)[0], 0] = 4.7e-136
+        query = tmp_path / "tiny.csv"
+        write_csv(Dataset(id="tiny", features=x, labels=s.labels), query)
+        capsys.readouterr()
+        code = main(["recommend", "--config", str(cfg_path),
+                     "--model", str(tmp_path / "out" / "models" / "a1.json"),
+                     "--data", str(query)])
+        captured = capsys.readouterr()
+        if code == 0:
+            assert captured.err == ""
+            assert len(captured.out.splitlines()) == 2
+        else:
+            assert captured.err.startswith("error ") and captured.err.count("\n") == 1
 
     def test_recommend_missing_model(self, tmp_path, capsys):
         cfg_path = tiny_config(tmp_path)

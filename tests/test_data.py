@@ -129,6 +129,11 @@ class TestDatasetInvariants:
         with pytest.raises(ValueError, match="finite"):
             Dataset(id="bad", features=np.array([[np.nan], [1.0]]), labels=np.array([0, 1]))
 
+    @pytest.mark.parametrize("labels", [[0, 1, 2], [-1, 0, 1], [0, 1, 2**40]])
+    def test_rejects_non_binary_labels(self, labels):
+        with pytest.raises(ValueError, match="^labels must be 0 or 1$"):
+            Dataset(id="bad", features=np.zeros((3, 1)), labels=np.array(labels))
+
     def test_immutability(self, tiny_imbalanced):
         with pytest.raises(ValueError):
             tiny_imbalanced.features[0, 0] = 99.0

@@ -14,7 +14,8 @@ from resamplerec.learners import (DEFAULT_LEARNERS, LearnerSpec, Model, constant
                                   fit_arrays, fit_count, load_model, predict_label,
                                   predict_labels, predict_score, predict_scores,
                                   save_model)
-from resamplerec.learners.logreg import fit_logreg_l1, log_loss, log_loss_grad, objective
+from resamplerec.learners.logreg import (_sigmoid, fit_logreg_l1, log_loss, log_loss_grad,
+                                         objective)
 from resamplerec.learners.boost import fit_boosted_classifier, fit_boosted_regressor
 from resamplerec.learners.tree import (TreeNode, build_classification_tree,
                                        build_regression_tree, tree_predict)
@@ -254,9 +255,24 @@ def logreg_problems(draw):
                       tol=draw(st.sampled_from([0.0, 1e-6, 1e-2])))
 
 
+@st.composite
+def wide_logreg_problems(draw):
+    """Fits of up to 300 rows, across numpy's 8- and 128-element pairwise
+    summation blocks, with the L1 strength on both sides of the value at
+    which every coefficient stays zero."""
+    n = draw(st.integers(2, 300))
+    d = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=(n, d)) * draw(st.sampled_from([0.1, 1.0, 10.0]))
+    y = rng.integers(0, 2, size=n)
+    return x, y, dict(l1_strength=draw(st.floats(0.0, 2.0)),
+                      max_iter=draw(st.sampled_from([1, 50, 500])))
+
+
 class TestLogRegOracle:
-    """Carrying the logit across iterations fits exactly what recomputing it
-    in every loss and gradient call (tests/oracles.py) fits."""
+    """Carrying the logit across iterations, and using the scalar intercept as
+    the logit while every coefficient is zero, fits exactly what recomputing
+    it in every loss and gradient call (tests/oracles.py) fits."""
 
     @given(logreg_problems())
     @settings(max_examples=150, deadline=None)
@@ -268,6 +284,33 @@ class TestLogRegOracle:
         assert coef.tobytes() == expected[0].tobytes()
         assert repr(intercept) == repr(expected[1])
         assert repr(history) == repr(expected_history)
+
+    def test_wide_fits_match_oracle_with_and_without_zero_coef(self):
+        all_zero = set()
+
+        @given(wide_logreg_problems())
+        @settings(max_examples=100, deadline=None)
+        def check(problem):
+            x, y, kw = problem
+            history, expected_history = [], []
+            coef, intercept = fit_logreg_l1(x, y, history=history, **kw)
+            expected = oracles.fit_logreg_l1(x, y, history=expected_history, **kw)
+            assert coef.tobytes() == expected[0].tobytes()
+            assert repr(intercept) == repr(expected[1])
+            assert repr(history) == repr(expected_history)
+            all_zero.add(not coef.any())
+
+        check()
+        assert all_zero == {True, False}
+
+    @given(hnp.arrays(np.float64, st.integers(1, 300),
+                      elements=st.floats(-800, 800) | st.sampled_from([0.0, -0.0])),
+           st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_scalar_sigmoid_matches_array_element(self, z, data):
+        i = data.draw(st.integers(0, z.shape[0] - 1))
+        assert np.asarray(_sigmoid(z[i])).tobytes() == _sigmoid(z)[i].tobytes()
+        assert np.asarray(_sigmoid(float(z[i]))).tobytes() == _sigmoid(z)[i].tobytes()
 
     @pytest.mark.parametrize("scale, max_iter, tol, exit_by", [
         (1.0, 500, 1e-6, "tol"), (1.0, 3, 0.0, "max_iter"), (1e7, 50, 1e-6, "step")])
