@@ -11,7 +11,6 @@ on demand.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -228,6 +227,8 @@ def assess_bank(bank: list[tuple[Dataset, QualityGrid]],
     tasks = [(datasets[i], grids[i], learner, strategies) for i in ids]
     static_cells: dict[str, dict] = {}
     if workers > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for ds_id, cells in pool.map(_static_cells_task, tasks):
                 static_cells[ds_id] = cells

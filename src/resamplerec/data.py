@@ -33,17 +33,19 @@ class Dataset:
 
     def __post_init__(self):
         x = np.array(self.features, dtype=np.float64)  # owning copy; frozen below
-        y = np.array(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
         if x.ndim != 2:
             raise ValueError("features must be a 2-D matrix")
-        if y.ndim != 1 or y.shape[0] != x.shape[0]:
+        if labels.ndim != 1 or labels.shape[0] != x.shape[0]:
             raise ValueError("labels must be a vector matching the feature rows")
         if x.shape[0] < 2 or x.shape[1] < 1:
             raise ValueError("dataset needs at least 2 rows and 1 feature")
         if not np.isfinite(x).all():
             raise ValueError("features contain non-finite values")
-        if not ((y == 0) | (y == 1)).all():
+        # checked before the cast, which would truncate 0.5 to 0
+        if not ((labels == 0) | (labels == 1)).all():
             raise ValueError("labels must be 0 or 1")
+        y = labels.astype(np.int64)  # owning copy; frozen below
         if not (y == 0).any() or not (y == 1).any():
             raise ValueError("both classes must be non-empty")
         object.__setattr__(self, "features", x)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -211,6 +210,8 @@ def quality_grid(s: Dataset, learner: LearnerSpec, methods: list[str],
     for key, value in precomputed.items():
         results[key] = value if isinstance(value, str) else np.asarray(value, dtype=np.float64)
     if workers > 1 and len(pending) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_grid_worker,
                                  initargs=(s, learner, folds, seed)) as pool:
             for key, value in pool.map(_grid_cell_task, pending):

@@ -71,11 +71,21 @@ def _column_moments(x: np.ndarray) -> tuple[list[float], list[float], list[float
     """Central moments m2, m3, m4 of every column of the (n, d) matrix x.
 
     Each column is reduced along a contiguous row of the transposed copy, the
-    same pairwise summation numpy applies to a single 1-D column.
+    same pairwise summation numpy applies to a single 1-D column. A column
+    whose m2 ** 2 overflows (m2 above ~1.3e154) has no finite kurtosis and is
+    rejected with a ValueError that names it.
     """
     xt = np.ascontiguousarray(x.T)
-    dev = xt - xt.mean(axis=1)[:, None]
-    return tuple((dev ** p).mean(axis=1).tolist() for p in (2, 3, 4))
+    with np.errstate(over="ignore"):  # an overflowing column is reported below
+        dev = xt - xt.mean(axis=1)[:, None]
+        m2, m3, m4 = ((dev ** p).mean(axis=1).tolist() for p in (2, 3, 4))
+    for f, v in enumerate(m2):
+        try:
+            v ** 2
+        except OverflowError:
+            raise ValueError(f"feature column {f}: variance {v:.3g} is too large for "
+                             "its moments to be finite") from None
+    return m2, m3, m4
 
 
 def _sample_moments(sample: np.ndarray) -> tuple[int, float, float, float]:

@@ -20,7 +20,6 @@ import csv
 import hashlib
 import io
 import json
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -189,6 +188,8 @@ def cmd_grid(cfg: RunConfig) -> None:
     bank = load_bank(cfg)
     results: list[tuple[str, int, int]] = []
     if cfg.workers > 1 and len(bank) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.workers, initializer=_init_grid_pool,
                                  initargs=(cfg,)) as pool:
             results = list(pool.map(_grid_pool_task, bank))

@@ -1,10 +1,14 @@
-"""Shared distribution helpers."""
+"""Shared distribution helpers.
+
+`scipy.special` is imported inside `student_t_sf`, not at module level: it
+costs more than half of a fresh `import resamplerec.cli` (it pulls in
+`numpy.f2py`), and only the `meta` command reaches the Student-t tail. Every
+other command, `recommend` included, starts without loading scipy.
+"""
 
 from __future__ import annotations
 
 import math
-
-from scipy import special
 
 
 def normal_two_sided_pvalue(z: float) -> float:
@@ -16,4 +20,6 @@ def student_t_sf(t: float, df: int) -> float:
     """P(T_df > t), the one-sided upper tail of Student's t."""
     if df < 1:
         raise ValueError("df must be >= 1")
+    from scipy import special
+
     return float(1.0 - special.stdtr(df, t))

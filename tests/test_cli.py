@@ -1,5 +1,8 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -296,6 +299,28 @@ class TestPipelineCommands:
         else:
             assert captured.err.startswith("error ") and captured.err.count("\n") == 1
 
+    def test_recommend_huge_variance_column(self, tmp_path, capsys):
+        """A column whose m2 ** 2 overflows ends in one error line naming it,
+        not in an OverflowError traceback."""
+        from resamplerec.data import Dataset, ingest_csv, write_csv
+
+        cfg_path = tiny_config(tmp_path)
+        for command in ("gen", "grid", "meta", "train"):
+            assert main([command, "--config", str(cfg_path)]) == 0, command
+        s = ingest_csv(next((tmp_path / "out" / "datasets").glob("synth-*.csv")))
+        x = s.features.copy()
+        x[:, 0] *= 1e80
+        query = tmp_path / "huge.csv"
+        write_csv(Dataset(id="huge", features=x, labels=s.labels), query)
+        capsys.readouterr()
+        assert main(["recommend", "--config", str(cfg_path),
+                     "--model", str(tmp_path / "out" / "models" / "a1.json"),
+                     "--data", str(query)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error E_FAILED: feature column 0: variance ")
+        assert captured.err.count("\n") == 1
+
     def test_recommend_missing_model(self, tmp_path, capsys):
         cfg_path = tiny_config(tmp_path)
         assert main(["recommend", "--config", str(cfg_path),
@@ -322,3 +347,41 @@ class TestPipelineCommands:
         cfg_path = tiny_config(tmp_path, csv_dir=str(csv_dir))
         bank = load_bank(load_config(cfg_path))
         assert [s.id for s in bank] == ["synth-9-0", "synth-9-1"]
+
+
+_IMPORT_BOUNDARY_SCRIPT = """
+import sys
+
+def check(step):
+    loaded = [name for name in ("scipy", "multiprocessing") if name in sys.modules]
+    assert not loaded, f"{step} loaded {loaded}"
+
+import resamplerec.cli as cli
+check("import resamplerec.cli")
+cfg, model, data, out = sys.argv[1:]
+assert cli.main(["gen", "--config", cfg, "--workers", "1", "--out", out]) == 0
+check("gen")
+assert cli.main(["recommend", "--config", cfg, "--workers", "1",
+                 "--model", model, "--data", data]) == 0
+check("recommend")
+"""
+
+
+class TestImportBoundary:
+    def test_cli_import_gen_recommend_load_neither_scipy_nor_pool(self, tmp_path):
+        """Only `meta` needs scipy and only parallel commands need a process
+        pool, so neither is imported by the CLI itself, `gen` or `recommend`.
+        A fresh interpreter is needed: this process imported scipy already."""
+        cfg_path = tiny_config(tmp_path)
+        for command in ("gen", "grid", "meta", "train"):
+            assert main([command, "--config", str(cfg_path), "--workers", "1"]) == 0, command
+        out = tmp_path / "out"
+        data = next((out / "datasets").glob("synth-*.csv"))
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-c", _IMPORT_BOUNDARY_SCRIPT, str(cfg_path),
+             str(out / "models" / "a1.json"), str(data), str(tmp_path / "fresh")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""

@@ -134,6 +134,23 @@ class TestDatasetInvariants:
         with pytest.raises(ValueError, match="^labels must be 0 or 1$"):
             Dataset(id="bad", features=np.zeros((3, 1)), labels=np.array(labels))
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, 1.0, 0.5, float("nan"), -1.0, 2.0, 1e-300]),
+                    min_size=2, max_size=12))
+    def test_float_labels_accepted_iff_exactly_binary(self, values):
+        labels = np.array(values)
+        binary = all(v in (0.0, 1.0) for v in values)
+        accepted = binary and 0.0 in values and 1.0 in values
+        features = np.zeros((len(values), 1))
+        if accepted:
+            s = Dataset(id="f", features=features, labels=labels)
+            assert s.labels.dtype == np.int64
+            assert s.labels.tolist() == [int(v) for v in values]
+        else:
+            message = "^labels must be 0 or 1$" if not binary else "non-empty"
+            with pytest.raises(ValueError, match=message):
+                Dataset(id="f", features=features, labels=labels)
+
     def test_immutability(self, tiny_imbalanced):
         with pytest.raises(ValueError):
             tiny_imbalanced.features[0, 0] = 99.0
