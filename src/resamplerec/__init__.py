@@ -9,7 +9,7 @@ assessment that compares them against static strategies.
 from .data import (Dataset, FoldAssignment, MixtureConfig, generate_mixture,
                    imbalance_ratio, ingest_csv, stratified_folds, write_csv)
 from .evaluation import QualityGrid, cv_quality, pr_auc, quality_grid
-from .learners import LearnerSpec, fit, predict_label, predict_score
+from .learners import LearnerSpec, predict_score
 from .metafeatures import MetaFeatures, compute_meta_features, slog
 from .qualityvars import (binarize_targets, compute_quality_variables,
                           paired_ttest_pvalue)

@@ -17,9 +17,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, csv_text, imbalance_ratio, stratified_folds, write_files_atomically
-from .evaluation import BASELINE_KEY, CellInfeasible, QualityGrid, cv_quality
+from .data import Dataset, csv_text, imbalance_ratio, write_files_atomically
+from .evaluation import (BASELINE_KEY, CellInfeasible, FoldSplits, QualityGrid, cv_quality,
+                         grid_folds)
 from .learners import LearnerSpec
+from .parallel import parallel_map
 from .recommender import (MetaRecord, Recommendation, RecommenderPreset,
                           build_meta_dataset, recommend, train)
 from .resampling import ResamplingSpec
@@ -92,36 +94,35 @@ def recommendation_accuracy(grid: QualityGrid, rec: Recommendation,
     return (pool[key] - lo) / (hi - lo)
 
 
-def grid_folds(s: Dataset, grid: QualityGrid):
-    """Re-derive the exact fold assignment the grid was evaluated with."""
-    return stratified_folds(s, grid.k, derive_seed(grid.seed, s.id, "folds"))
-
-
 def evaluate_cell_on_demand(s: Dataset, grid: QualityGrid, learner: LearnerSpec,
-                            spec: ResamplingSpec) -> np.ndarray:
-    folds = grid_folds(s, grid)
+                            spec: ResamplingSpec, splits: FoldSplits | None = None) -> np.ndarray:
+    """Fold scores of a cell outside the grid, on the grid's folds.
+
+    The cell's RNG stream is derived from its method and multiplier, so it
+    does not depend on which caller asks for it or in what order.
+    """
+    if splits is None:
+        splits = FoldSplits(s, grid_folds(s, grid))
     seed = derive_seed(grid.seed, s.id, spec.method, "on-demand", repr(float(spec.multiplier)))
-    return cv_quality(s, learner, spec, folds, seed)
+    return cv_quality(s, learner, spec, splits.folds, seed, splits=splits)
 
 
-def _rus_multiplier_cap(s: Dataset, folds) -> float:
+def _rus_multiplier_cap(splits: FoldSplits) -> float:
     """Largest multiplier feasible on every training split."""
-    caps = []
-    for j in range(folds.k):
-        y = s.labels[~folds.test_mask(j)]
-        caps.append(float((y == 0).sum()) / float((y == 1).sum()))
-    return min(caps)
+    return min(splits.train(j).n_major / splits.train(j).n_minor
+               for j in range(splits.folds.k))
 
 
-def _static_cells_for_dataset(s: Dataset, grid: QualityGrid, learner: LearnerSpec,
-                              strategies: list[StaticStrategy]):
+def _static_cells_task(context, item):
     """Evaluate each static strategy's cell; returns {strategy: (key, mean)}.
 
     RUS-to-balance is capped at the largest multiplier feasible on every
     training split (fold rounding can push IR(train) slightly below IR(S)).
     A cell that still cannot be applied falls back to the baseline cell.
     """
-    folds = grid_folds(s, grid)
+    learner, strategies = context
+    s, grid = item
+    splits = FoldSplits(s, grid_folds(s, grid))
     out: dict[str, tuple[tuple[str, float], float]] = {}
     for strategy in strategies:
         rec = apply_static(strategy, s)
@@ -131,22 +132,15 @@ def _static_cells_for_dataset(s: Dataset, grid: QualityGrid, learner: LearnerSpe
             continue
         method, m = key
         if method == "rus":
-            m = min(m, _rus_multiplier_cap(s, folds))
+            m = min(m, _rus_multiplier_cap(splits))
             key = (method, m)
-        spec = ResamplingSpec(method, m)
-        seed = derive_seed(grid.seed, s.id, method, "on-demand", repr(float(m)))
         try:
-            scores = cv_quality(s, learner, spec, folds, seed)
+            scores = evaluate_cell_on_demand(s, grid, learner, ResamplingSpec(method, m), splits)
         except CellInfeasible:
             out[strategy.value] = (BASELINE_KEY, float(grid.baseline.mean()))
             continue
         out[strategy.value] = (key, float(scores.mean()))
     return out
-
-
-def _static_cells_task(item):
-    s, grid, learner, strategies = item
-    return s.id, _static_cells_for_dataset(s, grid, learner, strategies)
 
 
 @dataclass
@@ -224,18 +218,8 @@ def assess_bank(bank: list[tuple[Dataset, QualityGrid]],
             for ds_id in test_ids:
                 recommendations[(ds_id, name)] = recommend(model, datasets[ds_id])
 
-    tasks = [(datasets[i], grids[i], learner, strategies) for i in ids]
-    static_cells: dict[str, dict] = {}
-    if workers > 1 and len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for ds_id, cells in pool.map(_static_cells_task, tasks):
-                static_cells[ds_id] = cells
-    else:
-        for item in tasks:
-            ds_id, cells = _static_cells_task(item)
-            static_cells[ds_id] = cells
+    static_cells = dict(zip(ids, parallel_map(_static_cells_task, bank, workers,
+                                              (learner, strategies))))
 
     strategy_names = [name for name, _ in recommender_cfgs] + [st.value for st in strategies]
     if include_random_cell:

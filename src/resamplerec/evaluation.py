@@ -17,6 +17,7 @@ import numpy as np
 
 from .data import Dataset, FoldAssignment, csv_text, stratified_folds, write_files_atomically
 from .learners import LearnerSpec, fit_arrays, predict_scores
+from .parallel import parallel_map
 from .resampling import ResamplingSpec, feasible, resample, smote_neighbor_order
 from .rng import derive_seed
 
@@ -115,7 +116,7 @@ def cv_quality(s: Dataset, learner: LearnerSpec, spec: ResamplingSpec,
         train = splits.train(j)
         order = splits.neighbor_order(j) if spec.smote_k is not None else None
         resampled = resample(train, spec, fold_seed, neighbor_order=order)
-        model = fit_arrays(learner, resampled.features, resampled.labels, seed=fold_seed)
+        model = fit_arrays(learner, resampled.features, resampled.labels)
         x_test, y_test = splits.test(j)
         scores[j] = pr_auc(y_test, predict_scores(model, x_test))
     return scores
@@ -155,27 +156,21 @@ def cell_seed(master_seed: int, dataset_id: str, method: str, mult_index: int) -
     return derive_seed(master_seed, dataset_id, method, mult_index)
 
 
-def _evaluate_cell(splits, learner, master_seed, method, multiplier, mult_index):
-    spec = ResamplingSpec(method, multiplier)
+def grid_folds(s: Dataset, grid: QualityGrid) -> FoldAssignment:
+    """The fold assignment every cell of `grid` on `s` is evaluated with."""
+    return stratified_folds(s, grid.k, derive_seed(grid.seed, s.id, "folds"))
+
+
+def _grid_cell_task(context, task):
+    """Fold scores of one grid cell, or the reason it is skipped."""
+    splits, learner, master_seed = context
+    method, multiplier, mult_index = task
     seed = cell_seed(master_seed, splits.s.id, method, mult_index)
     try:
-        return cv_quality(splits.s, learner, spec, splits.folds, seed, splits=splits)
+        return cv_quality(splits.s, learner, ResamplingSpec(method, multiplier), splits.folds,
+                          seed, splits=splits)
     except CellInfeasible as exc:
         return exc.reason
-
-
-_WORKER_CTX: dict = {}
-
-
-def _init_grid_worker(s, learner, folds, master_seed):
-    _WORKER_CTX["args"] = (FoldSplits(s, folds), learner, master_seed)
-
-
-def _grid_cell_task(task):
-    method, multiplier, mult_index = task
-    splits, learner, master_seed = _WORKER_CTX["args"]
-    return (method, multiplier), _evaluate_cell(splits, learner, master_seed,
-                                                method, multiplier, mult_index)
 
 
 def quality_grid(s: Dataset, learner: LearnerSpec, methods: list[str],
@@ -195,38 +190,25 @@ def quality_grid(s: Dataset, learner: LearnerSpec, methods: list[str],
     if not methods:
         raise ValueError("method list must be non-empty")
     multipliers = [float(m) for m in multipliers]
-    folds = stratified_folds(s, k, derive_seed(seed, s.id, "folds"))
     grid = QualityGrid(dataset_id=s.id, learner_id=learner.token(), k=k, seed=seed,
                        methods=list(methods), multipliers=multipliers)
-    precomputed = precomputed or {}
 
     tasks = [("none", 1.0, -1)]
     for method in methods:
         for i, m in enumerate(multipliers):
             tasks.append((method, m, i))
-    pending = [t for t in tasks if (t[0], t[1]) not in precomputed]
-
-    results: dict[tuple[str, float], np.ndarray | str] = {}
-    for key, value in precomputed.items():
-        results[key] = value if isinstance(value, str) else np.asarray(value, dtype=np.float64)
-    if workers > 1 and len(pending) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_grid_worker,
-                                 initargs=(s, learner, folds, seed)) as pool:
-            for key, value in pool.map(_grid_cell_task, pending):
-                results[key] = value
-    else:
-        splits = FoldSplits(s, folds)
-        for method, m, i in pending:
-            results[(method, m)] = _evaluate_cell(splits, learner, seed, method, m, i)
+    results = dict(precomputed or {})
+    pending = [t for t in tasks if t[:2] not in results]
+    context = (FoldSplits(s, grid_folds(s, grid)), learner, seed)
+    results.update(zip([t[:2] for t in pending],
+                       parallel_map(_grid_cell_task, pending, workers, context)))
 
     for method, m, _ in tasks:
         value = results[(method, m)]
         if isinstance(value, str):
             grid.skips[(method, m)] = value
         else:
-            grid.cells[(method, m)] = value
+            grid.cells[(method, m)] = np.asarray(value, dtype=np.float64)
     return grid
 
 

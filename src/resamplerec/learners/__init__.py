@@ -1,10 +1,11 @@
 """Base classifiers and meta-level models behind one fit/predict surface.
 
-Kinds: decision_tree, knn, logreg_l1, adaboost_clf, adaboost_reg. All
-classifiers expose a score in [0, 1] that is monotone in the confidence for
-class 1; labels threshold the score at 0.5 (boundary inclusive). Every fit
-bumps a module-level counter so tests can assert that recommendation never
-trains a base learner.
+Kinds: decision_tree, knn, logreg_l1, adaboost_clf, adaboost_reg. `fit_arrays`
+fits any kind; `predict_scores` gives each classifier's score in [0, 1],
+monotone in the confidence for class 1, or the regressor's prediction.
+Callers threshold scores themselves (the recommender counts p >= 0.5 as a
+positive). Every fit bumps a module-level counter so tests can assert that
+recommendation never trains a base learner.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..data import Dataset, write_files_atomically
+from ..data import write_files_atomically
 from .boost import (BoostStage, boosted_classifier_scores, boosted_regressor_predict,
                     fit_boosted_classifier, fit_boosted_regressor)
 from .instrument import count_fit as _count_fit
@@ -99,18 +100,12 @@ class Model:
     stages: list[BoostStage] = field(default_factory=list)
     constant_score: float | None = None
 
-    @property
-    def is_regressor(self) -> bool:
-        return self.spec.kind == "adaboost_reg"
 
+def fit_arrays(spec: LearnerSpec, x: np.ndarray, y: np.ndarray) -> Model:
+    """Fit on raw arrays (classification targets {0,1}, regression targets real).
 
-def fit(spec: LearnerSpec, s: Dataset, seed: int = 0) -> Model:
-    """Fit a classifier on a Dataset. Deterministic given (spec, data)."""
-    return fit_arrays(spec, s.features, s.labels, seed=seed)
-
-
-def fit_arrays(spec: LearnerSpec, x: np.ndarray, y: np.ndarray, seed: int = 0) -> Model:
-    """Fit on raw arrays (classification targets {0,1}, regression targets real)."""
+    Deterministic given (spec, x, y): no learner draws random numbers.
+    """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
     if x.ndim != 2 or x.shape[0] != y.shape[0]:
@@ -169,38 +164,6 @@ def predict_scores(model: Model, x: np.ndarray) -> np.ndarray:
 
 def predict_score(model: Model, x: np.ndarray) -> float:
     return float(predict_scores(model, np.atleast_2d(x))[0])
-
-
-def predict_labels(model: Model, x: np.ndarray) -> np.ndarray:
-    if model.is_regressor:
-        raise ValueError("regressor has no class labels")
-    return (predict_scores(model, x) >= 0.5).astype(np.int64)
-
-
-def predict_label(model: Model, x: np.ndarray) -> int:
-    return int(predict_labels(model, np.atleast_2d(x))[0])
-
-
-def fit_adaboost_classifier(base: LearnerSpec, n_estimators: int, s: Dataset, seed: int = 0) -> Model:
-    """Boost the given tree spec; convenience wrapper over fit()."""
-    spec = LearnerSpec("adaboost_clf", n_estimators=n_estimators,
-                       max_depth=base.max_depth, min_leaf=base.min_leaf)
-    return fit(spec, s, seed=seed)
-
-
-def fit_adaboost_regressor(base: LearnerSpec, n_estimators: int,
-                           samples: list[tuple[np.ndarray, float]] | tuple[np.ndarray, np.ndarray],
-                           seed: int = 0) -> Model:
-    if isinstance(samples, tuple):
-        x, y = samples
-    else:
-        if not samples:
-            raise ValueError("empty input")
-        x = np.asarray([f for f, _ in samples], dtype=np.float64)
-        y = np.asarray([t for _, t in samples], dtype=np.float64)
-    spec = LearnerSpec("adaboost_reg", n_estimators=n_estimators,
-                       max_depth=base.max_depth, min_leaf=base.min_leaf)
-    return fit_arrays(spec, x, y, seed=seed)
 
 
 MODEL_FORMAT = "resamplerec-model"

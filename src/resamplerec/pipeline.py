@@ -29,6 +29,7 @@ from .config import RunConfig
 from .data import Dataset, generate_mixture, ingest_csv, write_csv, write_files_atomically
 from .evaluation import QualityGrid, load_grid, quality_grid, save_grid
 from .metafeatures import META_FEATURE_NAMES, MetaFeatures, compute_meta_features
+from .parallel import parallel_map
 from .qualityvars import (CellVars, MethodVars, QualityVariables, binarize_targets,
                           format_multiplier, quality_row)
 from .recommender import (PRESETS, MetaRecord, build_meta_dataset, load_recommender,
@@ -41,6 +42,10 @@ class PipelineError(Exception):
     def __init__(self, code: str, message: str):
         super().__init__(message)
         self.code = code
+
+    def __reduce__(self):
+        # both arguments, so an error raised in a pool worker unpickles in the parent
+        return type(self), (self.code, str(self))
 
 
 APPROACH_LABELS = {"a1": "rec1", "a2": "rec2"}
@@ -137,8 +142,9 @@ def _grid_paths(cfg: RunConfig, dataset_id: str) -> tuple[Path, Path]:
     return grid_dir / f"{dataset_id}.csv", grid_dir / f"{dataset_id}.cache.json"
 
 
-def _compute_grid_for(cfg: RunConfig, s: Dataset, workers: int = 1) -> tuple[str, int, int]:
+def _grid_pool_task(context, s: Dataset) -> tuple[str, int, int]:
     """Compute (or resume) one dataset's grid; returns (id, computed, cached)."""
+    cfg, workers = context
     csv_path, cache_path = _grid_paths(cfg, s.id)
     input_hash = _grid_input_hash(cfg, _dataset_bytes(cfg, s))
     precomputed: dict = {}
@@ -172,30 +178,13 @@ def _dataset_bytes(cfg: RunConfig, s: Dataset) -> bytes:
     return s.features.tobytes() + s.labels.tobytes()
 
 
-_GRID_WORKER_CFG: dict = {}
-
-
-def _init_grid_pool(cfg: RunConfig):
-    _GRID_WORKER_CFG["cfg"] = cfg
-
-
-def _grid_pool_task(s: Dataset):
-    return _compute_grid_for(_GRID_WORKER_CFG["cfg"], s, workers=1)
-
-
 def cmd_grid(cfg: RunConfig) -> None:
     """Evaluate one quality grid per dataset, reusing cached cells."""
     bank = load_bank(cfg)
-    results: list[tuple[str, int, int]] = []
-    if cfg.workers > 1 and len(bank) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=cfg.workers, initializer=_init_grid_pool,
-                                 initargs=(cfg,)) as pool:
-            results = list(pool.map(_grid_pool_task, bank))
-    else:
-        for s in bank:
-            results.append(_compute_grid_for(cfg, s, workers=cfg.workers))
+    # several datasets run one per worker, each grid serially; a lone
+    # dataset's cells share the workers instead
+    inner = cfg.workers if len(bank) == 1 else 1
+    results = parallel_map(_grid_pool_task, bank, cfg.workers, (cfg, inner))
     computed = sum(r[1] for r in results)
     cached = sum(r[2] for r in results)
     total = computed + cached

@@ -10,7 +10,6 @@ import functools
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
@@ -25,6 +24,7 @@ from resamplerec.data import (Dataset, MixtureConfig, generate_mixture,
                               imbalance_ratio, stratified_folds)
 from resamplerec.evaluation import pr_auc, quality_grid
 from resamplerec.learners import DEFAULT_LEARNERS, fit_count
+from resamplerec.parallel import parallel_map
 from resamplerec.qualityvars import (binarize_targets, compute_quality_variables,
                                      paired_ttest_pvalue)
 from resamplerec.recommender import PRESETS, build_meta_dataset, recommend, train
@@ -184,7 +184,7 @@ class TestCriterion5Protocol:
             assert fit_count() == before
 
 
-def _desk_grid(s):
+def _desk_grid(context, s):
     return quality_grid(s, TREE, DESK_METHODS, DESK_MULTS, k=10, seed=DESK_SEED)
 
 
@@ -194,11 +194,7 @@ def desk_run():
     cfg = MixtureConfig(seed=DESK_SEED)
     datasets = [generate_mixture(cfg, i) for i in range(60)]
     held_out = generate_mixture(cfg, 60)
-    if WORKERS > 1:
-        with ProcessPoolExecutor(max_workers=WORKERS) as pool:
-            grids = list(pool.map(_desk_grid, datasets))
-    else:
-        grids = [_desk_grid(s) for s in datasets]
+    grids = parallel_map(_desk_grid, datasets, WORKERS)
     bank = list(zip(datasets, grids))
     recommender_cfgs = [("rec1", PRESETS["rs1-dtree"]), ("rec2", PRESETS["rs2-dtree"])]
     report = assess_bank(bank, recommender_cfgs, ALL_STATIC_STRATEGIES,

@@ -161,9 +161,9 @@ class TestAssessBank:
 
     def test_deterministic_and_worker_invariant(self, assess_fixture):
         cfgs = [("rec1", PRESETS["rs1-dtree"])]
-        a = assess_bank(assess_fixture, cfgs, [StaticStrategy.NO_RESAMPLE],
+        a = assess_bank(assess_fixture, cfgs, ALL_STATIC_STRATEGIES,
                         k_prime=2, seed=9, learner=TREE, epsilon=0.75, alpha=0.05)
-        b = assess_bank(assess_fixture, cfgs, [StaticStrategy.NO_RESAMPLE],
+        b = assess_bank(assess_fixture, cfgs, ALL_STATIC_STRATEGIES,
                         k_prime=2, seed=9, learner=TREE, epsilon=0.75, alpha=0.05,
                         workers=2)
         assert a.ra == b.ra

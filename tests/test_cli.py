@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -124,6 +125,38 @@ class TestPipelineCommands:
         err = capsys.readouterr().err.strip()
         assert err.count("\n") == 0  # single line
         assert err.startswith("error E_CACHE_MISMATCH:")
+
+    def test_cache_mismatch_in_pool_worker_is_one_error_line(self, tmp_path, capsys):
+        """A PipelineError raised in a pool worker reaches the parent whole."""
+        cfg_path = tiny_config(tmp_path, count=4)
+        assert main(["gen", "--config", str(cfg_path)]) == 0
+        assert main(["grid", "--config", str(cfg_path)]) == 0
+        tiny_config(tmp_path, count=4, k=5)
+        capsys.readouterr()
+        assert main(["grid", "--config", str(cfg_path), "--workers", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error E_CACHE_MISMATCH: ")
+
+    def test_one_dataset_grid_shares_workers_byte_identically(self, tmp_path, monkeypatch):
+        """A lone dataset's cells run on the grid's workers; the files equal a serial run's."""
+        pools = []
+        real_init = ProcessPoolExecutor.__init__
+
+        def counting_init(pool, *args, **kwargs):
+            pools.append(kwargs["max_workers"])
+            real_init(pool, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "__init__", counting_init)
+        trees = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}"
+            cfg_path = tiny_config(tmp_path, count=1, out=str(out),
+                                   methods=["ros", "rus", "smote3"])
+            assert main(["gen", "--config", str(cfg_path)]) == 0
+            assert main(["grid", "--config", str(cfg_path), "--workers", workers]) == 0
+            trees.append(read_tree(out / "grids"))
+        assert pools == [2]
+        assert len(trees[0]) == 4 and trees[0] == trees[1]
 
     def test_truncated_grid_refused(self, tmp_path, capsys):
         cfg_path = tiny_config(tmp_path)
@@ -361,6 +394,8 @@ check("import resamplerec.cli")
 cfg, model, data, out = sys.argv[1:]
 assert cli.main(["gen", "--config", cfg, "--workers", "1", "--out", out]) == 0
 check("gen")
+assert cli.main(["grid", "--config", cfg, "--workers", "1", "--out", out]) == 0
+check("grid")
 assert cli.main(["recommend", "--config", cfg, "--workers", "1",
                  "--model", model, "--data", data]) == 0
 check("recommend")
@@ -370,7 +405,8 @@ check("recommend")
 class TestImportBoundary:
     def test_cli_import_gen_recommend_load_neither_scipy_nor_pool(self, tmp_path):
         """Only `meta` needs scipy and only parallel commands need a process
-        pool, so neither is imported by the CLI itself, `gen` or `recommend`.
+        pool, so neither is imported by the CLI itself, `gen`, a one-worker
+        `grid` or `recommend`.
         A fresh interpreter is needed: this process imported scipy already."""
         cfg_path = tiny_config(tmp_path)
         for command in ("gen", "grid", "meta", "train"):

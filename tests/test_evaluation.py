@@ -1,5 +1,6 @@
 import csv
 import io
+import os
 
 import numpy as np
 import pytest
@@ -99,9 +100,9 @@ class TestCvQuality:
             seen_eval_counts.append((int((labels == 0).sum()), int((labels == 1).sum())))
             return real_pr_auc(labels, scores)
 
-        def spy_fit(spec, x, y, seed=0):
+        def spy_fit(spec, x, y):
             seen_train_counts.append((int((y == 0).sum()), int((y == 1).sum())))
-            return real_fit(spec, x, y, seed=seed)
+            return real_fit(spec, x, y)
 
         monkeypatch.setattr(evaluation, "pr_auc", spy_pr_auc)
         monkeypatch.setattr(evaluation, "fit_arrays", spy_fit)
@@ -169,6 +170,24 @@ class TestQualityGrid:
         for key in seq.cells:
             assert np.array_equal(seq.cells[key], par.cells[key])
 
+    def test_each_worker_builds_each_neighbor_order_once(self, tmp_path, monkeypatch):
+        """The grid's FoldSplits reaches each pool worker once and serves all of
+        its cells, so no worker builds a fold's SMOTE neighbour order twice."""
+        log = tmp_path / "orders.log"
+        real = evaluation.smote_neighbor_order
+
+        def logged(train):  # forked workers inherit the patch and append to one file
+            with log.open("a") as fh:
+                fh.write(f"{os.getpid()} {train.id}\n")
+            return real(train)
+
+        monkeypatch.setattr(evaluation, "smote_neighbor_order", logged)
+        s = make_dataset(60, 20, seed=6)
+        quality_grid(s, TREE, ["smote1", "smote3"], [1.5, 2.0, 2.5], k=4, seed=3, workers=2)
+        built = log.read_text().splitlines()
+        assert built and len(built) == len(set(built))
+        assert {line.split()[1] for line in built} == {f"{s.id}#train{j}" for j in range(4)}
+
     @given(st.integers(4, 12), st.integers(0, 2**16))
     @example(8, 1)  # 6 minors per training split: every smote7 cell is skipped
     @settings(max_examples=6, deadline=None)
@@ -199,6 +218,26 @@ class TestQualityGrid:
         resumed = quality_grid(s, TREE, ["ros"], [1.5, 2.0], k=4, seed=3, precomputed=fake)
         assert np.array_equal(resumed.cells[("ros", 1.5)], np.zeros(4))
         assert np.array_equal(resumed.cells[("ros", 2.0)], full.cells[("ros", 2.0)])
+
+    def test_any_cached_subset_in_any_order_gives_the_full_grid(self):
+        """Cells and skips supplied as precomputed, any subset in any order, at
+        workers 1 and 2, leave a grid equal to the uncached one, byte for byte."""
+        s = make_dataset(30, 8, seed=11)  # IR 3.75: rus@4.0 and every smote7 cell skip
+        args = (s, TREE, ["ros", "rus", "smote7"], [1.5, 3.0, 4.0])
+        full = quality_grid(*args, k=4, seed=2)
+        assert full.cells and full.skips
+        known = {**full.cells, **full.skips}
+
+        @given(st.permutations(list(known)), st.data(), st.sampled_from([1, 2]))
+        @settings(max_examples=8, deadline=None)
+        def check(order, data, workers):
+            cached = {key: known[key] for key in order[:data.draw(st.integers(0, len(order)))]}
+            g = quality_grid(*args, k=4, seed=2, workers=workers, precomputed=cached)
+            assert [(key, v.tobytes()) for key, v in g.cells.items()] == \
+                [(key, v.tobytes()) for key, v in full.cells.items()]
+            assert list(g.skips.items()) == list(full.skips.items())
+
+        check()
 
     def test_save_load_bit_exact(self, tmp_path):
         s = make_dataset(44, 22, seed=7)

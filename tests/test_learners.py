@@ -10,10 +10,8 @@ import oracles
 from resamplerec import learners
 from resamplerec.data import Dataset
 from resamplerec.learners import (DEFAULT_LEARNERS, LearnerSpec, Model, constant_model,
-                                  fit, fit_adaboost_classifier, fit_adaboost_regressor,
-                                  fit_arrays, fit_count, load_model, predict_label,
-                                  predict_labels, predict_score, predict_scores,
-                                  save_model)
+                                  fit_arrays, fit_count, load_model, predict_score,
+                                  predict_scores, save_model)
 from resamplerec.learners.logreg import (_sigmoid, fit_logreg_l1, log_loss, log_loss_grad,
                                          objective)
 from resamplerec.learners.boost import fit_boosted_classifier, fit_boosted_regressor
@@ -53,10 +51,10 @@ class TestSpec:
 class TestDecisionTree:
     def test_separable_two_points(self):
         s = Dataset(id="two", features=np.array([[0.0], [1.0]]), labels=np.array([0, 1]))
-        model = fit(LearnerSpec("decision_tree", min_leaf=1), s)
+        model = fit_arrays(LearnerSpec("decision_tree", min_leaf=1), s.features, s.labels)
         assert not model.tree.is_leaf
         assert model.tree.left.is_leaf and model.tree.right.is_leaf
-        assert predict_labels(model, s.features).tolist() == [0, 1]
+        assert predict_scores(model, s.features).tolist() == [0.0, 1.0]
 
     def test_leaf_score_is_minor_fraction(self):
         # constant feature forces a single leaf with 4 of 20 points minor
@@ -67,7 +65,7 @@ class TestDecisionTree:
 
     def test_split_strictly_reduces_weighted_gini(self):
         s = make_dataset(60, 25, seed=3, separation=1.0)
-        model = fit(LearnerSpec("decision_tree", min_leaf=2), s)
+        model = fit_arrays(LearnerSpec("decision_tree", min_leaf=2), s.features, s.labels)
 
         def gini(y):
             p = y.mean()
@@ -88,7 +86,8 @@ class TestDecisionTree:
 
     def test_respects_max_depth(self):
         s = make_dataset(60, 30, seed=5, separation=0.5)
-        model = fit(LearnerSpec("decision_tree", max_depth=2, min_leaf=1), s)
+        model = fit_arrays(LearnerSpec("decision_tree", max_depth=2, min_leaf=1),
+                           s.features, s.labels)
 
         def depth(node):
             return 0 if node.is_leaf else 1 + max(depth(node.left), depth(node.right))
@@ -204,7 +203,7 @@ class TestLogRegL1:
 
     def test_huge_penalty_zeroes_coefficients(self):
         s = make_dataset(40, 40, seed=2)
-        model = fit(LearnerSpec("logreg_l1", l1_strength=1e6), s)
+        model = fit_arrays(LearnerSpec("logreg_l1", l1_strength=1e6), s.features, s.labels)
         assert np.all(model.coef == 0.0)
         assert predict_score(model, s.features[0]) == pytest.approx(0.5, abs=1e-3)
 
@@ -235,8 +234,8 @@ class TestLogRegL1:
 
     def test_learns_separable_data(self):
         s = make_dataset(40, 20, seed=21, separation=4.0)
-        model = fit(LearnerSpec("logreg_l1", l1_strength=0.01), s)
-        acc = (predict_labels(model, s.features) == s.labels).mean()
+        model = fit_arrays(LearnerSpec("logreg_l1", l1_strength=0.01), s.features, s.labels)
+        acc = ((predict_scores(model, s.features) >= 0.5) == s.labels).mean()
         assert acc >= 0.95
 
 
@@ -350,33 +349,35 @@ class TestLogRegOracle:
 class TestAdaBoostClassifier:
     def test_separable_stops_with_capped_alpha(self):
         s = make_dataset(30, 15, seed=1, separation=8.0)
-        model = fit_adaboost_classifier(LearnerSpec("decision_tree", max_depth=2,
-                                                    min_leaf=1), 10, s)
+        model = fit_arrays(LearnerSpec("adaboost_clf", n_estimators=10, max_depth=2, min_leaf=1),
+                           s.features, s.labels)
         assert len(model.stages) == 1
         assert model.stages[0].weight > 20.0
 
     def test_single_estimator_equals_base_tree(self):
         s = make_dataset(50, 20, seed=4, separation=1.0)
-        base = LearnerSpec("decision_tree", max_depth=3, min_leaf=1)
-        boosted = fit_adaboost_classifier(base, 1, s)
-        tree = fit(LearnerSpec("decision_tree", max_depth=3, min_leaf=1), s)
-        assert np.array_equal(predict_labels(boosted, s.features),
-                              predict_labels(tree, s.features))
+        boosted = fit_arrays(LearnerSpec("adaboost_clf", n_estimators=1, max_depth=3, min_leaf=1),
+                             s.features, s.labels)
+        tree = fit_arrays(LearnerSpec("decision_tree", max_depth=3, min_leaf=1),
+                          s.features, s.labels)
+        assert np.array_equal(predict_scores(boosted, s.features) >= 0.5,
+                              predict_scores(tree, s.features) >= 0.5)
 
     def test_boosting_improves_on_xor_like(self):
         s = xor_like_dataset()
-        base = LearnerSpec("decision_tree", max_depth=1, min_leaf=1)
-        stump = fit(base, s)
-        boosted = fit_adaboost_classifier(base, 10, s)
-        stump_err = (predict_labels(stump, s.features) != s.labels).mean()
-        ens_err = (predict_labels(boosted, s.features) != s.labels).mean()
+        stump = fit_arrays(LearnerSpec("decision_tree", max_depth=1, min_leaf=1),
+                           s.features, s.labels)
+        boosted = fit_arrays(LearnerSpec("adaboost_clf", n_estimators=10, max_depth=1, min_leaf=1),
+                             s.features, s.labels)
+        stump_err = ((predict_scores(stump, s.features) >= 0.5) != s.labels).mean()
+        ens_err = ((predict_scores(boosted, s.features) >= 0.5) != s.labels).mean()
         assert 0.0 < stump_err < 0.5  # stumps alone cannot solve the checkerboard
         assert ens_err <= stump_err
 
     def test_scores_are_weighted_vote_shares(self):
         s = xor_like_dataset()
-        model = fit_adaboost_classifier(LearnerSpec("decision_tree", max_depth=1,
-                                                    min_leaf=1), 5, s)
+        model = fit_arrays(LearnerSpec("adaboost_clf", n_estimators=5, max_depth=1, min_leaf=1),
+                           s.features, s.labels)
         scores = predict_scores(model, s.features)
         assert np.all((scores >= 0) & (scores <= 1))
         total = sum(st.weight for st in model.stages)
@@ -388,16 +389,16 @@ class TestAdaBoostClassifier:
 class TestAdaBoostRegressor:
     def test_constant_targets(self):
         x = np.linspace(0, 1, 20)[:, None]
-        model = fit_adaboost_regressor(LearnerSpec("decision_tree", max_depth=3, min_leaf=1),
-                                       10, (x, np.full(20, 3.25)))
+        model = fit_arrays(LearnerSpec("adaboost_reg", n_estimators=10, max_depth=3, min_leaf=1),
+                           x, np.full(20, 3.25))
         assert np.allclose(predict_scores(model, x), 3.25)
 
     def test_single_estimator_equals_tree(self):
         rng = np.random.default_rng(3)
         x = rng.uniform(size=(40, 1))
         y = np.sin(4 * x[:, 0])
-        base = LearnerSpec("decision_tree", max_depth=3, min_leaf=2)
-        boosted = fit_adaboost_regressor(base, 1, (x, y))
+        boosted = fit_arrays(LearnerSpec("adaboost_reg", n_estimators=1, max_depth=3, min_leaf=2),
+                             x, y)
         tree = build_regression_tree(x, y, max_depth=3, min_leaf=2)
         assert np.allclose(predict_scores(boosted, x), tree_predict(tree, x))
 
@@ -405,44 +406,38 @@ class TestAdaBoostRegressor:
         rng = np.random.default_rng(11)
         x = np.sort(rng.uniform(0, 2 * np.pi, size=50))[:, None]
         y = np.sin(x[:, 0])
-        base = LearnerSpec("decision_tree", max_depth=3, min_leaf=2)
-        single = fit_adaboost_regressor(base, 1, (x, y))
-        boosted = fit_adaboost_regressor(base, 10, (x, y))
+        single = fit_arrays(LearnerSpec("adaboost_reg", n_estimators=1, max_depth=3, min_leaf=2),
+                            x, y)
+        boosted = fit_arrays(LearnerSpec("adaboost_reg", n_estimators=10, max_depth=3, min_leaf=2),
+                             x, y)
         mse_single = np.mean((predict_scores(single, x) - y) ** 2)
         mse_boosted = np.mean((predict_scores(boosted, x) - y) ** 2)
         assert mse_boosted <= mse_single
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            fit_adaboost_regressor(LearnerSpec("decision_tree"), 5, [])
+            fit_arrays(LearnerSpec("adaboost_reg", n_estimators=5), np.zeros((0, 3)), np.zeros(0))
 
 
 class TestPredictContract:
-    def test_label_threshold(self):
-        spec = LearnerSpec("decision_tree")
-        assert predict_label(constant_model(spec, 1, 0.6), np.array([0.0])) == 1
-        assert predict_label(constant_model(spec, 1, 0.5), np.array([0.0])) == 1
-        assert predict_label(constant_model(spec, 1, 0.25), np.array([0.0])) == 0
-
     def test_scores_in_unit_interval(self):
         s = make_dataset(40, 15, seed=13)
         for kind in ("decision_tree", "knn", "logreg_l1", "adaboost_clf"):
-            model = fit(DEFAULT_LEARNERS[kind], s)
+            model = fit_arrays(DEFAULT_LEARNERS[kind], s.features, s.labels)
             scores = predict_scores(model, s.features)
             assert np.all((scores >= 0.0) & (scores <= 1.0))
-            assert np.array_equal(predict_labels(model, s.features), scores >= 0.5)
 
     def test_dimension_mismatch(self):
         s = make_dataset(20, 10)
-        model = fit(DEFAULT_LEARNERS["decision_tree"], s)
+        model = fit_arrays(DEFAULT_LEARNERS["decision_tree"], s.features, s.labels)
         with pytest.raises(ValueError, match="features"):
             predict_scores(model, np.zeros((2, 5)))
 
     def test_deterministic(self):
         s = make_dataset(60, 20, seed=19)
         for kind in ("decision_tree", "knn", "logreg_l1", "adaboost_clf"):
-            a = fit(DEFAULT_LEARNERS[kind], s)
-            b = fit(DEFAULT_LEARNERS[kind], s)
+            a = fit_arrays(DEFAULT_LEARNERS[kind], s.features, s.labels)
+            b = fit_arrays(DEFAULT_LEARNERS[kind], s.features, s.labels)
             assert np.array_equal(predict_scores(a, s.features),
                                   predict_scores(b, s.features))
 
@@ -452,7 +447,7 @@ class TestSerialization:
         s = make_dataset(40, 15, seed=23)
         query = s.features[:7]
         for kind in ("decision_tree", "knn", "logreg_l1", "adaboost_clf"):
-            model = fit(DEFAULT_LEARNERS[kind], s)
+            model = fit_arrays(DEFAULT_LEARNERS[kind], s.features, s.labels)
             path = tmp_path / f"{kind}.json"
             save_model(model, path)
             back = load_model(path)
@@ -482,7 +477,7 @@ class TestSerialization:
 def test_fit_counter_increments():
     s = make_dataset(20, 8)
     before = fit_count()
-    fit(DEFAULT_LEARNERS["decision_tree"], s)
+    fit_arrays(DEFAULT_LEARNERS["decision_tree"], s.features, s.labels)
     assert fit_count() == before + 1
-    fit(DEFAULT_LEARNERS["adaboost_clf"], s)
+    fit_arrays(DEFAULT_LEARNERS["adaboost_clf"], s.features, s.labels)
     assert fit_count() > before + 1

@@ -141,6 +141,13 @@ class TestRecommend:
         rec = recommend(model, make_dataset(60, 20))
         assert (rec.spec.method, rec.spec.multiplier) == ("rus", 2.0)
 
+    def test_probability_of_exactly_half_is_positive(self):
+        s = make_dataset(60, 20)
+        rec = recommend(constant_a1_model({("ros", 1.5): 0.5, ("rus", 2.0): 0.25}), s)
+        assert (rec.spec.method, rec.spec.multiplier) == ("ros", 1.5)
+        below = constant_a1_model({("ros", 1.5): float(np.nextafter(0.5, 0.0))})
+        assert recommend(below, s).spec.method == "none"
+
     def test_argmax_over_positive_cells(self):
         scores = {("ros", 1.5): 0.7, ("ros", 2.0): 0.9, ("rus", 1.5): 0.85}
         model = constant_a1_model(scores)
