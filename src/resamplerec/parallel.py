@@ -24,7 +24,8 @@ def _run(item):
 
 
 def parallel_map(fn: Callable, items: Sequence, workers: int, context=None) -> list:
-    """`[fn(context, item) for item in items]`, computed on up to `workers` processes.
+    """`[fn(context, item) for item in items]`, computed on up to `workers` processes
+    and never more processes than items.
 
     Runs in this process when `workers <= 1` or there is at most one item.
     Otherwise `fn` and `context` reach each worker once, through the pool's
@@ -37,6 +38,6 @@ def parallel_map(fn: Callable, items: Sequence, workers: int, context=None) -> l
     # imported here: the pool loads multiprocessing, which serial runs never need
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+    with ProcessPoolExecutor(max_workers=min(workers, len(items)), initializer=_init_worker,
                              initargs=(fn, context)) as pool:
         return list(pool.map(_run, items))

@@ -11,7 +11,7 @@ to no-resampling when nothing is predicted to help.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -78,14 +78,19 @@ _RS1_LOGREG_FEATURES = ("reversed_ir", "center_distance", "n_objects",
                         "min_kurt_pval_minor", "max_kurt_pval_minor",
                         "min_skew_pval_minor", "max_skew_pval_minor")
 
+_RS1_DTREE = RecommenderPreset("rs1-dtree", "a1", 0.05, _RS1_FEATURES, _ADA_CLF)
+_RS2_DTREE = RecommenderPreset("rs2-dtree", "a2", 0.05, _RS2_FEATURES, _ADA_CLF, _ADA_REG)
+
+# The kNN presets and rs2-logreg are the tree presets under their own name;
+# model files record the requested name as "preset".
 PRESETS: dict[str, RecommenderPreset] = {
-    "rs1-dtree": RecommenderPreset("rs1-dtree", "a1", 0.05, _RS1_FEATURES, _ADA_CLF),
-    "rs2-dtree": RecommenderPreset("rs2-dtree", "a2", 0.05, _RS2_FEATURES, _ADA_CLF, _ADA_REG),
-    "rs1-knn": RecommenderPreset("rs1-knn", "a1", 0.05, _RS1_FEATURES, _ADA_CLF),
-    "rs2-knn": RecommenderPreset("rs2-knn", "a2", 0.05, _RS2_FEATURES, _ADA_CLF, _ADA_REG),
+    "rs1-dtree": _RS1_DTREE,
+    "rs2-dtree": _RS2_DTREE,
+    "rs1-knn": replace(_RS1_DTREE, name="rs1-knn"),
+    "rs2-knn": replace(_RS2_DTREE, name="rs2-knn"),
     "rs1-logreg": RecommenderPreset("rs1-logreg", "a1", 0.3, _RS1_LOGREG_FEATURES,
                                     LearnerSpec("logreg_l1")),
-    "rs2-logreg": RecommenderPreset("rs2-logreg", "a2", 0.05, _RS2_FEATURES, _ADA_CLF, _ADA_REG),
+    "rs2-logreg": replace(_RS2_DTREE, name="rs2-logreg"),
 }
 
 DEFAULT_PRESETS = {

@@ -4,9 +4,9 @@ These deliberately take different routes than the production code: the
 PR-AUC oracle walks the explicit precision/recall step curve over all
 thresholds, the t-tail oracle integrates the density numerically, and the
 SMOTE oracle re-derives neighbor sets with plain sorted() instead of numpy.
-The tree, L1-logreg, SMOTE-neighbor, meta-feature and CSV-ingest references
-are earlier versions of the production code, kept verbatim so that faster
-rewrites are checked bit for bit.
+The tree, L1-logreg, SMOTE-neighbor, kNN-score, meta-feature and CSV-ingest
+references are earlier versions of the production code, kept verbatim so
+that faster rewrites are checked bit for bit.
 """
 
 import csv
@@ -218,6 +218,19 @@ def smote_neighbors(minors, k: int) -> np.ndarray:
     # stable sort keeps lower indices first among equal distances
     neighbors = np.argsort(dist, axis=1, kind="stable")[:, :k]
     return neighbors
+
+
+# --- kNN scores from a (q, n, d) difference array and a stable sort of every row
+
+
+def knn_scores(train_x: np.ndarray, train_y: np.ndarray, query: np.ndarray, k: int) -> np.ndarray:
+    """Euclidean neighbors; distance ties broken by lower training index."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    k = min(k, train_x.shape[0])
+    d2 = ((query[:, None, :] - train_x[None, :, :]) ** 2).sum(axis=2)
+    neighbors = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    return train_y[neighbors].mean(axis=1)
 
 
 # --- L1 logistic regression recomputing the logit in every loss and gradient

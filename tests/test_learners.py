@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -15,6 +15,7 @@ from resamplerec.learners import (DEFAULT_LEARNERS, LearnerSpec, Model, constant
 from resamplerec.learners.logreg import (_sigmoid, fit_logreg_l1, log_loss, log_loss_grad,
                                          objective)
 from resamplerec.learners.boost import fit_boosted_classifier, fit_boosted_regressor
+from resamplerec.learners.knn import _squared_distances, knn_scores
 from resamplerec.learners.tree import (TreeNode, build_classification_tree,
                                        build_regression_tree, tree_predict)
 
@@ -193,6 +194,43 @@ class TestKNN:
         model = fit_arrays(LearnerSpec("knn", k=1), x, y)
         # query at 0 is equidistant from all; index 0 (class 1) wins
         assert predict_score(model, np.array([0.0])) == 1.0
+
+    @given(d=st.one_of(st.integers(1, 20), st.integers(1, 300)),
+           n=st.integers(1, 40), q=st.integers(0, 12), k_over=st.integers(-39, 5),
+           ties=st.booleans(), copies=st.booleans(), huge=st.booleans(),
+           real_y=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @example(d=8, n=10, q=3, k_over=0, ties=True, copies=True, huge=False,
+             real_y=False, seed=0)
+    @example(d=129, n=10, q=3, k_over=-5, ties=True, copies=False, huge=True,
+             real_y=True, seed=1)
+    @example(d=300, n=5, q=3, k_over=5, ties=False, copies=False, huge=False,
+             real_y=False, seed=2)
+    @example(d=3, n=5, q=0, k_over=0, ties=False, copies=False, huge=False,
+             real_y=False, seed=3)
+    @settings(max_examples=200, deadline=None)
+    def test_scores_match_sorting_oracle(self, d, n, q, k_over, ties, copies, huge,
+                                         real_y, seed):
+        """Bit-identical to the stable-sort kernel: ties, duplicated rows as ROS makes,
+        distances that overflow to inf, no queries, k >= n, real-valued targets."""
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, d))
+        query = rng.normal(size=(q, d))
+        if ties:
+            x, query = np.round(x), np.round(query)
+        if copies:
+            x = x[rng.integers(0, max(1, n // 3), size=n)]
+        if huge:
+            x, query = x * 1e155, query * 1e155
+        y = rng.normal(size=n) if real_y else rng.integers(0, 2, size=n).astype(np.float64)
+        k = max(1, n + k_over)
+        with np.errstate(over="ignore"):
+            got = knn_scores(x, y, query, k)
+            want = oracles.knn_scores(x, y, query, k)
+            distances = _squared_distances(x, query)
+            summed = ((query[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)
+        assert got.tobytes() == want.tobytes()
+        # rounding rarely reorders neighbours, so pin the summation order itself
+        assert distances.tobytes() == summed.tobytes()
 
 
 class TestLogRegL1:

@@ -1,9 +1,15 @@
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resamplerec.data import MixtureConfig, generate_mixture, imbalance_ratio
 from resamplerec.evaluation import quality_grid
-from resamplerec.learners import LearnerSpec, constant_model, fit_count
+from resamplerec.learners import LearnerSpec, constant_model, fit_arrays, fit_count
 from resamplerec.recommender import (PRESETS, MetaRecord, RecommenderModel,
                                      build_meta_dataset, load_recommender, recommend,
                                      recommender_to_dict, save_recommender, snap_to_grid,
@@ -221,6 +227,59 @@ class TestSerialization:
             recommender_from_dict(doc)
 
 
+# multipliers whose shortest repr needs many digits
+LONG_REPR_MULTIPLIERS = (1.1, 2.675, float(np.nextafter(1.0, 2.0)), 1.0 + 0.1 + 0.2,
+                         float(np.nextafter(3.0, 0.0)))
+
+
+@st.composite
+def recommender_models(draw) -> RecommenderModel:
+    """a1 or a2 models whose meta-models are constant or fitted AdaBoost ensembles."""
+    approach = draw(st.sampled_from(["a1", "a2"]))
+    methods = draw(st.lists(st.sampled_from(["ros", "rus", "smote3"]), min_size=1,
+                            max_size=3, unique=True))
+    multipliers = draw(st.lists(st.one_of(st.sampled_from(LONG_REPR_MULTIPLIERS),
+                                          st.floats(1.0, 4.0)),
+                                min_size=1, max_size=4, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    clf = LearnerSpec("adaboost_clf", n_estimators=3, max_depth=2, min_leaf=2)
+    reg = LearnerSpec("adaboost_reg", n_estimators=3, max_depth=2, min_leaf=2)
+
+    def meta_model(spec, constant, targets):
+        if draw(st.booleans()):
+            return constant_model(spec, 2, constant)
+        return fit_arrays(spec, rng.normal(size=(16, 2)), targets)
+
+    model = RecommenderModel(
+        approach=approach, preset_name=f"rs{approach[1]}-dtree", alpha=0.05, epsilon=0.75,
+        feature_names=["reversed_ir", "center_distance"], methods=methods,
+        multipliers=multipliers, classifier_spec=clf,
+        regressor_spec=reg if approach == "a2" else None, trained_on_ids=["synth-0"])
+    labels = np.arange(16) % 2
+    for method in methods:
+        if approach == "a1":
+            for m in multipliers:
+                model.a1_models[(method, m)] = meta_model(clf, draw(st.floats(0.0, 1.0)), labels)
+        else:
+            model.a2_classifiers[method] = meta_model(clf, draw(st.floats(0.0, 1.0)), labels)
+            model.a2_regressors[method] = meta_model(reg, draw(st.sampled_from(multipliers)),
+                                                     rng.choice(multipliers, size=16))
+    return model
+
+
+class TestSerializationProperty:
+    @given(recommender_models())
+    @settings(max_examples=60, deadline=None)
+    def test_save_then_load_is_identity(self, model):
+        s = make_dataset(60, 20, seed=4)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.json"
+            save_recommender(model, path)
+            back = load_recommender(path)
+        assert recommender_to_dict(back) == recommender_to_dict(model)
+        assert repr(recommend(back, s)) == repr(recommend(model, s))
+
+
 class TestPresets:
     def test_paper_presets_exist(self):
         assert PRESETS["rs1-dtree"].alpha == 0.05
@@ -234,3 +293,11 @@ class TestPresets:
     def test_meta_model_is_adaboost_10(self):
         clf = PRESETS["rs1-dtree"].classifier_spec
         assert clf.kind == "adaboost_clf" and clf.n_estimators == 10
+
+    @pytest.mark.parametrize("alias, twin", [("rs1-knn", "rs1-dtree"),
+                                             ("rs2-knn", "rs2-dtree"),
+                                             ("rs2-logreg", "rs2-dtree")])
+    def test_alias_is_its_twin_under_its_own_name(self, alias, twin, meta_records):
+        assert PRESETS[alias].name == alias
+        assert replace(PRESETS[alias], name=twin) == PRESETS[twin]
+        assert recommender_to_dict(train(meta_records, PRESETS[alias]))["preset"] == alias
