@@ -22,8 +22,8 @@ from .evaluation import (BASELINE_KEY, CellInfeasible, FoldSplits, QualityGrid, 
                          grid_folds)
 from .learners import LearnerSpec
 from .parallel import parallel_map
-from .recommender import (MetaRecord, Recommendation, RecommenderPreset,
-                          build_meta_dataset, recommend, train)
+from .recommender import (Recommendation, RecommenderPreset, build_meta_dataset,
+                          recommend, train)
 from .resampling import ResamplingSpec
 from .rng import derive_rng, derive_seed
 
@@ -177,9 +177,8 @@ def assess_bank(bank: list[tuple[Dataset, QualityGrid]],
                 recommender_cfgs: list[tuple[str, RecommenderPreset]],
                 strategies: list[StaticStrategy],
                 k_prime: int, seed: int, learner: LearnerSpec,
-                epsilon: float, alpha: float,
+                epsilon: float,
                 workers: int = 1,
-                meta_records: list[MetaRecord] | None = None,
                 include_random_cell: bool = False,
                 use_windowed_pval_for_targets: bool = False) -> AssessmentReport:
     """k'-fold cross-validation over datasets.
@@ -187,7 +186,10 @@ def assess_bank(bank: list[tuple[Dataset, QualityGrid]],
     Each recommender is trained on the meta-records of all datasets outside
     the fold and produces one out-of-fold recommendation per dataset; static
     strategies need no training and are applied to every dataset. All RA
-    values for one dataset share a single min/max pool.
+    values for one dataset share a single min/max pool. A recommended cell
+    that the grid skipped (infeasible on some training split, though feasible
+    on the whole dataset) scores as the baseline cell, like a static cell
+    that cannot be applied.
     """
     if k_prime < 2:
         raise ValueError("k_prime must be >= 2")
@@ -197,9 +199,7 @@ def assess_bank(bank: list[tuple[Dataset, QualityGrid]],
     grids = {s.id: g for s, g in bank}
     ids = [s.id for s, _ in bank]
 
-    if meta_records is None:
-        meta_records = build_meta_dataset(bank, epsilon, alpha)
-    records_by_id = {rec.dataset_id: rec for rec in meta_records}
+    records_by_id = {rec.dataset_id: rec for rec in build_meta_dataset(bank, epsilon)}
 
     rng = derive_rng(seed, "meta-cv")
     order = [ids[i] for i in rng.permutation(len(ids))]
@@ -231,6 +231,9 @@ def assess_bank(bank: list[tuple[Dataset, QualityGrid]],
         extra = {key: mean for key, mean in static_cells[ds_id].values()}
         for name, _ in recommender_cfgs:
             rec = recommendations[(ds_id, name)]
+            key = _rec_cell_key(rec)
+            if key in grid.skips and key not in extra:
+                rec = Recommendation(ResamplingSpec("none"), name)
             ra[(ds_id, name)] = recommendation_accuracy(grid, rec, extra_cells=extra)
         for strategy in strategies:
             key, mean = static_cells[ds_id][strategy.value]

@@ -10,13 +10,10 @@ recommendation never trains a base learner.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from ..data import write_files_atomically
 from .boost import (BoostStage, boosted_classifier_scores, boosted_regressor_predict,
                     fit_boosted_classifier, fit_boosted_regressor)
 from .instrument import count_fit as _count_fit
@@ -217,11 +214,3 @@ def model_from_dict(doc: dict) -> Model:
         model.stages = [BoostStage(TreeNode.from_dict(st["tree"]), float(st["weight"]))
                         for st in doc["stages"]]
     return model
-
-
-def save_model(model: Model, path: str | Path) -> None:
-    write_files_atomically({Path(path): json.dumps(model_to_dict(model), sort_keys=True)})
-
-
-def load_model(path: str | Path) -> Model:
-    return model_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))

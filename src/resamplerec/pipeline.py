@@ -8,6 +8,10 @@ Artifacts live under the configured output directory:
     models/<approach>.json
     report/ra.csv, ecdf_<strategy>.csv, summary.json, ecdf.svg
 
+The meta-dataset has one build path: `meta`, `train` and `assess` each
+compute it from the datasets and their grids (`build_meta_dataset`).
+`meta.csv` is an export of it that no command reads back.
+
 Grid evaluation is resumable: cells already on disk are reused as long as
 the content hash of the inputs (dataset bytes, learner, grid definition,
 seed) matches; a mismatch is refused so stale caches can never leak into
@@ -18,7 +22,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import json
 from pathlib import Path
 
@@ -26,12 +29,12 @@ import numpy as np
 
 from .assessment import ALL_STATIC_STRATEGIES, assess_bank, format_ara_table, write_report
 from .config import RunConfig
-from .data import Dataset, generate_mixture, ingest_csv, write_csv, write_files_atomically
+from .data import (Dataset, csv_text, generate_mixture, ingest_csv, write_csv,
+                   write_files_atomically)
 from .evaluation import QualityGrid, load_grid, quality_grid, save_grid
-from .metafeatures import META_FEATURE_NAMES, MetaFeatures, compute_meta_features
+from .metafeatures import META_FEATURE_NAMES
 from .parallel import parallel_map
-from .qualityvars import (CellVars, MethodVars, QualityVariables, binarize_targets,
-                          format_multiplier, quality_row)
+from .qualityvars import binarize_targets, format_multiplier, quality_row
 from .recommender import (PRESETS, MetaRecord, build_meta_dataset, load_recommender,
                           recommend, save_recommender, train)
 
@@ -204,6 +207,12 @@ def load_grids(cfg: RunConfig, bank: list[Dataset]) -> list[QualityGrid]:
     return grids
 
 
+def _meta_records(cfg: RunConfig) -> list[MetaRecord]:
+    """The meta-dataset, built from the datasets and their grids."""
+    bank = load_bank(cfg)
+    return build_meta_dataset(list(zip(bank, load_grids(cfg, bank))), cfg.epsilon)
+
+
 def _meta_columns(cfg: RunConfig) -> list[str]:
     cols = ["dataset_id"]
     cols.extend(META_FEATURE_NAMES)
@@ -217,20 +226,16 @@ def _meta_columns(cfg: RunConfig) -> list[str]:
 
 
 def cmd_meta(cfg: RunConfig) -> None:
-    """Build the meta-dataset (one wide CSV row per dataset)."""
-    bank = load_bank(cfg)
-    grids = load_grids(cfg, bank)
-    records = build_meta_dataset(list(zip(bank, grids)), cfg.epsilon, cfg.alpha)
+    """Export the meta-dataset (one wide CSV row per dataset)."""
+    records = _meta_records(cfg)
     columns = _meta_columns(cfg)
-    meta_path = cfg.out_dir() / "meta.csv"
-    buf = io.StringIO(newline="")
-    writer = csv.DictWriter(buf, fieldnames=columns)
-    writer.writeheader()
+    rows = []
     for rec in records:
         row = {"dataset_id": rec.dataset_id}
         row.update({name: repr(v) for name, v in rec.features.as_dict().items()})
-        row.update(quality_row(rec.qv, rec.targets))
-        writer.writerow(row)
+        row.update(quality_row(rec.qv, binarize_targets(rec.qv, cfg.alpha,
+                                                        cfg.use_windowed_pval_for_targets)))
+        rows.append([row[col] for col in columns])
     sidecar = {
         "epsilon": cfg.epsilon,
         "alpha": cfg.alpha,
@@ -239,58 +244,15 @@ def cmd_meta(cfg: RunConfig) -> None:
         "k": cfg.k,
         "learner": cfg.learner.token(),
     }
-    write_files_atomically({meta_path: buf.getvalue(),
+    meta_path = cfg.out_dir() / "meta.csv"
+    write_files_atomically({meta_path: csv_text(columns, rows),
                             cfg.out_dir() / "meta.meta.json": json.dumps(sidecar, sort_keys=True)})
     print(f"meta: wrote {len(records)} meta-examples to {meta_path}")
 
 
-def read_meta_csv(cfg: RunConfig) -> list[MetaRecord]:
-    """Rebuild MetaRecords from meta.csv (floats round-trip exactly via repr)."""
-    meta_path = cfg.out_dir() / "meta.csv"
-    sidecar_path = cfg.out_dir() / "meta.meta.json"
-    if not meta_path.exists() or not sidecar_path.exists():
-        raise PipelineError("E_MISSING_INPUT", "meta.csv missing: run `meta` first")
-    sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
-    epsilon = float(sidecar["epsilon"])
-    alpha = float(sidecar["alpha"])
-    methods = list(sidecar["methods"])
-    multipliers = [float(m) for m in sidecar["multipliers"]]
-    records = []
-    with meta_path.open("r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            features = MetaFeatures(np.array([float(row[name])
-                                              for name in META_FEATURE_NAMES]))
-            cells = {}
-            per_method = {}
-            for method in methods:
-                for m in multipliers:
-                    suffix = f"[{method}][{format_multiplier(m)}]"
-                    if row[f"qmean{suffix}"] == "":
-                        continue
-                    cells[(method, m)] = CellVars(
-                        q_mean=float(row[f"qmean{suffix}"]),
-                        q_pval=float(row[f"qpval{suffix}"]),
-                        q_pvalw=float(row[f"qpvalw{suffix}"]),
-                    )
-                if row[f"mstar[{method}]"] != "":
-                    per_method[method] = MethodVars(
-                        m_star=float(row[f"mstar[{method}]"]),
-                        q_mean_at_star=float(row[f"qmeanstar[{method}]"]),
-                        q_pval_at_star=float(row[f"qpvalstar[{method}]"]),
-                    )
-            qv = QualityVariables(q0_mean=float(row["q0mean"]), epsilon=epsilon,
-                                  methods=tuple(methods),
-                                  multipliers=tuple(multipliers),
-                                  cells=cells, per_method=per_method)
-            records.append(MetaRecord(
-                dataset_id=row["dataset_id"], features=features, qv=qv,
-                targets=binarize_targets(qv, alpha, cfg.use_windowed_pval_for_targets)))
-    return records
-
-
 def cmd_train(cfg: RunConfig) -> None:
     """Train one recommender per configured approach on the full meta-dataset."""
-    records = read_meta_csv(cfg)
+    records = _meta_records(cfg)
     model_dir = cfg.out_dir() / "models"
     model_dir.mkdir(parents=True, exist_ok=True)
     for approach in cfg.approaches:
@@ -322,17 +284,11 @@ def cmd_assess(cfg: RunConfig) -> None:
     """Meta-level k'-fold CV of the recommenders against the static strategies."""
     bank = load_bank(cfg)
     grids = load_grids(cfg, bank)
-    records = read_meta_csv(cfg)
-    ids_with_meta = {r.dataset_id for r in records}
-    missing = [s.id for s in bank if s.id not in ids_with_meta]
-    if missing:
-        raise PipelineError("E_MISSING_INPUT", f"meta.csv lacks rows for: {missing[:3]}")
     recommender_cfgs = [(APPROACH_LABELS[a], PRESETS[cfg.preset_for(a)])
                         for a in cfg.approaches]
     report = assess_bank(list(zip(bank, grids)), recommender_cfgs,
                          ALL_STATIC_STRATEGIES, cfg.k_prime, cfg.seed, cfg.learner,
-                         cfg.epsilon, cfg.alpha, workers=cfg.workers,
-                         meta_records=records,
+                         cfg.epsilon, workers=cfg.workers,
                          use_windowed_pval_for_targets=cfg.use_windowed_pval_for_targets)
     report_dir = cfg.out_dir() / "report"
     write_report(report, report_dir)

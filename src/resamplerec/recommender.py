@@ -22,7 +22,7 @@ from .learners import (LearnerSpec, Model, constant_model, fit_arrays, model_fro
                        model_to_dict, predict_score)
 from .metafeatures import MetaFeatures, compute_meta_features
 from .qualityvars import (MetaTargets, QualityVariables, binarize_targets,
-                          compute_quality_variables)
+                          compute_quality_variables, format_multiplier)
 from .resampling import ResamplingSpec, feasible
 
 
@@ -31,11 +31,10 @@ class MetaRecord:
     dataset_id: str
     features: MetaFeatures
     qv: QualityVariables
-    targets: MetaTargets
 
 
 def build_meta_dataset(records: list[tuple[Dataset, QualityGrid]],
-                       epsilon: float, alpha: float) -> list[MetaRecord]:
+                       epsilon: float) -> list[MetaRecord]:
     """One MetaRecord per (dataset, grid) pair; grids must share R, M and k."""
     if not records:
         return []
@@ -47,11 +46,9 @@ def build_meta_dataset(records: list[tuple[Dataset, QualityGrid]],
         if (grid.methods, [float(m) for m in grid.multipliers], grid.k) != \
                 (ref.methods, [float(m) for m in ref.multipliers], ref.k):
             raise ValueError("inconsistent grid shapes across records")
-        qv = compute_quality_variables(grid, epsilon)
         out.append(MetaRecord(dataset_id=dataset.id,
                               features=compute_meta_features(dataset),
-                              qv=qv,
-                              targets=binarize_targets(qv, alpha)))
+                              qv=compute_quality_variables(grid, epsilon)))
     return out
 
 
@@ -140,29 +137,37 @@ def _record_matrix(records: list[MetaRecord], feature_names: list[str]) -> np.nd
     return np.array([rec.features.select(feature_names) for rec in records])
 
 
-def train_approach1(meta: list[MetaRecord], preset: RecommenderPreset,
-                    use_windowed_pval_for_targets: bool = False) -> RecommenderModel:
+def _untrained_model(meta: list[MetaRecord], preset: RecommenderPreset, approach: str,
+                     use_windowed_pval_for_targets: bool
+                     ) -> tuple[RecommenderModel, list[MetaTargets]]:
+    """The model shell for `preset` on the meta-dataset's grid, plus each
+    record's targets at the preset's alpha."""
     if not meta:
         raise ValueError("empty meta-dataset")
-    if preset.approach != "a1":
-        raise ValueError(f"preset {preset.name} is not an approach-1 preset")
-    feature_names = list(preset.feature_names)
-    methods = list(meta[0].qv.methods)
-    multipliers = [float(m) for m in meta[0].qv.multipliers]
+    if preset.approach != approach:
+        raise ValueError(f"preset {preset.name} is not an approach-{approach[1]} preset")
     model = RecommenderModel(
-        approach="a1", preset_name=preset.name, alpha=preset.alpha,
-        epsilon=meta[0].qv.epsilon, feature_names=feature_names, methods=methods,
-        multipliers=multipliers, classifier_spec=preset.classifier_spec,
+        approach=approach, preset_name=preset.name, alpha=preset.alpha,
+        epsilon=meta[0].qv.epsilon, feature_names=list(preset.feature_names),
+        methods=list(meta[0].qv.methods),
+        multipliers=[float(m) for m in meta[0].qv.multipliers],
+        classifier_spec=preset.classifier_spec, regressor_spec=preset.regressor_spec,
         trained_on_ids=[rec.dataset_id for rec in meta])
     targets = [binarize_targets(rec.qv, preset.alpha, use_windowed_pval_for_targets)
                for rec in meta]
-    for method in methods:
-        for m in multipliers:
+    return model, targets
+
+
+def train_approach1(meta: list[MetaRecord], preset: RecommenderPreset,
+                    use_windowed_pval_for_targets: bool = False) -> RecommenderModel:
+    model, targets = _untrained_model(meta, preset, "a1", use_windowed_pval_for_targets)
+    for method in model.methods:
+        for m in model.multipliers:
             key = (method, m)
             rows = [i for i, rec in enumerate(meta) if key in rec.qv.cells]
             if not rows:
                 continue  # cell skipped everywhere: no meta-model for it
-            x = _record_matrix([meta[i] for i in rows], feature_names)
+            x = _record_matrix([meta[i] for i in rows], model.feature_names)
             y = np.array([targets[i].y_rm[key] for i in rows], dtype=np.int64)
             model.a1_models[key] = _fit_binary_meta(preset.classifier_spec, x, y)
     return model
@@ -170,23 +175,10 @@ def train_approach1(meta: list[MetaRecord], preset: RecommenderPreset,
 
 def train_approach2(meta: list[MetaRecord], preset: RecommenderPreset,
                     use_windowed_pval_for_targets: bool = False) -> RecommenderModel:
-    if not meta:
-        raise ValueError("empty meta-dataset")
-    if preset.approach != "a2":
-        raise ValueError(f"preset {preset.name} is not an approach-2 preset")
-    feature_names = list(preset.feature_names)
-    methods = list(meta[0].qv.methods)
-    multipliers = [float(m) for m in meta[0].qv.multipliers]
-    model = RecommenderModel(
-        approach="a2", preset_name=preset.name, alpha=preset.alpha,
-        epsilon=meta[0].qv.epsilon, feature_names=feature_names, methods=methods,
-        multipliers=multipliers, classifier_spec=preset.classifier_spec,
-        regressor_spec=preset.regressor_spec,
-        trained_on_ids=[rec.dataset_id for rec in meta])
-    targets = [binarize_targets(rec.qv, preset.alpha, use_windowed_pval_for_targets)
-               for rec in meta]
-    midpoint = (min(multipliers) + max(multipliers)) / 2.0
-    for method in methods:
+    model, targets = _untrained_model(meta, preset, "a2", use_windowed_pval_for_targets)
+    feature_names = model.feature_names
+    midpoint = (min(model.multipliers) + max(model.multipliers)) / 2.0
+    for method in model.methods:
         rows = [i for i, rec in enumerate(meta) if method in rec.qv.per_method]
         if not rows:
             continue
@@ -237,7 +229,8 @@ def recommend(model: RecommenderModel, s: Dataset) -> Recommendation:
         candidates = [(key, p) for key, p in probs.items() if p >= 0.5]
         candidates.sort(key=lambda item: (-item[1], method_order[item[0][0]], item[0][1]))
         details = {"approach": "a1",
-                   "p_hat": {f"{k[0]}@{k[1]:g}": p for k, p in sorted(probs.items())}}
+                   "p_hat": {f"{k[0]}@{format_multiplier(k[1])}": p
+                             for k, p in sorted(probs.items())}}
         for (method, m), _ in candidates:
             if _spec_feasible(method, m, s):
                 return Recommendation(ResamplingSpec(method, m), "a1", details)

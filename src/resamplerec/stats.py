@@ -2,8 +2,9 @@
 
 `scipy.special` is imported inside `student_t_sf`, not at module level: it
 costs more than half of a fresh `import resamplerec.cli` (it pulls in
-`numpy.f2py`), and only the `meta` command reaches the Student-t tail. Every
-other command, `recommend` included, starts without loading scipy.
+`numpy.f2py`). Only the commands that build the meta-dataset's quality
+variables reach the Student-t tail: `meta`, `train` and `assess`. `gen`,
+`grid`, `recommend` and `report` start without loading scipy.
 """
 
 from __future__ import annotations

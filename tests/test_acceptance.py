@@ -199,9 +199,9 @@ def desk_run():
     recommender_cfgs = [("rec1", PRESETS["rs1-dtree"]), ("rec2", PRESETS["rs2-dtree"])]
     report = assess_bank(bank, recommender_cfgs, ALL_STATIC_STRATEGIES,
                          k_prime=5, seed=DESK_SEED, learner=TREE,
-                         epsilon=0.75, alpha=0.05, workers=WORKERS,
+                         epsilon=0.75, workers=WORKERS,
                          include_random_cell=True)
-    meta = build_meta_dataset(bank, epsilon=0.75, alpha=0.05)
+    meta = build_meta_dataset(bank, epsilon=0.75)
     model_a1 = train(meta, PRESETS["rs1-dtree"])
     return {"datasets": datasets, "grids": grids, "report": report,
             "model_a1": model_a1, "held_out": held_out}

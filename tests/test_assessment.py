@@ -141,7 +141,7 @@ class TestAssessBank:
     def test_report_structure_and_leak_check(self, assess_fixture):
         cfgs = [("rec1", PRESETS["rs1-dtree"]), ("rec2", PRESETS["rs2-dtree"])]
         report = assess_bank(assess_fixture, cfgs, ALL_STATIC_STRATEGIES,
-                             k_prime=2, seed=9, learner=TREE, epsilon=0.75, alpha=0.05)
+                             k_prime=2, seed=9, learner=TREE, epsilon=0.75)
         ids = [s.id for s, _ in assess_fixture]
         strategies = ["rec1", "rec2"] + [st.value for st in ALL_STATIC_STRATEGIES]
         assert set(report.ara.keys()) == set(strategies)
@@ -162,16 +162,35 @@ class TestAssessBank:
     def test_deterministic_and_worker_invariant(self, assess_fixture):
         cfgs = [("rec1", PRESETS["rs1-dtree"])]
         a = assess_bank(assess_fixture, cfgs, ALL_STATIC_STRATEGIES,
-                        k_prime=2, seed=9, learner=TREE, epsilon=0.75, alpha=0.05)
+                        k_prime=2, seed=9, learner=TREE, epsilon=0.75)
         b = assess_bank(assess_fixture, cfgs, ALL_STATIC_STRATEGIES,
-                        k_prime=2, seed=9, learner=TREE, epsilon=0.75, alpha=0.05,
+                        k_prime=2, seed=9, learner=TREE, epsilon=0.75,
                         workers=2)
         assert a.ra == b.ra
+
+    def test_recommended_cell_skipped_in_grid_scores_as_baseline(self, monkeypatch):
+        """rus@4.0 is feasible on 41/10 rows (IR 4.1), so `recommend` may pick
+        it, but a training split of 31/8 rows (IR 3.875) makes the grid skip it.
+        The pick scores as the baseline cell instead of failing the run."""
+        import resamplerec.assessment as assessment
+
+        bank = []
+        for i in range(3):
+            s = make_dataset(41, 10, seed=i, dataset_id=f"d{i}")
+            bank.append((s, quality_grid(s, TREE, ["rus"], [2.0, 4.0], k=4, seed=6)))
+            assert ("rus", 4.0) in bank[-1][1].skips
+        pick = Recommendation(ResamplingSpec("rus", 4.0), "a1")
+        monkeypatch.setattr(assessment, "recommend", lambda model, s: pick)
+        report = assess_bank(bank, [("rec1", PRESETS["rs1-dtree"])],
+                             [StaticStrategy.NO_RESAMPLE], k_prime=3, seed=2, learner=TREE,
+                             epsilon=0.75)
+        for s, _ in bank:
+            assert report.ra[(s.id, "rec1")] == report.ra[(s.id, "no-resample")]
 
     def test_bank_too_small(self, assess_fixture):
         with pytest.raises(ValueError, match="bank too small"):
             assess_bank(assess_fixture[:2], [], [], k_prime=3, seed=1, learner=TREE,
-                        epsilon=0.75, alpha=0.05)
+                        epsilon=0.75)
 
     def test_oracle_strategy_scores_one(self, assess_fixture):
         """A synthetic strategy that always picks the best grid cell has ARA 1."""
@@ -196,7 +215,7 @@ class TestReportFiles:
     def test_write_report(self, assess_fixture, tmp_path):
         cfgs = [("rec1", PRESETS["rs1-dtree"]), ("rec2", PRESETS["rs2-dtree"])]
         report = assess_bank(assess_fixture, cfgs, ALL_STATIC_STRATEGIES,
-                             k_prime=2, seed=9, learner=TREE, epsilon=0.75, alpha=0.05)
+                             k_prime=2, seed=9, learner=TREE, epsilon=0.75)
         out = tmp_path / "report"
         write_report(report, out)
         assert (out / "ra.csv").exists()

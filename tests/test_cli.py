@@ -275,15 +275,29 @@ class TestPipelineCommands:
         assert read_tree(tmp_path / "out") == whole
 
     def test_meta_reruns_after_crash_mid_save(self, tmp_path, monkeypatch, capsys):
-        """A meta save that dies after moving meta.csv leaves no sidecar, so
-        `train` refuses it until `meta` runs again."""
+        """A meta save that dies after moving meta.csv leaves no sidecar and no
+        temp file. `train` and `assess` rebuild the meta-dataset from the
+        datasets and grids, so they neither need nor read the export: their
+        outputs equal an uninterrupted run's, with the export half written or
+        gone. Re-running `meta` restores the whole tree."""
         import os
 
         cfg_path = tiny_config(tmp_path, count=2)
-        for command in ("gen", "grid", "meta"):
+        for command in ("gen", "grid", "meta", "train", "assess"):
             assert main([command, "--config", str(cfg_path)]) == 0, command
         out = tmp_path / "out"
         whole = read_tree(out)
+
+        def outputs_of_train_and_assess():
+            shutil.rmtree(out / "models")
+            shutil.rmtree(out / "report")
+            for command in ("train", "assess"):
+                assert main([command, "--config", str(cfg_path)]) == 0, command
+            return {name: data for name, data in read_tree(out).items()
+                    if name.startswith(("models", "report"))}
+
+        trained = {name: data for name, data in whole.items()
+                   if name.startswith(("models", "report"))}
         (out / "meta.csv").unlink()
         (out / "meta.meta.json").unlink()
         real_replace = os.replace
@@ -300,12 +314,53 @@ class TestPipelineCommands:
         monkeypatch.setattr(os, "replace", real_replace)
         assert capsys.readouterr().err == "error E_FAILED: disk gone\n"
         assert [p.name for p in moved] == ["meta.csv"]
-        assert sorted(p.name for p in out.iterdir()) == ["datasets", "grids", "meta.csv"]
+        assert sorted(p.name for p in out.iterdir()) == [
+            "datasets", "grids", "meta.csv", "models", "report"]
 
-        assert main(["train", "--config", str(cfg_path)]) == 1
-        assert capsys.readouterr().err.startswith("error E_MISSING_INPUT: meta.csv missing")
+        assert outputs_of_train_and_assess() == trained
+        (out / "meta.csv").unlink()
+        assert outputs_of_train_and_assess() == trained
+        assert capsys.readouterr().err == ""
         assert main(["meta", "--config", str(cfg_path)]) == 0
         assert read_tree(out) == whole
+
+    def test_train_without_grids_is_missing_input(self, tmp_path, capsys):
+        cfg_path = tiny_config(tmp_path, count=2)
+        assert main(["gen", "--config", str(cfg_path)]) == 0
+        assert main(["train", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error E_MISSING_INPUT: grid missing ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out" / "models").exists()
+
+    def test_meta_targets_follow_the_windowed_switch(self, tmp_path):
+        """With `use_windowed_pval_for_targets`, the y, yr and zr columns of
+        meta.csv are the windowed targets that `train` fits."""
+        import csv
+
+        from resamplerec.pipeline import load_bank, load_grids
+        from resamplerec.qualityvars import binarize_targets, quality_row
+        from resamplerec.recommender import build_meta_dataset
+
+        cfg_path = tiny_config(tmp_path, use_windowed_pval_for_targets=True, alpha=0.3)
+        for command in ("gen", "grid", "meta"):
+            assert main([command, "--config", str(cfg_path)]) == 0, command
+        cfg = load_config(cfg_path)
+        bank = load_bank(cfg)
+        records = build_meta_dataset(list(zip(bank, load_grids(cfg, bank))), cfg.epsilon)
+        with (tmp_path / "out" / "meta.csv").open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["dataset_id"] for row in rows] == [rec.dataset_id for rec in records]
+        differs = False
+        for row, rec in zip(rows, records):
+            windowed = quality_row(rec.qv, binarize_targets(rec.qv, 0.3, True))
+            plain = quality_row(rec.qv, binarize_targets(rec.qv, 0.3))
+            targets = [name for name in windowed if name.startswith(("y", "zr"))]
+            assert targets
+            assert {name: row[name] for name in targets} == \
+                {name: windowed[name] for name in targets}
+            differs |= any(windowed[name] != plain[name] for name in targets)
+        assert differs  # the switch matters on this bank
 
     def test_recommend_tiny_variance_column(self, tmp_path, capsys):
         """A class column whose variance underflows in m2 ** 1.5 is answered
@@ -404,9 +459,10 @@ check("recommend")
 
 class TestImportBoundary:
     def test_cli_import_gen_recommend_load_neither_scipy_nor_pool(self, tmp_path):
-        """Only `meta` needs scipy and only parallel commands need a process
-        pool, so neither is imported by the CLI itself, `gen`, a one-worker
-        `grid` or `recommend`.
+        """Only `meta`, `train` and `assess` need scipy (they build quality
+        variables) and only parallel commands need a process pool, so neither
+        is imported by the CLI itself, `gen`, a one-worker `grid` or
+        `recommend`.
         A fresh interpreter is needed: this process imported scipy already."""
         cfg_path = tiny_config(tmp_path)
         for command in ("gen", "grid", "meta", "train"):

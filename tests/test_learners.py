@@ -1,3 +1,4 @@
+import json
 from unittest import mock
 
 import numpy as np
@@ -10,8 +11,8 @@ import oracles
 from resamplerec import learners
 from resamplerec.data import Dataset
 from resamplerec.learners import (DEFAULT_LEARNERS, LearnerSpec, Model, constant_model,
-                                  fit_arrays, fit_count, load_model, predict_score,
-                                  predict_scores, save_model)
+                                  fit_arrays, fit_count, model_from_dict, model_to_dict,
+                                  predict_score, predict_scores)
 from resamplerec.learners.logreg import (_sigmoid, fit_logreg_l1, log_loss, log_loss_grad,
                                          objective)
 from resamplerec.learners.boost import fit_boosted_classifier, fit_boosted_regressor
@@ -480,29 +481,29 @@ class TestPredictContract:
                                   predict_scores(b, s.features))
 
 
+def json_round_trip(model: Model) -> Model:
+    return model_from_dict(json.loads(json.dumps(model_to_dict(model))))
+
+
 class TestSerialization:
-    def test_round_trip_all_kinds(self, tmp_path):
+    def test_round_trip_all_kinds(self):
         s = make_dataset(40, 15, seed=23)
         query = s.features[:7]
         for kind in ("decision_tree", "knn", "logreg_l1", "adaboost_clf"):
             model = fit_arrays(DEFAULT_LEARNERS[kind], s.features, s.labels)
-            path = tmp_path / f"{kind}.json"
-            save_model(model, path)
-            back = load_model(path)
+            back = json_round_trip(model)
             assert np.array_equal(predict_scores(model, query), predict_scores(back, query))
 
-    def test_regressor_round_trip(self, tmp_path):
+    def test_regressor_round_trip(self):
         x = np.linspace(0, 1, 30)[:, None]
         y = x[:, 0] ** 2
         model = fit_arrays(DEFAULT_LEARNERS["adaboost_reg"], x, y)
-        save_model(model, tmp_path / "reg.json")
-        back = load_model(tmp_path / "reg.json")
+        back = json_round_trip(model)
         assert np.array_equal(predict_scores(model, x), predict_scores(back, x))
 
-    def test_constant_round_trip(self, tmp_path):
+    def test_constant_round_trip(self):
         model = constant_model(LearnerSpec("adaboost_clf"), 4, 0.75)
-        save_model(model, tmp_path / "c.json")
-        assert predict_score(load_model(tmp_path / "c.json"), np.zeros(4)) == 0.75
+        assert predict_score(json_round_trip(model), np.zeros(4)) == 0.75
 
     def test_version_check(self, tmp_path):
         model = constant_model(LearnerSpec("adaboost_clf"), 1, 0.5)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from resamplerec.data import MixtureConfig, generate_mixture, imbalance_ratio
 from resamplerec.evaluation import quality_grid
 from resamplerec.learners import LearnerSpec, constant_model, fit_arrays, fit_count
+from resamplerec.qualityvars import binarize_targets
 from resamplerec.recommender import (PRESETS, MetaRecord, RecommenderModel,
                                      build_meta_dataset, load_recommender, recommend,
                                      recommender_to_dict, save_recommender, snap_to_grid,
@@ -33,7 +34,7 @@ def small_bank():
 
 @pytest.fixture(scope="module")
 def meta_records(small_bank):
-    return build_meta_dataset(small_bank, epsilon=0.75, alpha=0.05)
+    return build_meta_dataset(small_bank, epsilon=0.75)
 
 
 class TestBuildMetaDataset:
@@ -42,22 +43,25 @@ class TestBuildMetaDataset:
         assert [r.dataset_id for r in meta_records] == [s.id for s, _ in small_bank]
 
     def test_deterministic(self, small_bank, meta_records):
-        again = build_meta_dataset(small_bank, epsilon=0.75, alpha=0.05)
+        again = build_meta_dataset(small_bank, epsilon=0.75)
         for a, b in zip(meta_records, again):
             assert np.array_equal(a.features.values, b.features.values)
             assert a.qv == b.qv
-            assert a.targets == b.targets
 
     def test_inconsistent_grids_rejected(self, small_bank):
         s0, g0 = small_bank[0]
         bad = quality_grid(s0, TREE, ["ros"], [2.0], k=5, seed=3)
         with pytest.raises(ValueError, match="inconsistent"):
-            build_meta_dataset([small_bank[1], (s0, bad)], 0.75, 0.05)
+            build_meta_dataset([small_bank[1], (s0, bad)], 0.75)
 
     def test_targets_consistent_with_qv(self, meta_records):
-        for rec in meta_records:
-            for key, cv in rec.qv.cells.items():
-                assert rec.targets.y_rm[key] == int(cv.q_pval < 0.05)
+        """A record fixes no alpha: each trainer binarizes its quality
+        variables at its own preset's level."""
+        for alpha in (0.05, 0.3):
+            for rec in meta_records:
+                targets = binarize_targets(rec.qv, alpha)
+                for key, cv in rec.qv.cells.items():
+                    assert targets.y_rm[key] == int(cv.q_pval < alpha)
 
 
 class TestTrainApproach1:
@@ -78,7 +82,7 @@ class TestTrainApproach1:
             g = QualityGrid(dataset_id=f"d{i}", learner_id="synthetic", k=6, seed=1,
                             methods=["ros"], multipliers=[2.0], cells=cells)
             records.append((make_dataset(30, 10, seed=i, dataset_id=f"d{i}"), g))
-        meta = build_meta_dataset(records, 0.75, 0.05)
+        meta = build_meta_dataset(records, 0.75)
         model = train_approach1(meta, PRESETS["rs1-dtree"])
         mdl = model.a1_models[("ros", 2.0)]
         assert mdl.constant_score == pytest.approx((4 + 1) / (4 + 2))
@@ -109,7 +113,7 @@ class TestTrainApproach2:
             g = QualityGrid(dataset_id=f"d{i}", learner_id="synthetic", k=6, seed=1,
                             methods=["ros"], multipliers=[1.5, 4.0], cells=cells)
             records.append((make_dataset(30, 10, seed=i, dataset_id=f"d{i}"), g))
-        meta = build_meta_dataset(records, 0.75, 0.05)
+        meta = build_meta_dataset(records, 0.75)
         model = train_approach2(meta, PRESETS["rs2-dtree"])
         assert model.a2_regressors["ros"].constant_score == pytest.approx((1.5 + 4.0) / 2)
 
@@ -161,6 +165,15 @@ class TestRecommend:
         assert (rec.spec.method, rec.spec.multiplier) == ("ros", 2.0)
         positives = {k: p for k, p in rec.details["p_hat"].items() if p >= 0.5}
         assert max(positives.values()) == 0.9
+
+    def test_p_hat_keys_keep_close_multipliers_apart(self):
+        """Details key each cell by the multiplier text of the answer line, so
+        two cells that agree to six digits keep their own probabilities."""
+        scores = {("ros", 1.1): 0.9, ("ros", 1.1000001): 0.2}
+        model = constant_a1_model(scores, methods=("ros",), multipliers=(1.1, 1.1000001))
+        rec = recommend(model, make_dataset(60, 20))
+        assert (rec.spec.method, rec.spec.multiplier) == ("ros", 1.1)
+        assert rec.details["p_hat"] == {"ros@1.1": 0.9, "ros@1.1000001": 0.2}
 
     def test_tie_broken_by_method_order_then_multiplier(self):
         scores = {("rus", 2.0): 0.8, ("ros", 2.0): 0.8, ("ros", 1.5): 0.8}
