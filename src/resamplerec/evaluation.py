@@ -255,16 +255,18 @@ class GridFileError(ValueError):
     code = "E_GRID_CORRUPT"
 
 
-def _read_rows(path: Path) -> list[dict]:
-    """CSV rows as dicts; a row with missing or extra fields raises ValueError."""
-    rows = []
+def _read_columns(path: Path, names: tuple[str, ...]) -> list[tuple[str, ...]]:
+    """The named columns of a CSV file; a row with missing or extra fields raises ValueError."""
     with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            if None in row or None in row.values():
-                raise ValueError(f"{path.name} line {reader.line_num} has the wrong field count")
-            rows.append(row)
-    return rows
+        header, *rows = list(csv.reader(fh)) or [[]]
+    index = [header.index(name) for name in names]
+    if set(map(len, rows)) - {len(header)}:
+        rows = [row for row in rows if row]  # a blank line is no row
+        for number, row in enumerate(rows, start=1):
+            if len(row) != len(header):
+                raise ValueError(f"{path.name} row {number} has the wrong field count")
+    columns = list(zip(*rows)) or [()] * len(header)
+    return [columns[i] for i in index]
 
 
 def load_grid(csv_path: str | Path) -> QualityGrid:
@@ -281,34 +283,45 @@ def load_grid(csv_path: str | Path) -> QualityGrid:
             dataset_id=meta["dataset_id"], learner_id=meta["learner"], k=int(meta["k"]),
             seed=int(meta["seed"]), methods=list(meta["methods"]),
             multipliers=[float(m) for m in meta["multipliers"]])
-        rows = [((row["dataset_id"], row["learner"]), (row["method"], float(row["multiplier"])),
-                 int(row["fold"]), float(row["score"])) for row in _read_rows(csv_path)]
-        skips = {(row["method"], float(row["multiplier"])): row["reason"]
-                 for row in _read_rows(_skips_path(csv_path))}
-    except (OSError, KeyError, TypeError, ValueError, csv.Error) as exc:
+        ds_ids, learners, methods, mults, folds, scores = _read_columns(
+            csv_path, ("dataset_id", "learner", "method", "multiplier", "fold", "score"))
+        mult_of = {text: float(text) for text in set(mults)}
+        keys = list(zip(methods, map(mult_of.__getitem__, mults)))
+        fold = np.array(list(map(int, folds)), dtype=np.int64)
+        scores = np.array(list(map(float, scores)), dtype=np.float64)
+        methods, mults, reasons = _read_columns(_skips_path(csv_path),
+                                                ("method", "multiplier", "reason"))
+        skips = {(method, float(m)): reason for method, m, reason in zip(methods, mults, reasons)}
+    except (OSError, KeyError, TypeError, ValueError, OverflowError, csv.Error) as exc:
         raise GridFileError(f"cannot read grid {csv_path}: {exc}") from exc
 
-    by_cell: dict[tuple[str, float], list[tuple[int, float]]] = {}
-    for owner, key, j, score in rows:
-        if owner != (grid.dataset_id, grid.learner_id):
-            raise GridFileError(f"grid {csv_path}: a row names another dataset or learner")
-        by_cell.setdefault(key, []).append((j, score))
+    if set(zip(ds_ids, learners)) - {(grid.dataset_id, grid.learner_id)}:
+        raise GridFileError(f"grid {csv_path}: a row names another dataset or learner")
     defined = grid.cell_keys()
-    for key in list(by_cell) + list(skips):
-        if key not in defined:
+    index = {key: i for i, key in enumerate(defined)}
+    for key in list(dict.fromkeys(keys)) + list(skips):
+        if key not in index:
             raise GridFileError(f"grid {csv_path}: cell {key} is not in its definition")
-    for key in defined:
+    # one (cell, fold) slot per row: a whole cell has k rows filling its k slots once each
+    cell = np.array(list(map(index.__getitem__, keys)), dtype=np.intp)
+    slot = (fold >= 0) & (fold < grid.k)
+    filled = np.zeros((len(defined), grid.k), dtype=np.intp)
+    np.add.at(filled, (cell[slot], fold[slot]), 1)
+    values = np.full((len(defined), grid.k), np.nan)
+    values[cell[slot], fold[slot]] = scores[slot]
+    n_rows = np.bincount(cell, minlength=len(defined)).tolist()
+    whole = ((filled == 1).all(axis=1) & (np.asarray(n_rows) == grid.k)).tolist()
+    in_range = ((values >= 0.0) & (values <= 1.0)).all(axis=1).tolist()  # False for NaN
+    for i, key in enumerate(defined):
         if key in skips:
-            if key in by_cell or key == BASELINE_KEY:
+            if n_rows[i] or key == BASELINE_KEY:
                 raise GridFileError(f"grid {csv_path}: cell {key} cannot be skipped")
             continue
-        entries = sorted(by_cell.get(key, []))
-        if [j for j, _ in entries] != list(range(grid.k)):
-            raise GridFileError(f"grid {csv_path}: cell {key} has {len(entries)} fold rows "
+        if not whole[i]:
+            raise GridFileError(f"grid {csv_path}: cell {key} has {n_rows[i]} fold rows "
                                 f"(expected folds 0..{grid.k - 1}, each once)")
-        vec = np.array([score for _, score in entries], dtype=np.float64)
-        if not np.all((vec >= 0.0) & (vec <= 1.0)):  # False for NaN
+        if not in_range[i]:
             raise GridFileError(f"grid {csv_path}: cell {key} has a score outside [0, 1]")
-        grid.cells[key] = vec
+        grid.cells[key] = values[i]
     grid.skips = skips
     return grid

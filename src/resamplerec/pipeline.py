@@ -32,7 +32,6 @@ from .config import RunConfig
 from .data import (Dataset, csv_text, generate_mixture, ingest_csv, write_csv,
                    write_files_atomically)
 from .evaluation import QualityGrid, load_grid, quality_grid, save_grid
-from .metafeatures import META_FEATURE_NAMES
 from .parallel import parallel_map
 from .qualityvars import binarize_targets, format_multiplier, quality_row
 from .recommender import (PRESETS, MetaRecord, build_meta_dataset, load_recommender,
@@ -198,12 +197,25 @@ def cmd_grid(cfg: RunConfig) -> None:
 
 
 def load_grids(cfg: RunConfig, bank: list[Dataset]) -> list[QualityGrid]:
+    """The grid of every dataset, each checked against the config's grid definition."""
+    want = {"learner": cfg.learner.token(), "seed": cfg.seed, "k": cfg.k,
+            "methods": [m for m in cfg.methods if m != "none"],
+            "multipliers": cfg.multiplier_values()}
     grids = []
     for s in bank:
         csv_path, _ = _grid_paths(cfg, s.id)
         if not csv_path.exists():
             raise PipelineError("E_MISSING_INPUT", f"grid missing for {s.id}: run `grid` first")
-        grids.append(load_grid(csv_path))
+        grid = load_grid(csv_path)
+        have = {"learner": grid.learner_id, "seed": grid.seed, "k": grid.k,
+                "methods": grid.methods, "multipliers": grid.multipliers}
+        differ = [name for name in want if want[name] != have[name]]
+        if differ:
+            raise PipelineError(
+                "E_CACHE_MISMATCH",
+                f"grid for {s.id} was computed with another {', '.join(differ)} than the "
+                f"config; delete {csv_path.parent} and rerun `grid`")
+        grids.append(grid)
     return grids
 
 
@@ -213,29 +225,14 @@ def _meta_records(cfg: RunConfig) -> list[MetaRecord]:
     return build_meta_dataset(list(zip(bank, load_grids(cfg, bank))), cfg.epsilon)
 
 
-def _meta_columns(cfg: RunConfig) -> list[str]:
-    cols = ["dataset_id"]
-    cols.extend(META_FEATURE_NAMES)
-    cols.append("q0mean")
-    for method in cfg.methods:
-        for m in cfg.multiplier_values():
-            suffix = f"[{method}][{format_multiplier(m)}]"
-            cols.extend(f"{p}{suffix}" for p in ("qmean", "qpval", "qpvalw", "y"))
-        cols.extend(f"{p}[{method}]" for p in ("yr", "zr", "mstar", "qmeanstar", "qpvalstar"))
-    return cols
-
-
 def cmd_meta(cfg: RunConfig) -> None:
     """Export the meta-dataset (one wide CSV row per dataset)."""
     records = _meta_records(cfg)
-    columns = _meta_columns(cfg)
-    rows = []
-    for rec in records:
-        row = {"dataset_id": rec.dataset_id}
-        row.update({name: repr(v) for name, v in rec.features.as_dict().items()})
-        row.update(quality_row(rec.qv, binarize_targets(rec.qv, cfg.alpha,
-                                                        cfg.use_windowed_pval_for_targets)))
-        rows.append([row[col] for col in columns])
+    rows = [{"dataset_id": rec.dataset_id,
+             **{name: repr(v) for name, v in rec.features.as_dict().items()},
+             **quality_row(rec.qv, binarize_targets(rec.qv, cfg.alpha,
+                                                    cfg.use_windowed_pval_for_targets))}
+            for rec in records]
     sidecar = {
         "epsilon": cfg.epsilon,
         "alpha": cfg.alpha,
@@ -245,7 +242,8 @@ def cmd_meta(cfg: RunConfig) -> None:
         "learner": cfg.learner.token(),
     }
     meta_path = cfg.out_dir() / "meta.csv"
-    write_files_atomically({meta_path: csv_text(columns, rows),
+    # every grid has the config's definition, so every row has the same columns
+    write_files_atomically({meta_path: csv_text(list(rows[0]), [list(r.values()) for r in rows]),
                             cfg.out_dir() / "meta.meta.json": json.dumps(sidecar, sort_keys=True)})
     print(f"meta: wrote {len(records)} meta-examples to {meta_path}")
 

@@ -13,31 +13,37 @@ from .evaluation import BASELINE_KEY, QualityGrid
 from .stats import student_t_sf
 
 
-def paired_ttest_pvalue(resampled: np.ndarray, baseline: np.ndarray) -> float:
-    """One-sided paired t-test: small p means the resampled scores are higher.
+def paired_ttest_pvalues(resampled: np.ndarray, baseline: np.ndarray) -> np.ndarray:
+    """One-sided paired t-test of each row of `resampled` against `baseline`:
+    small p means the row's scores are higher.
 
-    Both vectors must come from the same fold assignment. Zero-variance
+    Rows and baseline must come from the same fold assignment. Zero-variance
     differences use the limit conventions 0 / 1 / 0.5 for positive /
     negative / zero mean difference.
     """
     resampled = np.asarray(resampled, dtype=np.float64)
     baseline = np.asarray(baseline, dtype=np.float64)
-    if resampled.shape != baseline.shape or resampled.ndim != 1:
+    if resampled.ndim != 2 or baseline.ndim != 1 or resampled.shape[1] != baseline.shape[0]:
         raise ValueError("fold vectors must have equal length")
-    k = resampled.shape[0]
+    k = baseline.shape[0]
     if k < 2:
         raise ValueError("need at least 2 folds")
     d = resampled - baseline
-    mean = float(d.mean())
-    sd = float(d.std(ddof=1))
-    if sd == 0.0:
-        if mean > 0.0:
-            return 0.0
-        if mean < 0.0:
-            return 1.0
-        return 0.5
-    t = mean / (sd / math.sqrt(k))
-    return student_t_sf(t, k - 1)
+    mean = d.mean(axis=1)
+    sd = d.std(axis=1, ddof=1)
+    p = np.where(mean > 0.0, 0.0, np.where(mean < 0.0, 1.0, 0.5))
+    varying = sd != 0.0
+    if varying.any():
+        p[varying] = student_t_sf(mean[varying] / (sd[varying] / math.sqrt(k)), k - 1)
+    return p
+
+
+def paired_ttest_pvalue(resampled: np.ndarray, baseline: np.ndarray) -> float:
+    """`paired_ttest_pvalues` for one fold vector."""
+    resampled = np.asarray(resampled, dtype=np.float64)
+    if resampled.ndim != 1:
+        raise ValueError("fold vectors must have equal length")
+    return float(paired_ttest_pvalues(resampled[None, :], baseline)[0])
 
 
 @dataclass(frozen=True)
@@ -78,15 +84,12 @@ def compute_quality_variables(grid: QualityGrid, epsilon: float) -> QualityVaria
     baseline = grid.baseline
     q0_mean = float(baseline.mean())
 
-    pvals: dict[tuple[str, float], float] = {}
-    means: dict[tuple[str, float], float] = {}
-    for method in grid.methods:
-        for m in grid.multipliers:
-            key = (method, float(m))
-            if key not in grid.cells:
-                continue
-            means[key] = float(grid.cells[key].mean())
-            pvals[key] = paired_ttest_pvalue(grid.cells[key], baseline)
+    keys = [(method, float(m)) for method in grid.methods for m in grid.multipliers
+            if (method, float(m)) in grid.cells]
+    scores = np.array([grid.cells[key] for key in keys], dtype=np.float64)
+    scores = scores.reshape(len(keys), baseline.shape[0])
+    means = dict(zip(keys, scores.mean(axis=1).tolist()))
+    pvals = dict(zip(keys, paired_ttest_pvalues(scores, baseline).tolist()))
 
     cells: dict[tuple[str, float], CellVars] = {}
     per_method: dict[str, MethodVars] = {}
@@ -94,12 +97,15 @@ def compute_quality_variables(grid: QualityGrid, epsilon: float) -> QualityVaria
         present = [float(m) for m in grid.multipliers if (method, float(m)) in means]
         if not present:
             continue  # every multiplier skipped: method omitted
-        for m in present:
-            window = [pvals[(method, m2)] for m2 in present if abs(m2 - m) < epsilon]
+        m_arr = np.array(present)
+        p_arr = np.array([pvals[(method, m)] for m in present])
+        in_window = np.abs(m_arr[None, :] - m_arr[:, None]) < epsilon
+        windowed = np.where(in_window, p_arr[None, :], -np.inf).max(axis=1).tolist()
+        for m, q_pvalw in zip(present, windowed):
             cells[(method, m)] = CellVars(
                 q_mean=means[(method, m)],
                 q_pval=pvals[(method, m)],
-                q_pvalw=max(window),
+                q_pvalw=q_pvalw,
             )
         m_star = min(present, key=lambda m: (cells[(method, m)].q_pvalw, m))
         per_method[method] = MethodVars(

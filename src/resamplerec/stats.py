@@ -17,10 +17,10 @@ def normal_two_sided_pvalue(z: float) -> float:
     return float(math.erfc(abs(z) / math.sqrt(2.0)))
 
 
-def student_t_sf(t: float, df: int) -> float:
-    """P(T_df > t), the one-sided upper tail of Student's t."""
+def student_t_sf(t, df: int):
+    """P(T_df > t), the one-sided upper tail of Student's t, elementwise over `t`."""
     if df < 1:
         raise ValueError("df must be >= 1")
     from scipy import special
 
-    return float(1.0 - special.stdtr(df, t))
+    return 1.0 - special.stdtr(df, t)

@@ -333,6 +333,27 @@ class TestPipelineCommands:
         assert err.count("\n") == 1
         assert not (tmp_path / "out" / "models").exists()
 
+    @pytest.mark.parametrize("change, named", [
+        ({"multipliers": {"min": 1.5, "max": 3.0, "step": 0.5}}, "multipliers"),
+        ({"methods": ["ros"]}, "methods"),
+        ({"k": 5, "seed": 6}, "seed, k"),
+    ], ids=["wider-multipliers", "fewer-methods", "k-and-seed"])
+    def test_grids_of_another_definition_refused(self, tmp_path, capsys, change, named):
+        """meta, train and assess refuse grids computed for another grid
+        definition with one line naming the fields, and write nothing."""
+        cfg_path = tiny_config(tmp_path, count=4)
+        for command in ("gen", "grid"):
+            assert main([command, "--config", str(cfg_path)]) == 0, command
+        tiny_config(tmp_path, count=4, **change)
+        for command in ("meta", "train", "assess"):
+            capsys.readouterr()
+            assert main([command, "--config", str(cfg_path)]) == 1, command
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1
+            assert err.startswith("error E_CACHE_MISMATCH: grid for synth-5-0 was computed "
+                                  f"with another {named} than the config"), err
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["datasets", "grids"]
+
     def test_meta_targets_follow_the_windowed_switch(self, tmp_path):
         """With `use_windowed_pval_for_targets`, the y, yr and zr columns of
         meta.csv are the windowed targets that `train` fits."""
