@@ -251,6 +251,21 @@ class TestQualityGrid:
             assert np.array_equal(back.cells[key], g.cells[key])
         assert back.skips == g.skips
 
+    def test_rows_and_columns_in_any_order_load_the_same_grid(self, tmp_path):
+        s = make_dataset(40, 20, seed=4)  # IR = 2: ('rus', 2.5) is skipped
+        g = quality_grid(s, TREE, ["ros", "rus"], [1.5, 2.5], k=4, seed=9)
+        save_grid(g, tmp_path / "g.csv")
+        header, *rows = list(csv.reader((tmp_path / "g.csv").read_text().splitlines()))
+        order = np.random.default_rng(0).permutation(len(header))
+        rows = [rows[i] for i in np.random.default_rng(1).permutation(len(rows))]
+        out = io.StringIO()
+        csv.writer(out).writerows([[r[i] for i in order] for r in [header] + rows])
+        (tmp_path / "g.csv").write_text(out.getvalue())
+        back = load_grid(tmp_path / "g.csv")
+        assert [(key, v.tobytes()) for key, v in back.cells.items()] == \
+            [(key, v.tobytes()) for key, v in g.cells.items()]
+        assert back.skips == g.skips
+
 
 def _drop_last_row(lines):
     return lines[:-1]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from resamplerec.evaluation import QualityGrid
 from resamplerec.qualityvars import (binarize_targets, compute_quality_variables,
-                                     paired_ttest_pvalue, quality_row)
+                                     paired_ttest_pvalue, paired_ttest_pvalues, quality_row)
 from resamplerec.stats import student_t_sf
 
 from oracles import student_t_sf_quadrature
@@ -55,6 +57,27 @@ class TestPairedTTest:
             d = res - base
             t = d.mean() / (d.std(ddof=1) / np.sqrt(20))
             assert p == pytest.approx(student_t_sf_quadrature(t, 19), abs=1e-8)
+
+    def test_rows_match_the_one_vector_formula_bit_for_bit(self):
+        """Each row of the array form is exactly the float the one-vector
+        formula gives (numpy mean and std of the difference, then the tail)."""
+        rng = np.random.default_rng(11)
+        for k in (2, 4, 10, 20):
+            base = rng.uniform(0.2, 0.8, size=k)
+            rows = np.round(rng.uniform(0.2, 0.8, size=(30, k)), 2)
+            rows[::6] = base
+            rows[1::6] = base + 0.125
+            rows[2::6] = base - 0.125
+            want = []
+            for row in rows:
+                d = row - base
+                mean, sd = float(d.mean()), float(d.std(ddof=1))
+                if sd == 0.0:
+                    want.append(0.0 if mean > 0.0 else 1.0 if mean < 0.0 else 0.5)
+                else:
+                    want.append(float(student_t_sf(mean / (sd / math.sqrt(k)), k - 1)))
+            assert paired_ttest_pvalues(rows, base).tolist() == want
+            assert [paired_ttest_pvalue(row, base) for row in rows] == want
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="equal length"):
