@@ -198,7 +198,7 @@ def cmd_grid(cfg: RunConfig) -> None:
 
 def load_grids(cfg: RunConfig, bank: list[Dataset]) -> list[QualityGrid]:
     """The grid of every dataset, each checked against the config's grid definition."""
-    want = {"learner": cfg.learner.token(), "seed": cfg.seed, "k": cfg.k,
+    want = {"learner": cfg.learner.token(), "k": cfg.k,
             "methods": [m for m in cfg.methods if m != "none"],
             "multipliers": cfg.multiplier_values()}
     grids = []
@@ -207,7 +207,7 @@ def load_grids(cfg: RunConfig, bank: list[Dataset]) -> list[QualityGrid]:
         if not csv_path.exists():
             raise PipelineError("E_MISSING_INPUT", f"grid missing for {s.id}: run `grid` first")
         grid = load_grid(csv_path)
-        have = {"learner": grid.learner_id, "seed": grid.seed, "k": grid.k,
+        have = {"learner": grid.learner_id, "k": grid.k,
                 "methods": grid.methods, "multipliers": grid.multipliers}
         differ = [name for name in want if want[name] != have[name]]
         if differ:

@@ -336,8 +336,8 @@ class TestPipelineCommands:
     @pytest.mark.parametrize("change, named", [
         ({"multipliers": {"min": 1.5, "max": 3.0, "step": 0.5}}, "multipliers"),
         ({"methods": ["ros"]}, "methods"),
-        ({"k": 5, "seed": 6}, "seed, k"),
-    ], ids=["wider-multipliers", "fewer-methods", "k-and-seed"])
+        ({"k": 5, "learner": {"kind": "knn"}}, "learner, k"),
+    ], ids=["wider-multipliers", "fewer-methods", "learner-and-k"])
     def test_grids_of_another_definition_refused(self, tmp_path, capsys, change, named):
         """meta, train and assess refuse grids computed for another grid
         definition with one line naming the fields, and write nothing."""
