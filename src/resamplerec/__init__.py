@@ -11,8 +11,7 @@ from .data import (Dataset, FoldAssignment, MixtureConfig, generate_mixture,
 from .evaluation import QualityGrid, cv_quality, pr_auc, quality_grid
 from .learners import LearnerSpec, predict_score
 from .metafeatures import MetaFeatures, compute_meta_features, slog
-from .qualityvars import (binarize_targets, compute_quality_variables,
-                          paired_ttest_pvalue)
+from .qualityvars import binarize_targets, compute_quality_variables
 from .recommender import (PRESETS, Recommendation, RecommenderModel,
                           build_meta_dataset, recommend, train_approach1,
                           train_approach2)

@@ -68,25 +68,19 @@ def _rec_cell_key(rec: Recommendation) -> tuple[str, float]:
 
 
 def recommendation_accuracy(grid: QualityGrid, rec: Recommendation,
-                            dataset: Dataset | None = None,
-                            learner: LearnerSpec | None = None,
                             extra_cells: dict[tuple[str, float], float] | None = None) -> float:
     """Min-max-normalized mean quality of the recommended cell.
 
     The pool is every evaluated grid cell (baseline included) plus any
-    `extra_cells` means; an off-grid recommendation is evaluated on demand
-    with the grid's own folds when `dataset` and `learner` are supplied.
-    Returns 1.0 when the pool has no spread.
+    `extra_cells` means, such as cells evaluated off the grid with
+    `evaluate_cell_on_demand`. Returns 1.0 when the pool has no spread.
     """
     pool = {key: float(v.mean()) for key, v in grid.cells.items()}
     if extra_cells:
         pool.update(extra_cells)
     key = _rec_cell_key(rec)
     if key not in pool:
-        if dataset is None or learner is None:
-            raise ValueError(f"cell {key} not in grid and no dataset/learner to evaluate it")
-        scores = evaluate_cell_on_demand(dataset, grid, learner, ResamplingSpec(*key))
-        pool[key] = float(scores.mean())
+        raise ValueError(f"cell {key} not in grid or extra cells")
     lo = min(pool.values())
     hi = max(pool.values())
     if hi == lo:
@@ -95,14 +89,12 @@ def recommendation_accuracy(grid: QualityGrid, rec: Recommendation,
 
 
 def evaluate_cell_on_demand(s: Dataset, grid: QualityGrid, learner: LearnerSpec,
-                            spec: ResamplingSpec, splits: FoldSplits | None = None) -> np.ndarray:
-    """Fold scores of a cell outside the grid, on the grid's folds.
+                            spec: ResamplingSpec, splits: FoldSplits) -> np.ndarray:
+    """Fold scores of a cell outside the grid, on the grid's folds (`splits`).
 
     The cell's RNG stream is derived from its method and multiplier, so it
     does not depend on which caller asks for it or in what order.
     """
-    if splits is None:
-        splits = FoldSplits(s, grid_folds(s, grid))
     seed = derive_seed(grid.seed, s.id, spec.method, "on-demand", repr(float(spec.multiplier)))
     return cv_quality(s, learner, spec, splits.folds, seed, splits=splits)
 
@@ -113,18 +105,17 @@ def _rus_multiplier_cap(splits: FoldSplits) -> float:
                for j in range(splits.folds.k))
 
 
-def _static_cells_task(context, item):
+def _static_cells_task(learner, item):
     """Evaluate each static strategy's cell; returns {strategy: (key, mean)}.
 
     RUS-to-balance is capped at the largest multiplier feasible on every
     training split (fold rounding can push IR(train) slightly below IR(S)).
     A cell that still cannot be applied falls back to the baseline cell.
     """
-    learner, strategies = context
     s, grid = item
     splits = FoldSplits(s, grid_folds(s, grid))
     out: dict[str, tuple[tuple[str, float], float]] = {}
-    for strategy in strategies:
+    for strategy in ALL_STATIC_STRATEGIES:
         rec = apply_static(strategy, s)
         key = _rec_cell_key(rec)
         if key == BASELINE_KEY:
@@ -175,7 +166,6 @@ def ecdf(values: np.ndarray) -> list[tuple[float, float]]:
 
 def assess_bank(bank: list[tuple[Dataset, QualityGrid]],
                 recommender_cfgs: list[tuple[str, RecommenderPreset]],
-                strategies: list[StaticStrategy],
                 k_prime: int, seed: int, learner: LearnerSpec,
                 epsilon: float,
                 workers: int = 1,
@@ -218,10 +208,10 @@ def assess_bank(bank: list[tuple[Dataset, QualityGrid]],
             for ds_id in test_ids:
                 recommendations[(ds_id, name)] = recommend(model, datasets[ds_id])
 
-    static_cells = dict(zip(ids, parallel_map(_static_cells_task, bank, workers,
-                                              (learner, strategies))))
+    static_cells = dict(zip(ids, parallel_map(_static_cells_task, bank, workers, learner)))
 
-    strategy_names = [name for name, _ in recommender_cfgs] + [st.value for st in strategies]
+    strategy_names = [name for name, _ in recommender_cfgs] + \
+        [st.value for st in ALL_STATIC_STRATEGIES]
     if include_random_cell:
         strategy_names.append("random-cell")
 
@@ -235,7 +225,7 @@ def assess_bank(bank: list[tuple[Dataset, QualityGrid]],
             if key in grid.skips and key not in extra:
                 rec = Recommendation(ResamplingSpec("none"), name)
             ra[(ds_id, name)] = recommendation_accuracy(grid, rec, extra_cells=extra)
-        for strategy in strategies:
+        for strategy in ALL_STATIC_STRATEGIES:
             key, mean = static_cells[ds_id][strategy.value]
             rec = Recommendation(ResamplingSpec(*key), strategy.value)
             ra[(ds_id, strategy.value)] = recommendation_accuracy(grid, rec, extra_cells=extra)

@@ -192,36 +192,40 @@ def generate_mixture(config: MixtureConfig, index: int = 0) -> Dataset:
 def ingest_csv(path: str | Path, label_column: str = "label", dataset_id: str | None = None) -> Dataset:
     """Read a UTF-8 comma-separated file with a header row into a Dataset.
 
-    The less frequent label class is remapped to 1; on a tie the
-    lexicographically larger raw label becomes 1.
+    A leading byte-order mark (Excel's "CSV UTF-8") is skipped. The less
+    frequent label class is remapped to 1; on a tie the lexicographically
+    larger raw label becomes 1.
     """
     path = Path(path)
     if not path.is_file():
         raise ValueError(f"no such file: {path}")
-    with path.open("r", encoding="utf-8", newline="") as fh:
+    with path.open("r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"empty file: {path}") from None
-        if label_column not in header:
-            raise ValueError(f"label column {label_column!r} not in header")
-        label_pos = header.index(label_column)
-        feature_names = [h for i, h in enumerate(header) if i != label_pos]
-        if not feature_names:
-            raise ValueError("no feature columns")
-        rows: list[list[float]] = []
-        raw_labels: list[str] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValueError(f"line {lineno}: expected {len(header)} cells, got {len(row)}")
-            raw_labels.append(row.pop(label_pos))
-            try:
-                rows.append(list(map(float, row)))
-            except ValueError:
-                raise ValueError(f"line {lineno}: non-numeric feature cell") from None
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"empty file: {path}")
+            if label_column not in header:
+                raise ValueError(f"label column {label_column!r} not in header")
+            label_pos = header.index(label_column)
+            feature_names = [h for i, h in enumerate(header) if i != label_pos]
+            if not feature_names:
+                raise ValueError("no feature columns")
+            rows: list[list[float]] = []
+            raw_labels: list[str] = []
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise ValueError(f"line {lineno}: expected {len(header)} cells, "
+                                     f"got {len(row)}")
+                raw_labels.append(row.pop(label_pos))
+                try:
+                    rows.append(list(map(float, row)))
+                except ValueError:
+                    raise ValueError(f"line {lineno}: non-numeric feature cell") from None
+        except csv.Error as exc:
+            raise ValueError(f"line {reader.line_num}: {exc}") from None
     distinct = sorted(set(raw_labels))
     if len(distinct) != 2:
         raise ValueError(f"not binary: {len(distinct)} distinct labels")
@@ -236,12 +240,44 @@ def ingest_csv(path: str | Path, label_column: str = "label", dataset_id: str | 
 
 
 def csv_text(header: list[str], rows) -> str:
-    """The CSV file text of a header and rows, as `csv.writer` writes it."""
+    """The CSV file text of a header and rows, as `csv.writer` writes it.
+
+    Every CSV file the program writes is made here, and `read_columns` reads
+    those it reads back.
+    """
     buf = io.StringIO(newline="")
     writer = csv.writer(buf)
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
+
+
+def read_columns(path: Path, names: tuple[str, ...]) -> list[tuple[str, ...]]:
+    """The named columns of a CSV file written by `csv_text`.
+
+    An empty file, a missing column, a row with missing or extra fields, or
+    a line `csv.reader` refuses (such as an oversized field) raises a
+    ValueError that names the file.
+    """
+    with path.open("r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header, *rows = list(reader) or [[]]
+        except csv.Error as exc:
+            raise ValueError(f"{path.name} line {reader.line_num}: {exc}") from None
+    if not header:
+        raise ValueError(f"{path.name} is empty")
+    for name in names:
+        if name not in header:
+            raise ValueError(f"{path.name} has no column {name!r}")
+    index = [header.index(name) for name in names]
+    if set(map(len, rows)) - {len(header)}:
+        rows = [row for row in rows if row]  # a blank line is no row
+        for number, row in enumerate(rows, start=1):
+            if len(row) != len(header):
+                raise ValueError(f"{path.name} row {number} has the wrong field count")
+    columns = list(zip(*rows)) or [()] * len(header)
+    return [columns[i] for i in index]
 
 
 def write_files_atomically(files: dict[Path, str]) -> None:
@@ -263,11 +299,10 @@ def write_files_atomically(files: dict[Path, str]) -> None:
 
 
 def write_csv(s: Dataset, path: str | Path, label_column: str = "label") -> None:
-    """Write a Dataset with repr-formatted floats so re-ingestion is exact."""
+    """Write a Dataset atomically, with repr-formatted floats so re-ingestion is exact."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"f{i}" for i in range(s.dim)] + [label_column])
-        for row, label in zip(s.features, s.labels):
-            writer.writerow([repr(float(v)) for v in row] + [int(label)])
+    rows = ([repr(float(v)) for v in row] + [int(label)]
+            for row, label in zip(s.features, s.labels))
+    write_files_atomically({path: csv_text([f"f{i}" for i in range(s.dim)] + [label_column],
+                                           rows)})

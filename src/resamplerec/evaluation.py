@@ -8,14 +8,14 @@ across cells.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, FoldAssignment, csv_text, stratified_folds, write_files_atomically
+from .data import (Dataset, FoldAssignment, csv_text, read_columns, stratified_folds,
+                   write_files_atomically)
 from .learners import LearnerSpec, fit_arrays, predict_scores
 from .parallel import parallel_map
 from .resampling import ResamplingSpec, feasible, resample, smote_neighbor_order
@@ -255,20 +255,6 @@ class GridFileError(ValueError):
     code = "E_GRID_CORRUPT"
 
 
-def _read_columns(path: Path, names: tuple[str, ...]) -> list[tuple[str, ...]]:
-    """The named columns of a CSV file; a row with missing or extra fields raises ValueError."""
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        header, *rows = list(csv.reader(fh)) or [[]]
-    index = [header.index(name) for name in names]
-    if set(map(len, rows)) - {len(header)}:
-        rows = [row for row in rows if row]  # a blank line is no row
-        for number, row in enumerate(rows, start=1):
-            if len(row) != len(header):
-                raise ValueError(f"{path.name} row {number} has the wrong field count")
-    columns = list(zip(*rows)) or [()] * len(header)
-    return [columns[i] for i in index]
-
-
 def load_grid(csv_path: str | Path) -> QualityGrid:
     """Read a grid written by `save_grid`; raise GridFileError unless it is whole.
 
@@ -283,16 +269,16 @@ def load_grid(csv_path: str | Path) -> QualityGrid:
             dataset_id=meta["dataset_id"], learner_id=meta["learner"], k=int(meta["k"]),
             seed=int(meta["seed"]), methods=list(meta["methods"]),
             multipliers=[float(m) for m in meta["multipliers"]])
-        ds_ids, learners, methods, mults, folds, scores = _read_columns(
+        ds_ids, learners, methods, mults, folds, scores = read_columns(
             csv_path, ("dataset_id", "learner", "method", "multiplier", "fold", "score"))
         mult_of = {text: float(text) for text in set(mults)}
         keys = list(zip(methods, map(mult_of.__getitem__, mults)))
         fold = np.array(list(map(int, folds)), dtype=np.int64)
         scores = np.array(list(map(float, scores)), dtype=np.float64)
-        methods, mults, reasons = _read_columns(_skips_path(csv_path),
+        methods, mults, reasons = read_columns(_skips_path(csv_path),
                                                 ("method", "multiplier", "reason"))
         skips = {(method, float(m)): reason for method, m, reason in zip(methods, mults, reasons)}
-    except (OSError, KeyError, TypeError, ValueError, OverflowError, csv.Error) as exc:
+    except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise GridFileError(f"cannot read grid {csv_path}: {exc}") from exc
 
     if set(zip(ds_ids, learners)) - {(grid.dataset_id, grid.learner_id)}:

@@ -41,19 +41,6 @@ def _grad_from_logit(x: np.ndarray, y: np.ndarray, z):
     return x.T @ r / x.shape[0], float(r.sum() / r.shape[0])
 
 
-def log_loss(x: np.ndarray, y: np.ndarray, coef: np.ndarray, intercept: float) -> float:
-    """Mean logistic loss."""
-    return _loss_from_logit(x @ coef + intercept, y)
-
-
-def log_loss_grad(x, y, coef, intercept):
-    return _grad_from_logit(x, y, x @ coef + intercept)
-
-
-def objective(x, y, coef, intercept, l1_strength) -> float:
-    return log_loss(x, y, coef, intercept) + l1_strength * float(np.abs(coef).sum())
-
-
 def _soft_threshold(v, t):
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 

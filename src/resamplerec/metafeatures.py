@@ -88,13 +88,6 @@ def _column_moments(x: np.ndarray) -> tuple[list[float], list[float], list[float
     return m2, m3, m4
 
 
-def _sample_moments(sample: np.ndarray) -> tuple[int, float, float, float]:
-    """(n, m2, m3, m4) of a 1-D sample, the arguments of every statistic below."""
-    sample = np.asarray(sample, dtype=np.float64)
-    m2, m3, m4 = _column_moments(sample[:, None])
-    return sample.shape[0], m2[0], m3[0], m4[0]
-
-
 # Each statistic is written once, over a column's (n, m2, m3, m4), in scalar
 # `math`: numpy's vectorised log/asinh/power are not bit-equal to libm. A
 # denominator m2 ** 1.5 or m2 ** 2 that is zero, because m2 is or because the
@@ -102,6 +95,7 @@ def _sample_moments(sample: np.ndarray) -> tuple[int, float, float, float]:
 
 
 def _skewness(n: int, m2: float, m3: float, m4: float) -> float:
+    """Adjusted Fisher-Pearson skewness; 0.0 for n < 3 or zero variance."""
     scale = m2 ** 1.5
     if n < 3 or scale <= 0.0:
         return 0.0
@@ -110,6 +104,7 @@ def _skewness(n: int, m2: float, m3: float, m4: float) -> float:
 
 
 def _kurtosis(n: int, m2: float, m3: float, m4: float) -> float:
+    """Excess kurtosis m4/m2^2 - 3; 0.0 for zero variance."""
     scale = m2 ** 2
     if scale <= 0.0:
         return 0.0
@@ -121,6 +116,7 @@ class _DegenerateSample(ValueError):
 
 
 def _skew_zstat(n: int, m2: float, m3: float, m4: float) -> float:
+    """D'Agostino's normality Z for sample skewness."""
     if n < MIN_TEST_SAMPLE:
         raise ValueError(f"skewness test needs n >= {MIN_TEST_SAMPLE}")
     scale = m2 ** 1.5
@@ -137,6 +133,7 @@ def _skew_zstat(n: int, m2: float, m3: float, m4: float) -> float:
 
 
 def _kurt_zstat(n: int, m2: float, m3: float, m4: float) -> float:
+    """Anscombe-Glynn normality Z for sample kurtosis."""
     if n < MIN_TEST_SAMPLE:
         raise ValueError(f"kurtosis test needs n >= {MIN_TEST_SAMPLE}")
     scale = m2 ** 2
@@ -167,36 +164,6 @@ def _pvalue(zstat, n: int, m2: float, m3: float, m4: float) -> float:
 
 _skew_pvalue = partial(_pvalue, _skew_zstat)
 _kurt_pvalue = partial(_pvalue, _kurt_zstat)
-
-
-def skewness(sample: np.ndarray) -> float:
-    """Adjusted Fisher-Pearson skewness; 0.0 for n < 3 or zero variance."""
-    return _skewness(*_sample_moments(sample))
-
-
-def kurtosis(sample: np.ndarray) -> float:
-    """Excess kurtosis m4/m2^2 - 3; 0.0 for zero variance."""
-    return _kurtosis(*_sample_moments(sample))
-
-
-def skew_test_zstat(sample: np.ndarray) -> float:
-    """D'Agostino's normality Z for sample skewness."""
-    return _skew_zstat(*_sample_moments(sample))
-
-
-def kurt_test_zstat(sample: np.ndarray) -> float:
-    """Anscombe-Glynn normality Z for sample kurtosis."""
-    return _kurt_zstat(*_sample_moments(sample))
-
-
-def skew_test_pvalue(sample: np.ndarray) -> float:
-    """Two-sided p-value of the skewness normality test; 1.0 on zero variance."""
-    return _skew_pvalue(*_sample_moments(sample))
-
-
-def kurt_test_pvalue(sample: np.ndarray) -> float:
-    """Two-sided p-value of the kurtosis normality test; 1.0 on zero variance."""
-    return _kurt_pvalue(*_sample_moments(sample))
 
 
 _COLUMN_STATS = {"skewness": _skewness, "skew_pval": _skew_pvalue,

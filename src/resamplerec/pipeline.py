@@ -20,16 +20,15 @@ results.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 from pathlib import Path
 
 import numpy as np
 
-from .assessment import ALL_STATIC_STRATEGIES, assess_bank, format_ara_table, write_report
+from .assessment import assess_bank, format_ara_table, write_report
 from .config import RunConfig
-from .data import (Dataset, csv_text, generate_mixture, ingest_csv, write_csv,
+from .data import (Dataset, csv_text, generate_mixture, ingest_csv, read_columns, write_csv,
                    write_files_atomically)
 from .evaluation import QualityGrid, load_grid, quality_grid, save_grid
 from .parallel import parallel_map
@@ -285,8 +284,7 @@ def cmd_assess(cfg: RunConfig) -> None:
     recommender_cfgs = [(APPROACH_LABELS[a], PRESETS[cfg.preset_for(a)])
                         for a in cfg.approaches]
     report = assess_bank(list(zip(bank, grids)), recommender_cfgs,
-                         ALL_STATIC_STRATEGIES, cfg.k_prime, cfg.seed, cfg.learner,
-                         cfg.epsilon, workers=cfg.workers,
+                         cfg.k_prime, cfg.seed, cfg.learner, cfg.epsilon, workers=cfg.workers,
                          use_windowed_pval_for_targets=cfg.use_windowed_pval_for_targets)
     report_dir = cfg.out_dir() / "report"
     write_report(report, report_dir)
@@ -299,9 +297,15 @@ def cmd_report(cfg: RunConfig) -> None:
     ra_path = cfg.out_dir() / "report" / "ra.csv"
     if not ra_path.exists():
         raise PipelineError("E_MISSING_INPUT", "report/ra.csv missing: run `assess` first")
+    try:
+        strategies, values = read_columns(ra_path, ("strategy", "ra"))
+        ras = list(map(float, values))
+    except ValueError as exc:
+        raise ValueError(f"cannot read {ra_path}: {exc}; rerun `assess`") from None
+    if not ras:
+        raise ValueError(f"cannot read {ra_path}: ra.csv has no rows; rerun `assess`")
     by_strategy: dict[str, list[float]] = {}
-    with ra_path.open("r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            by_strategy.setdefault(row["strategy"], []).append(float(row["ra"]))
+    for name, ra in zip(strategies, ras):
+        by_strategy.setdefault(name, []).append(ra)
     ara = {name: float(np.mean(vals)) for name, vals in by_strategy.items()}
     print(format_ara_table(ara))

@@ -38,14 +38,6 @@ def paired_ttest_pvalues(resampled: np.ndarray, baseline: np.ndarray) -> np.ndar
     return p
 
 
-def paired_ttest_pvalue(resampled: np.ndarray, baseline: np.ndarray) -> float:
-    """`paired_ttest_pvalues` for one fold vector."""
-    resampled = np.asarray(resampled, dtype=np.float64)
-    if resampled.ndim != 1:
-        raise ValueError("fold vectors must have equal length")
-    return float(paired_ttest_pvalues(resampled[None, :], baseline)[0])
-
-
 @dataclass(frozen=True)
 class CellVars:
     q_mean: float

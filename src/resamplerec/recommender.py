@@ -20,7 +20,7 @@ from .data import Dataset, write_files_atomically
 from .evaluation import QualityGrid
 from .learners import (LearnerSpec, Model, constant_model, fit_arrays, model_from_dict,
                        model_to_dict, predict_score)
-from .metafeatures import MetaFeatures, compute_meta_features
+from .metafeatures import META_FEATURE_NAMES, MetaFeatures, compute_meta_features
 from .qualityvars import (MetaTargets, QualityVariables, binarize_targets,
                           compute_quality_variables, format_multiplier)
 from .resampling import ResamplingSpec, feasible
@@ -279,11 +279,26 @@ def recommender_to_dict(model: RecommenderModel) -> dict:
     return doc
 
 
+# the JSON type of each array or object key of a recommender document
+_DOC_TYPES = {"features": list, "methods": list, "multipliers": list, "trained_on": list,
+              "classifier_spec": dict, "models": dict}
+
+
 def recommender_from_dict(doc: dict) -> RecommenderModel:
+    """The model of a `recommender_to_dict` document; a ValueError names a bad key."""
+    if not isinstance(doc, dict):
+        raise ValueError("recommender document is not a JSON object")
     if doc.get("format") != RECOMMENDER_FORMAT:
         raise ValueError("not a recommender document")
     if doc.get("version") != RECOMMENDER_VERSION:
         raise ValueError(f"unsupported recommender version {doc.get('version')}")
+    for key, kind in _DOC_TYPES.items():
+        if not isinstance(doc.get(key), kind):
+            raise ValueError(f"recommender key {key!r} must be a JSON "
+                             f"{'array' if kind is list else 'object'}")
+    for name in doc["features"]:
+        if name not in META_FEATURE_NAMES:
+            raise ValueError(f"recommender key 'features' names no meta-feature: {name!r}")
     model = RecommenderModel(
         approach=doc["approach"], preset_name=doc["preset"], alpha=float(doc["alpha"]),
         epsilon=float(doc["epsilon"]), feature_names=list(doc["features"]),

@@ -16,8 +16,7 @@ import numpy as np
 import pytest
 
 import resamplerec.evaluation as evaluation
-from resamplerec.assessment import (ALL_STATIC_STRATEGIES, assess_bank,
-                                    format_ara_table, random_cell_recommendation,
+from resamplerec.assessment import (assess_bank, format_ara_table, random_cell_recommendation,
                                     recommendation_accuracy)
 from resamplerec.cli import main as cli_main
 from resamplerec.data import (Dataset, MixtureConfig, generate_mixture,
@@ -25,15 +24,14 @@ from resamplerec.data import (Dataset, MixtureConfig, generate_mixture,
 from resamplerec.evaluation import pr_auc, quality_grid
 from resamplerec.learners import DEFAULT_LEARNERS, fit_count
 from resamplerec.parallel import parallel_map
-from resamplerec.qualityvars import (binarize_targets, compute_quality_variables,
-                                     paired_ttest_pvalue)
+from resamplerec.qualityvars import binarize_targets, compute_quality_variables
 from resamplerec.recommender import PRESETS, build_meta_dataset, recommend, train
 from resamplerec.resampling import ResamplingSpec, resample
 
 from conftest import make_dataset
 from oracles import (point_on_some_smote_segment, pr_auc_step_curve,
                      student_t_sf_quadrature)
-from test_qualityvars import random_grid
+from test_qualityvars import random_grid, row_pvalue
 
 WORKERS = int(os.environ.get("RESAMPLEREC_TEST_WORKERS", os.cpu_count() or 1))
 DESK_SEED = 11
@@ -78,11 +76,11 @@ def test_criterion_2_ttest_oracle():
                 continue
             t = d.mean() / (d.std(ddof=1) / np.sqrt(20))
             expected = student_t_sf_quadrature(t, 19)
-            assert abs(paired_ttest_pvalue(res, base) - expected) <= 1e-8
+            assert abs(row_pvalue(res, base) - expected) <= 1e-8
         base = rng.uniform(0.2, 0.8, size=20)
-        assert paired_ttest_pvalue(base, base) == 0.5
-        assert paired_ttest_pvalue(base + 0.05, base) == 0.0
-        assert paired_ttest_pvalue(base - 0.05, base) == 1.0
+        assert row_pvalue(base, base) == 0.5
+        assert row_pvalue(base + 0.05, base) == 0.0
+        assert row_pvalue(base - 0.05, base) == 1.0
 
 
 def test_criterion_3_resampling_invariants():
@@ -197,8 +195,7 @@ def desk_run():
     grids = parallel_map(_desk_grid, datasets, WORKERS)
     bank = list(zip(datasets, grids))
     recommender_cfgs = [("rec1", PRESETS["rs1-dtree"]), ("rec2", PRESETS["rs2-dtree"])]
-    report = assess_bank(bank, recommender_cfgs, ALL_STATIC_STRATEGIES,
-                         k_prime=5, seed=DESK_SEED, learner=TREE,
+    report = assess_bank(bank, recommender_cfgs, k_prime=5, seed=DESK_SEED, learner=TREE,
                          epsilon=0.75, workers=WORKERS,
                          include_random_cell=True)
     meta = build_meta_dataset(bank, epsilon=0.75)

@@ -1,0 +1,46 @@
+"""The package exports nothing that only tests call.
+
+A public top-level function or class of `src/resamplerec` must be used by
+the package itself, by `perfbench/` or by `scripts/`. A name that only an
+`__init__.py` re-exports, or only a test calls, is dead weight: its test
+should exercise the form the package runs instead.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "resamplerec"
+
+
+def _public_definitions() -> dict[str, str]:
+    """Public top-level function and class names -> the module defining them."""
+    names = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    and not node.name.startswith("_"):
+                names[node.name] = str(path.relative_to(PACKAGE))
+    return names
+
+
+def _used_names() -> set[str]:
+    """Every name the package, the benchmark and the scripts read, as a bare
+    name or as an attribute. An import alone is no use, so a re-export in an
+    `__init__.py` does not count."""
+    names = set()
+    for path in [*PACKAGE.rglob("*.py"), *(ROOT / "perfbench").rglob("*.py"),
+                 *(ROOT / "scripts").rglob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+    return names
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    used = _used_names()
+    unused = {name: module for name, module in _public_definitions().items()
+              if name not in used}
+    assert unused == {}

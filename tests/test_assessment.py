@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resamplerec.assessment import (ALL_STATIC_STRATEGIES, StaticStrategy, apply_static,
-                                    assess_bank, ecdf, ecdf_svg, format_ara_table,
-                                    random_cell_recommendation, recommendation_accuracy,
-                                    write_report)
+                                    assess_bank, ecdf, ecdf_svg, evaluate_cell_on_demand,
+                                    format_ara_table, random_cell_recommendation,
+                                    recommendation_accuracy, write_report)
 from resamplerec.data import MixtureConfig, generate_mixture, imbalance_ratio
-from resamplerec.evaluation import QualityGrid, quality_grid
+from resamplerec.evaluation import FoldSplits, QualityGrid, grid_folds, quality_grid
 from resamplerec.learners import LearnerSpec
 from resamplerec.recommender import PRESETS, Recommendation
 from resamplerec.resampling import ResamplingSpec
@@ -58,16 +58,18 @@ class TestRecommendationAccuracy:
         ra = recommendation_accuracy(self.grid, rec, extra_cells={("smote5", 3.7): 0.8})
         assert ra == pytest.approx((0.6 - 0.4) / (0.8 - 0.4))
 
-    def test_off_grid_requires_dataset(self):
+    def test_off_grid_cell_without_extra_cells_rejected(self):
         rec = Recommendation(ResamplingSpec("ros", 9.75), "t")
-        with pytest.raises(ValueError, match="not in grid"):
+        with pytest.raises(ValueError, match="not in grid or extra cells"):
             recommendation_accuracy(self.grid, rec)
 
     def test_off_grid_evaluated_on_demand(self):
         s = make_dataset(60, 20, seed=1)
         grid = quality_grid(s, TREE, ["ros"], [1.5, 2.0], k=4, seed=5)
+        scores = evaluate_cell_on_demand(s, grid, TREE, ResamplingSpec("ros", 1.75),
+                                         FoldSplits(s, grid_folds(s, grid)))
         rec = Recommendation(ResamplingSpec("ros", 1.75), "t")
-        ra = recommendation_accuracy(grid, rec, dataset=s, learner=TREE)
+        ra = recommendation_accuracy(grid, rec, extra_cells={("ros", 1.75): scores.mean()})
         assert 0.0 <= ra <= 1.0
 
 
@@ -140,8 +142,7 @@ def assess_fixture():
 class TestAssessBank:
     def test_report_structure_and_leak_check(self, assess_fixture):
         cfgs = [("rec1", PRESETS["rs1-dtree"]), ("rec2", PRESETS["rs2-dtree"])]
-        report = assess_bank(assess_fixture, cfgs, ALL_STATIC_STRATEGIES,
-                             k_prime=2, seed=9, learner=TREE, epsilon=0.75)
+        report = assess_bank(assess_fixture, cfgs, k_prime=2, seed=9, learner=TREE, epsilon=0.75)
         ids = [s.id for s, _ in assess_fixture]
         strategies = ["rec1", "rec2"] + [st.value for st in ALL_STATIC_STRATEGIES]
         assert set(report.ara.keys()) == set(strategies)
@@ -161,10 +162,8 @@ class TestAssessBank:
 
     def test_deterministic_and_worker_invariant(self, assess_fixture):
         cfgs = [("rec1", PRESETS["rs1-dtree"])]
-        a = assess_bank(assess_fixture, cfgs, ALL_STATIC_STRATEGIES,
-                        k_prime=2, seed=9, learner=TREE, epsilon=0.75)
-        b = assess_bank(assess_fixture, cfgs, ALL_STATIC_STRATEGIES,
-                        k_prime=2, seed=9, learner=TREE, epsilon=0.75,
+        a = assess_bank(assess_fixture, cfgs, k_prime=2, seed=9, learner=TREE, epsilon=0.75)
+        b = assess_bank(assess_fixture, cfgs, k_prime=2, seed=9, learner=TREE, epsilon=0.75,
                         workers=2)
         assert a.ra == b.ra
 
@@ -181,16 +180,14 @@ class TestAssessBank:
             assert ("rus", 4.0) in bank[-1][1].skips
         pick = Recommendation(ResamplingSpec("rus", 4.0), "a1")
         monkeypatch.setattr(assessment, "recommend", lambda model, s: pick)
-        report = assess_bank(bank, [("rec1", PRESETS["rs1-dtree"])],
-                             [StaticStrategy.NO_RESAMPLE], k_prime=3, seed=2, learner=TREE,
-                             epsilon=0.75)
+        report = assess_bank(bank, [("rec1", PRESETS["rs1-dtree"])], k_prime=3, seed=2,
+                             learner=TREE, epsilon=0.75)
         for s, _ in bank:
             assert report.ra[(s.id, "rec1")] == report.ra[(s.id, "no-resample")]
 
     def test_bank_too_small(self, assess_fixture):
         with pytest.raises(ValueError, match="bank too small"):
-            assess_bank(assess_fixture[:2], [], [], k_prime=3, seed=1, learner=TREE,
-                        epsilon=0.75)
+            assess_bank(assess_fixture[:2], [], k_prime=3, seed=1, learner=TREE, epsilon=0.75)
 
     def test_oracle_strategy_scores_one(self, assess_fixture):
         """A synthetic strategy that always picks the best grid cell has ARA 1."""
@@ -214,8 +211,7 @@ class TestAssessBank:
 class TestReportFiles:
     def test_write_report(self, assess_fixture, tmp_path):
         cfgs = [("rec1", PRESETS["rs1-dtree"]), ("rec2", PRESETS["rs2-dtree"])]
-        report = assess_bank(assess_fixture, cfgs, ALL_STATIC_STRATEGIES,
-                             k_prime=2, seed=9, learner=TREE, epsilon=0.75)
+        report = assess_bank(assess_fixture, cfgs, k_prime=2, seed=9, learner=TREE, epsilon=0.75)
         out = tmp_path / "report"
         write_report(report, out)
         assert (out / "ra.csv").exists()

@@ -458,6 +458,71 @@ class TestPipelineCommands:
         assert [s.id for s in bank] == ["synth-9-0", "synth-9-1"]
 
 
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A tiny run through `train`: (config path, a1 model path, a dataset CSV)."""
+    root = tmp_path_factory.mktemp("trained")
+    cfg_path = tiny_config(root)
+    for command in ("gen", "grid", "meta", "train"):
+        assert main([command, "--config", str(cfg_path)]) == 0, command
+    data = next((root / "out" / "datasets").glob("synth-*.csv"))
+    return cfg_path, root / "out" / "models" / "a1.json", data
+
+
+def one_error_line(capsys) -> str:
+    """The stderr of a failed command, checked to be one `error <CODE>: ...` line."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error E_") and captured.err.count("\n") == 1
+    return captured.err
+
+
+class TestBrokenInputs:
+    """Each broken input ends in exit status 1 and one error line that says
+    what is wrong, not in a traceback."""
+
+    @pytest.mark.parametrize("text, problem", [
+        ("dataset_id,strategy,ra\r\nd0,rec1,0.5\r\nd1,rec1\r\n",
+         "ra.csv row 2 has the wrong field count"),
+        ("dataset_id,strategy,score\r\nd0,rec1,0.5\r\n", "ra.csv has no column 'ra'"),
+        ("", "ra.csv is empty"),
+        ("dataset_id,strategy,ra\r\n", "ra.csv has no rows"),
+        ("dataset_id,strategy,ra\r\nd0,rec1,0.5\r\nd1," + "x" * 131073 + ",0.5\r\n",
+         "ra.csv line 3: field larger than field limit (131072)"),
+    ], ids=["truncated-row", "missing-column", "empty-file", "no-rows", "oversized-field"])
+    def test_report_refuses_a_broken_ra_csv(self, tmp_path, capsys, text, problem):
+        ra_path = tmp_path / "out" / "report" / "ra.csv"
+        ra_path.parent.mkdir(parents=True)
+        ra_path.write_bytes(text.encode())
+        assert main(["report", "--out", str(tmp_path / "out")]) == 1
+        assert one_error_line(capsys) == \
+            f"error E_FAILED: cannot read {ra_path}: {problem}; rerun `assess`\n"
+
+    def test_recommend_refuses_an_oversized_csv_field(self, trained, tmp_path, capsys):
+        cfg_path, model, _ = trained
+        query = tmp_path / "q.csv"
+        query.write_text("f0,label\n1.0,0\n" + "2" * 131073 + ",1\n")
+        assert main(["recommend", "--config", str(cfg_path), "--model", str(model),
+                     "--data", str(query)]) == 1
+        assert one_error_line(capsys) == \
+            "error E_FAILED: line 3: field larger than field limit (131072)\n"
+
+    @pytest.mark.parametrize("change, problem", [
+        (lambda doc: [1, 2], "recommender document is not a JSON object"),
+        (lambda doc: {**doc, "models": None}, "recommender key 'models' must be a JSON object"),
+        (lambda doc: {**doc, "features": doc["features"] + ["n_rows"]},
+         "recommender key 'features' names no meta-feature: 'n_rows'"),
+    ], ids=["list-document", "null-models", "unknown-feature"])
+    def test_recommend_refuses_a_malformed_model_file(self, trained, tmp_path, capsys,
+                                                     change, problem):
+        cfg_path, model, data = trained
+        broken = tmp_path / "model.json"
+        broken.write_text(json.dumps(change(json.loads(model.read_text()))))
+        assert main(["recommend", "--config", str(cfg_path), "--model", str(broken),
+                     "--data", str(data)]) == 1
+        assert one_error_line(capsys) == f"error E_FAILED: {problem}\n"
+
+
 _IMPORT_BOUNDARY_SCRIPT = """
 import sys
 

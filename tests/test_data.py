@@ -62,6 +62,34 @@ class TestIngest:
         assert np.max(np.abs(s.features - back.features)) <= 1e-12
 
 
+    def test_byte_order_mark_ingests_like_plain_file(self, tmp_path):
+        """Excel's "CSV UTF-8" export starts with a byte-order mark, which must
+        not become part of the first column's name (here the label)."""
+        rows = [["neg", 0.5, -1.25], ["neg", 2.0, 3.0], ["pos", 1e-3, 7.5], ["neg", 4.0, 0.0]]
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        write_raw_csv(plain, ["label", "a", "b"], rows)
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        ours, want = ingest_csv(bom, dataset_id="d"), ingest_csv(plain, dataset_id="d")
+        assert ours.features.tobytes() == want.features.tobytes()
+        assert ours.labels.tobytes() == want.labels.tobytes()
+
+    def test_write_csv_leaves_the_old_file_when_the_move_fails(self, tmp_path, monkeypatch):
+        import resamplerec.data as data
+
+        s = make_dataset(8, 4, dim=2)
+        path = tmp_path / "d.csv"
+        path.write_text("old")
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(data.os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            write_csv(s, path)
+        assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
+        assert path.read_text() == "old"
+
+
 class TestIngestOracle:
     """ingest_csv equals the per-cell reference in tests/oracles.py."""
 

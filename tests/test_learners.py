@@ -13,8 +13,8 @@ from resamplerec.data import Dataset
 from resamplerec.learners import (DEFAULT_LEARNERS, LearnerSpec, Model, constant_model,
                                   fit_arrays, fit_count, model_from_dict, model_to_dict,
                                   predict_score, predict_scores)
-from resamplerec.learners.logreg import (_sigmoid, fit_logreg_l1, log_loss, log_loss_grad,
-                                         objective)
+from resamplerec.learners.logreg import (_grad_from_logit, _loss_from_logit, _sigmoid,
+                                         fit_logreg_l1)
 from resamplerec.learners.boost import fit_boosted_classifier, fit_boosted_regressor
 from resamplerec.learners.knn import _squared_distances, knn_scores
 from resamplerec.learners.tree import (TreeNode, build_classification_tree,
@@ -261,14 +261,16 @@ class TestLogRegL1:
         for _ in range(5):
             coef = rng.normal(size=4)
             b = float(rng.normal())
-            g_coef, g_int = log_loss_grad(x, y, coef, b)
+            g_coef, g_int = _grad_from_logit(x, y, x @ coef + b)
             eps = 1e-6
             for i in range(4):
                 e = np.zeros(4)
                 e[i] = eps
-                fd = (log_loss(x, y, coef + e, b) - log_loss(x, y, coef - e, b)) / (2 * eps)
+                fd = (_loss_from_logit(x @ (coef + e) + b, y)
+                      - _loss_from_logit(x @ (coef - e) + b, y)) / (2 * eps)
                 assert abs(fd - g_coef[i]) / max(abs(fd), 1e-8) < 1e-4
-            fd_b = (log_loss(x, y, coef, b + eps) - log_loss(x, y, coef, b - eps)) / (2 * eps)
+            fd_b = (_loss_from_logit(x @ coef + (b + eps), y)
+                    - _loss_from_logit(x @ coef + (b - eps), y)) / (2 * eps)
             assert abs(fd_b - g_int) / max(abs(fd_b), 1e-8) < 1e-4
 
     def test_learns_separable_data(self):
@@ -377,12 +379,15 @@ class TestLogRegOracle:
         y = y.astype(np.float64)
         rng = np.random.default_rng(seed)
         coef, b = rng.normal(size=x.shape[1]), float(rng.normal())
-        assert repr(log_loss(x, y, coef, b)) == repr(oracles.log_loss(x, y, coef, b))
-        g, g_b = log_loss_grad(x, y, coef, b)
+        z = x @ coef + b
+        loss = _loss_from_logit(z, y)
+        assert repr(loss) == repr(oracles.log_loss(x, y, coef, b))
+        g, g_b = _grad_from_logit(x, y, z)
         g_oracle, g_b_oracle = oracles.log_loss_grad(x, y, coef, b)
         assert (g.tobytes(), repr(g_b)) == (g_oracle.tobytes(), repr(g_b_oracle))
-        assert repr(objective(x, y, coef, b, kw["l1_strength"])) == \
-            repr(oracles.objective(x, y, coef, b, kw["l1_strength"]))
+        # the objective as fit_logreg_l1 forms it from the smooth loss
+        objective = loss + kw["l1_strength"] * float(np.abs(coef).sum())
+        assert repr(objective) == repr(oracles.objective(x, y, coef, b, kw["l1_strength"]))
 
 
 class TestAdaBoostClassifier:

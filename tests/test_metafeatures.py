@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,11 +11,27 @@ import oracles
 from resamplerec import metafeatures
 from resamplerec.data import Dataset, MixtureConfig, generate_mixture
 from resamplerec.metafeatures import (BASE_META_FEATURE_NAMES, META_FEATURE_NAMES,
-                                      compute_meta_features, kurt_test_pvalue,
-                                      kurt_test_zstat, kurtosis, skew_test_pvalue,
-                                      skew_test_zstat, skewness, slog)
+                                      compute_meta_features, slog)
 
 from conftest import make_dataset
+
+# each column statistic over (n, m2, m3, m4), keyed by its name in tests/oracles.py
+STATISTICS = {
+    "skewness": metafeatures._skewness,
+    "kurtosis": metafeatures._kurtosis,
+    "skew_test_zstat": metafeatures._skew_zstat,
+    "kurt_test_zstat": metafeatures._kurt_zstat,
+    "skew_test_pvalue": partial(metafeatures._pvalue, metafeatures._skew_zstat),
+    "kurt_test_pvalue": partial(metafeatures._pvalue, metafeatures._kurt_zstat),
+}
+
+
+def statistic(name: str, sample) -> float:
+    """A statistic of a 1-D sample, from the moments `compute_meta_features`
+    takes of each column (`_column_moments`)."""
+    sample = np.asarray(sample, dtype=np.float64)
+    m2, m3, m4 = metafeatures._column_moments(sample[:, None])
+    return STATISTICS[name](sample.shape[0], m2[0], m3[0], m4[0])
 
 
 class TestSlog:
@@ -29,31 +46,48 @@ class TestSlog:
         assert slog(-x) == pytest.approx(-slog(x), abs=1e-12)
 
     @given(st.floats(-1e9, 1e9), st.floats(-1e9, 1e9))
+    @example(-1e9, -999999999.9999999)
     @settings(max_examples=200)
     def test_strictly_increasing(self, a, b):
+        """slog is non-decreasing, and strictly increasing where a and b are
+        far enough apart.
+
+        A strict `<` cannot hold for every pair: near 1e9, adjacent doubles
+        (such as -1e9 and -999999999.9999999) have logs ~1.2e-16 apart, below
+        the ~3.6e-15 spacing of doubles near 20.7, so log1p rounds both to one
+        value. On one side of zero, with magnitudes |u| <= |v|,
+        log1p(|v|) - log1p(|u|) >= (|v| - |u|) / (1 + |v|), which exceeds
+        1e-12 once b - a > 1e-12 * (1 + max(|a|, |b|)). Every |slog| on this
+        range is below 21, where doubles are at most 3.6e-15 apart, so the
+        exact logs are over 280 spacings apart, and log1p's error of about
+        one spacing cannot reorder them. Across zero the signs order them.
+        """
         if a < b:
-            assert slog(a) < slog(b)
+            assert slog(a) <= slog(b)
+            if b - a > 1e-12 * (1.0 + max(abs(a), abs(b))):
+                assert slog(a) < slog(b)
 
 
 class TestMoments:
     def test_symmetric_sample_has_zero_skewness(self):
-        assert skewness(np.array([-1.0, 0.0, 1.0])) == pytest.approx(0.0, abs=1e-15)
+        assert statistic("skewness", np.array([-1.0, 0.0, 1.0])) == pytest.approx(0.0, abs=1e-15)
 
     def test_constant_sample_conventions(self):
-        assert skewness(np.full(10, 2.0)) == 0.0
-        assert kurtosis(np.full(10, 2.0)) == 0.0
+        assert statistic("skewness", np.full(10, 2.0)) == 0.0
+        assert statistic("kurtosis", np.full(10, 2.0)) == 0.0
 
     def test_adjusted_skewness_matches_scipy(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             x = rng.normal(size=int(rng.integers(5, 60))) ** 3
-            assert skewness(x) == pytest.approx(scipy.stats.skew(x, bias=False), rel=1e-12)
+            assert statistic("skewness", x) == \
+                pytest.approx(scipy.stats.skew(x, bias=False), rel=1e-12)
 
     def test_excess_kurtosis_matches_scipy(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
             x = rng.normal(size=int(rng.integers(5, 60)))
-            assert kurtosis(x) == pytest.approx(
+            assert statistic("kurtosis", x) == pytest.approx(
                 scipy.stats.kurtosis(x, fisher=True, bias=True), rel=1e-12)
 
 
@@ -65,40 +99,40 @@ class TestNormalityTests:
             x = rng.normal(size=int(rng.integers(8, 200))) + rng.uniform(-1, 1)
             z_skew, p_skew = scipy.stats.skewtest(x)
             z_kurt, p_kurt = scipy.stats.kurtosistest(x)
-            assert skew_test_zstat(x) == pytest.approx(z_skew, abs=1e-10)
-            assert kurt_test_zstat(x) == pytest.approx(z_kurt, abs=1e-10)
-            assert skew_test_pvalue(x) == pytest.approx(p_skew, abs=1e-10)
-            assert kurt_test_pvalue(x) == pytest.approx(p_kurt, abs=1e-10)
+            assert statistic("skew_test_zstat", x) == pytest.approx(z_skew, abs=1e-10)
+            assert statistic("kurt_test_zstat", x) == pytest.approx(z_kurt, abs=1e-10)
+            assert statistic("skew_test_pvalue", x) == pytest.approx(p_skew, abs=1e-10)
+            assert statistic("kurt_test_pvalue", x) == pytest.approx(p_kurt, abs=1e-10)
 
     def test_monte_carlo_calibration_normal(self):
         ok_skew = ok_kurt = 0
         for seed in range(100):
             x = np.random.default_rng(seed).standard_normal(5000)
-            ok_skew += skew_test_pvalue(x) > 0.01
-            ok_kurt += kurt_test_pvalue(x) > 0.01
+            ok_skew += statistic("skew_test_pvalue", x) > 0.01
+            ok_kurt += statistic("kurt_test_pvalue", x) > 0.01
         assert ok_skew >= 95
         assert ok_kurt >= 95
 
     def test_lognormal_sample_strongly_rejected(self):
         x = np.exp(np.random.default_rng(0).standard_normal(5000))
-        assert skew_test_pvalue(x) < 1e-6
+        assert statistic("skew_test_pvalue", x) < 1e-6
 
     def test_constant_sample_convention(self):
-        assert skew_test_pvalue(np.full(50, 3.0)) == 1.0
-        assert kurt_test_pvalue(np.full(50, 3.0)) == 1.0
+        assert statistic("skew_test_pvalue", np.full(50, 3.0)) == 1.0
+        assert statistic("kurt_test_pvalue", np.full(50, 3.0)) == 1.0
 
     def test_small_sample_rejected(self):
         with pytest.raises(ValueError, match="needs n >="):
-            skew_test_pvalue(np.arange(7.0))
+            statistic("skew_test_pvalue", np.arange(7.0))
         with pytest.raises(ValueError, match="needs n >="):
-            kurt_test_pvalue(np.arange(7.0))
+            statistic("kurt_test_pvalue", np.arange(7.0))
 
     def test_pvalues_in_unit_interval(self):
         rng = np.random.default_rng(8)
         for _ in range(50):
             x = rng.exponential(size=30)
-            assert 0.0 <= skew_test_pvalue(x) <= 1.0
-            assert 0.0 <= kurt_test_pvalue(x) <= 1.0
+            assert 0.0 <= statistic("skew_test_pvalue", x) <= 1.0
+            assert 0.0 <= statistic("kurt_test_pvalue", x) <= 1.0
 
 
 class TestComputeMetaFeatures:
@@ -218,12 +252,11 @@ class TestMetaFeaturesOracle:
         """Equal to the oracle, except that where the oracle's m2 ** 1.5 or
         m2 ** 2 underflows to a zero division, the sample counts as constant."""
         sample = np.array(values, dtype=np.float64)
-        for name in ("skewness", "kurtosis", "skew_test_zstat", "kurt_test_zstat",
-                     "skew_test_pvalue", "kurt_test_pvalue"):
+        for name in STATISTICS:
             expected = _outcome(getattr(oracles, name), sample)
             if expected[0] == "ZeroDivisionError":
                 expected = _outcome(getattr(oracles, name), np.zeros_like(sample))
-            assert _outcome(getattr(metafeatures, name), sample) == expected, name
+            assert _outcome(partial(statistic, name), sample) == expected, name
 
 
 def _outcome(fn, sample):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from resamplerec.evaluation import QualityGrid
 from resamplerec.qualityvars import (binarize_targets, compute_quality_variables,
-                                     paired_ttest_pvalue, paired_ttest_pvalues, quality_row)
+                                     paired_ttest_pvalues, quality_row)
 from resamplerec.stats import student_t_sf
 
 from oracles import student_t_sf_quadrature
@@ -30,18 +30,23 @@ def random_grid(seed: int, methods=("ros", "rus"), multipliers=(1.5, 2.0, 2.5, 3
                        cells=cells, skips=skips)
 
 
+def row_pvalue(resampled: np.ndarray, baseline: np.ndarray) -> float:
+    """The p-value of one fold vector, as a row of `paired_ttest_pvalues`."""
+    return float(paired_ttest_pvalues(resampled[None, :], baseline)[0])
+
+
 class TestPairedTTest:
     def test_equal_vectors_give_half(self):
         v = np.array([0.5, 0.6, 0.7, 0.4])
-        assert paired_ttest_pvalue(v, v) == 0.5
+        assert row_pvalue(v, v) == 0.5
 
     def test_constant_positive_difference_gives_zero(self):
         base = np.array([0.4, 0.5, 0.6, 0.7])
-        assert paired_ttest_pvalue(base + 0.1, base) == 0.0
+        assert row_pvalue(base + 0.1, base) == 0.0
 
     def test_constant_negative_difference_gives_one(self):
         base = np.array([0.4, 0.5, 0.6, 0.7])
-        assert paired_ttest_pvalue(base - 0.1, base) == 1.0
+        assert row_pvalue(base - 0.1, base) == 1.0
 
     def test_critical_value_k20(self):
         # t = 1.729 with 19 degrees of freedom sits at the 5% upper tail
@@ -53,7 +58,7 @@ class TestPairedTTest:
         for _ in range(100):
             base = rng.uniform(0.2, 0.8, size=20)
             res = base + rng.normal(0.0, 0.05, size=20)
-            p = paired_ttest_pvalue(res, base)
+            p = row_pvalue(res, base)
             d = res - base
             t = d.mean() / (d.std(ddof=1) / np.sqrt(20))
             assert p == pytest.approx(student_t_sf_quadrature(t, 19), abs=1e-8)
@@ -77,11 +82,11 @@ class TestPairedTTest:
                 else:
                     want.append(float(student_t_sf(mean / (sd / math.sqrt(k)), k - 1)))
             assert paired_ttest_pvalues(rows, base).tolist() == want
-            assert [paired_ttest_pvalue(row, base) for row in rows] == want
+            assert [row_pvalue(row, base) for row in rows] == want
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="equal length"):
-            paired_ttest_pvalue(np.ones(3), np.ones(4))
+            row_pvalue(np.ones(3), np.ones(4))
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
@@ -91,8 +96,8 @@ class TestPairedTTest:
         res = base + rng.normal(0, 0.05, size=10)
         if np.std(res - base, ddof=1) == 0:
             return
-        p0 = paired_ttest_pvalue(res, base)
-        p1 = paired_ttest_pvalue(res + 0.01, base)
+        p0 = row_pvalue(res, base)
+        p1 = row_pvalue(res + 0.01, base)
         assert p1 < p0 or p0 == 0.0
 
 
