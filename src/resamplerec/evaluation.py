@@ -276,7 +276,7 @@ def load_grid(csv_path: str | Path) -> QualityGrid:
         fold = np.array(list(map(int, folds)), dtype=np.int64)
         scores = np.array(list(map(float, scores)), dtype=np.float64)
         methods, mults, reasons = read_columns(_skips_path(csv_path),
-                                                ("method", "multiplier", "reason"))
+                                               ("method", "multiplier", "reason"))
         skips = {(method, float(m)): reason for method, m, reason in zip(methods, mults, reasons)}
     except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise GridFileError(f"cannot read grid {csv_path}: {exc}") from exc
