@@ -53,14 +53,6 @@ def apply_static(strategy: StaticStrategy, s: Dataset) -> Recommendation:
                           strategy.value)
 
 
-def random_cell_recommendation(grid: QualityGrid, seed: int) -> Recommendation:
-    """Uniform draw over the evaluated cells, no-resampling included."""
-    keys = [k for k in grid.cell_keys() if k in grid.cells]
-    rng = derive_rng(seed, grid.dataset_id, "random-cell")
-    method, m = keys[int(rng.integers(0, len(keys)))]
-    return Recommendation(ResamplingSpec(method, m), "random-cell")
-
-
 def _rec_cell_key(rec: Recommendation) -> tuple[str, float]:
     if rec.spec.method == "none":
         return BASELINE_KEY
@@ -169,7 +161,6 @@ def assess_bank(bank: list[tuple[Dataset, QualityGrid]],
                 k_prime: int, seed: int, learner: LearnerSpec,
                 epsilon: float,
                 workers: int = 1,
-                include_random_cell: bool = False,
                 use_windowed_pval_for_targets: bool = False) -> AssessmentReport:
     """k'-fold cross-validation over datasets.
 
@@ -212,8 +203,6 @@ def assess_bank(bank: list[tuple[Dataset, QualityGrid]],
 
     strategy_names = [name for name, _ in recommender_cfgs] + \
         [st.value for st in ALL_STATIC_STRATEGIES]
-    if include_random_cell:
-        strategy_names.append("random-cell")
 
     ra: dict[tuple[str, str], float] = {}
     for ds_id in ids:
@@ -229,9 +218,6 @@ def assess_bank(bank: list[tuple[Dataset, QualityGrid]],
             key, mean = static_cells[ds_id][strategy.value]
             rec = Recommendation(ResamplingSpec(*key), strategy.value)
             ra[(ds_id, strategy.value)] = recommendation_accuracy(grid, rec, extra_cells=extra)
-        if include_random_cell:
-            rec = random_cell_recommendation(grid, seed)
-            ra[(ds_id, "random-cell")] = recommendation_accuracy(grid, rec, extra_cells=extra)
 
     ara = {name: float(np.mean([ra[(ds_id, name)] for ds_id in ids]))
            for name in strategy_names}

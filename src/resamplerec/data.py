@@ -195,10 +195,66 @@ def ingest_csv(path: str | Path, label_column: str = "label", dataset_id: str | 
     A leading byte-order mark (Excel's "CSV UTF-8") is skipped. The less
     frequent label class is remapped to 1; on a tie the lexicographically
     larger raw label becomes 1.
+
+    Two readers give one result. numpy's C reader (`np.loadtxt`) reads the
+    data rows of a plain file, with a converter that keeps each raw label
+    string. Any other file goes to the row-by-row `csv.reader`, which raises
+    every error: a file that does not decode as UTF-8, has a `"` or NUL
+    anywhere, a line longer than `csv.field_size_limit()`, no data row, no
+    label or no feature column, a row the C reader refuses, a width other
+    than the header's, or a non-finite value. Both parse numbers with
+    Python's correctly rounded `PyOS_string_to_double`, so their features
+    agree bit for bit.
     """
     path = Path(path)
     if not path.is_file():
         raise ValueError(f"no such file: {path}")
+    x, codes, names = _read_plain_csv(path, label_column) or _read_csv_rows(path, label_column)
+    if len(names) != 2:
+        raise ValueError(f"not binary: {len(names)} distinct labels")
+    counts = np.bincount(codes, minlength=2)
+    if counts[0] == counts[1]:
+        minor = int(names[1] > names[0])  # lexicographically larger
+    else:
+        minor = int(counts[1] < counts[0])
+    y = (codes == minor).astype(np.int64)
+    return Dataset(id=dataset_id or path.stem, features=x, labels=y)
+
+
+def _read_plain_csv(path: Path, label_column: str
+                    ) -> tuple[np.ndarray, np.ndarray, list[str]] | None:
+    """Features, label codes and the labels they index, read by `np.loadtxt`;
+    None for a file that `_read_csv_rows` must read (see `ingest_csv`)."""
+    try:
+        with path.open("r", encoding="utf-8-sig", newline="") as fh:
+            first, body = fh.readline(), fh.read()  # the header line as csv.reader reads it
+    except ValueError:  # undecodable: the row reader reports where
+        return None
+    lines = body.split("\n")
+    n_rows = len(lines) - lines.count("") - lines.count("\r")
+    limit = csv.field_size_limit()
+    if (any(c in first or c in body for c in '"\0') or n_rows == 0 or len(first) > limit
+            or len(body) > limit and max(map(len, lines)) > limit):
+        return None
+    header = next(csv.reader([first]), [])
+    if label_column not in header or len(header) < 2:
+        return None
+    label_pos = header.index(label_column)
+    codes: dict[str, int] = {}
+    try:
+        table = np.loadtxt(lines, delimiter=",", comments=None, dtype=np.float64, ndmin=2,
+                           converters={label_pos: lambda v: codes.setdefault(v, len(codes))})
+    except ValueError:
+        return None
+    if table.shape != (n_rows, len(header)) or not np.isfinite(table).all():
+        return None
+    return (np.delete(table, label_pos, axis=1), table[:, label_pos].astype(np.int64),
+            list(codes))
+
+
+def _read_csv_rows(path: Path, label_column: str) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """Features, label codes and the labels they index, read row by row by
+    `csv.reader`, with a ValueError for every file `ingest_csv` refuses."""
     with path.open("r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -226,17 +282,9 @@ def ingest_csv(path: str | Path, label_column: str = "label", dataset_id: str | 
                     raise ValueError(f"line {lineno}: non-numeric feature cell") from None
         except csv.Error as exc:
             raise ValueError(f"line {reader.line_num}: {exc}") from None
-    distinct = sorted(set(raw_labels))
-    if len(distinct) != 2:
-        raise ValueError(f"not binary: {len(distinct)} distinct labels")
-    counts = {v: raw_labels.count(v) for v in distinct}
-    if counts[distinct[0]] == counts[distinct[1]]:
-        minor_raw = distinct[1]  # lexicographically larger
-    else:
-        minor_raw = min(distinct, key=lambda v: counts[v])
-    y = np.fromiter((1 if v == minor_raw else 0 for v in raw_labels), dtype=np.int64)
-    x = np.asarray(rows, dtype=np.float64)
-    return Dataset(id=dataset_id or path.stem, features=x, labels=y)
+    codes: dict[str, int] = {}
+    y = np.array([codes.setdefault(v, len(codes)) for v in raw_labels], dtype=np.int64)
+    return np.asarray(rows, dtype=np.float64), y, list(codes)
 
 
 def csv_text(header: list[str], rows) -> str:

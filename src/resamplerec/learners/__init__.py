@@ -68,8 +68,17 @@ class LearnerSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "LearnerSpec":
+        """The spec of a `to_dict` object; a ValueError names a bad field."""
+        if not isinstance(d, dict):
+            raise ValueError("learner spec is not a JSON object")
+        if not _SPEC_FIELDS.issuperset(d):
+            raise ValueError(f"learner spec has unknown field {min(d.keys() - _SPEC_FIELDS)!r}")
+        if "kind" not in d:
+            raise ValueError("learner spec has no field 'kind'")
         return LearnerSpec(**d)
 
+
+_SPEC_FIELDS = frozenset(LearnerSpec.__dataclass_fields__)
 
 # documented defaults for the paper-level experiments
 DEFAULT_ADABOOST_DEPTH = 3
@@ -192,11 +201,11 @@ def model_to_dict(model: Model) -> dict:
 
 
 def model_from_dict(doc: dict) -> Model:
-    if doc.get("format") != MODEL_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ValueError("not a model document")
     if doc.get("version") != MODEL_VERSION:
         raise ValueError(f"unsupported model version {doc.get('version')}")
-    spec = LearnerSpec.from_dict(doc["spec"])
+    spec = LearnerSpec.from_dict(doc.get("spec"))
     model = Model(spec=spec, n_features=int(doc["n_features"]))
     if "constant_score" in doc:
         model.constant_score = float(doc["constant_score"])

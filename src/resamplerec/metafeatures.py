@@ -8,6 +8,7 @@ by these names. See docs/metafeatures.md for the full table.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
 
@@ -46,25 +47,26 @@ def slog(x: float) -> float:
 
 @dataclass(frozen=True)
 class MetaFeatures:
-    values: np.ndarray  # aligned with META_FEATURE_NAMES
+    values: np.ndarray  # aligned with names
+    names: tuple[str, ...] = META_FEATURE_NAMES
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
-        if v.shape != (len(META_FEATURE_NAMES),):
-            raise ValueError(f"expected {len(META_FEATURE_NAMES)} values, got {v.shape}")
+        if v.shape != (len(self.names),):
+            raise ValueError(f"expected {len(self.names)} values, got {v.shape}")
         if not np.isfinite(v).all():
             raise ValueError("meta-features must be finite")
         object.__setattr__(self, "values", v)
         self.values.setflags(write=False)
 
     def __getitem__(self, name: str) -> float:
-        return float(self.values[META_FEATURE_NAMES.index(name)])
+        return float(self.values[self.names.index(name)])
 
     def select(self, names: list[str]) -> np.ndarray:
         return np.array([self[name] for name in names])
 
     def as_dict(self) -> dict[str, float]:
-        return {name: float(v) for name, v in zip(META_FEATURE_NAMES, self.values)}
+        return {name: float(v) for name, v in zip(self.names, self.values)}
 
 
 def _column_moments(x: np.ndarray) -> tuple[list[float], list[float], list[float]]:
@@ -72,19 +74,21 @@ def _column_moments(x: np.ndarray) -> tuple[list[float], list[float], list[float
 
     Each column is reduced along a contiguous row of the transposed copy, the
     same pairwise summation numpy applies to a single 1-D column. A column
-    whose m2 ** 2 overflows (m2 above ~1.3e154) has no finite kurtosis and is
-    rejected with a ValueError that names it.
+    whose m2 ** 2 is not finite (m2 above ~1.3e154, or itself overflowed) has
+    no finite kurtosis and is rejected with a ValueError that names it.
     """
     xt = np.ascontiguousarray(x.T)
-    with np.errstate(over="ignore"):  # an overflowing column is reported below
+    with np.errstate(all="ignore"):  # an overflowing column is reported below
         dev = xt - xt.mean(axis=1)[:, None]
         m2, m3, m4 = ((dev ** p).mean(axis=1).tolist() for p in (2, 3, 4))
     for f, v in enumerate(m2):
         try:
-            v ** 2
+            finite = math.isfinite(v ** 2)
         except OverflowError:
+            finite = False
+        if not finite:
             raise ValueError(f"feature column {f}: variance {v:.3g} is too large for "
-                             "its moments to be finite") from None
+                             "its moments to be finite")
     return m2, m3, m4
 
 
@@ -171,36 +175,52 @@ _COLUMN_STATS = {"skewness": _skewness, "skew_pval": _skew_pvalue,
 
 
 def _abs_cov_eigs(x: np.ndarray) -> tuple[float, float]:
-    cov = np.atleast_2d(np.cov(x, rowvar=False, ddof=1))
-    eigs = np.abs(np.linalg.eigvalsh(cov))
+    with np.errstate(all="ignore"):  # an overflowed covariance fails eigvalsh or is not finite
+        cov = np.atleast_2d(np.cov(x, rowvar=False, ddof=1))
+        eigs = np.abs(np.linalg.eigvalsh(cov))
     return float(eigs.min()), float(eigs.max())
 
 
-def compute_meta_features(s: Dataset) -> MetaFeatures:
-    """Full 50-value registry vector; requires >= 2 points per class."""
+def compute_meta_features(s: Dataset, names: Sequence[str] = META_FEATURE_NAMES
+                          ) -> MetaFeatures:
+    """The registry values `names` (by default all 50), in that order; requires
+    >= 2 points per class.
+
+    Only the statistics that `names` asks for are computed, each exactly as
+    in the full vector, and only they must be finite.
+    """
+    unknown = set(names).difference(META_FEATURE_NAMES)
+    if unknown:
+        raise ValueError(f"unknown meta-feature {min(unknown)!r}")
+    wanted = {name.removeprefix("slog_") for name in names}
     by_class = {c: s.features[s.labels == c] for c in (0, 1)}
     for c, x in by_class.items():
         if x.shape[0] < 2:
             raise ValueError(f"class {c} has fewer than 2 elements")
-    center_dist = float(np.linalg.norm(by_class[0].mean(axis=0) - by_class[1].mean(axis=0)))
-    base = [
-        float(s.n),
-        float(s.dim),
-        s.n / s.dim,
-        s.n_minor / s.n_major,
-        center_dist,
-    ]
-    columns = {c: list(zip(*_column_moments(x))) for c, x in by_class.items()}
-    for stat in _MOMENT_NAMES:
-        for c in (0, 1):
-            n_c = by_class[c].shape[0]
-            if stat == "abs_cov_eig":
-                lo, hi = _abs_cov_eigs(by_class[c])
-            elif stat.endswith("_pval") and n_c < MIN_TEST_SAMPLE:
-                lo = hi = 1.0
-            else:
-                vals = [_COLUMN_STATS[stat](n_c, *m) for m in columns[c]]
-                lo, hi = min(vals), max(vals)
-            base.extend([lo, hi])
-    values = base + [slog(v) for v in base]
-    return MetaFeatures(values=np.array(values))
+    base = {
+        "n_objects": float(s.n),
+        "n_features": float(s.dim),
+        "objects_features_ratio": s.n / s.dim,
+        "reversed_ir": s.n_minor / s.n_major,
+    }
+    if "center_distance" in wanted:
+        with np.errstate(all="ignore"):  # an overflowed mean is refused as not finite
+            base["center_distance"] = float(np.linalg.norm(by_class[0].mean(axis=0)
+                                                           - by_class[1].mean(axis=0)))
+    groups = [(stat, c, cls)
+              for stat in _MOMENT_NAMES for c, cls in enumerate(("major", "minor"))
+              if f"min_{stat}_{cls}" in wanted or f"max_{stat}_{cls}" in wanted]
+    columns = {c: list(zip(*_column_moments(by_class[c])))
+               for c in sorted({c for stat, c, _ in groups if stat != "abs_cov_eig"})}
+    for stat, c, cls in groups:
+        n_c = by_class[c].shape[0]
+        if stat == "abs_cov_eig":
+            lo, hi = _abs_cov_eigs(by_class[c])
+        elif stat.endswith("_pval") and n_c < MIN_TEST_SAMPLE:
+            lo = hi = 1.0
+        else:
+            vals = [_COLUMN_STATS[stat](n_c, *m) for m in columns[c]]
+            lo, hi = min(vals), max(vals)
+        base[f"min_{stat}_{cls}"], base[f"max_{stat}_{cls}"] = lo, hi
+    values = [base[name] if name in base else slog(base[name[5:]]) for name in names]
+    return MetaFeatures(values=np.array(values), names=tuple(names))

@@ -217,12 +217,14 @@ def _spec_feasible(method: str, m: float, s: Dataset) -> bool:
 def recommend(model: RecommenderModel, s: Dataset) -> Recommendation:
     """Meta-features in, (method, multiplier) out; never fits a base learner.
 
+    Only the meta-features the model reads are computed, so a dataset is
+    refused only when one of those is undefined.
+
     Candidates predicted to beat the baseline are ranked by probability
     (ties: method order, then smaller multiplier); infeasible winners fall
     through to the next candidate and finally to no-resampling.
     """
-    f = compute_meta_features(s)
-    x = f.select(model.feature_names)[None, :]
+    x = compute_meta_features(s, model.feature_names).values[None, :]
     method_order = {r: i for i, r in enumerate(model.methods)}
     if model.approach == "a1":
         probs = {key: predict_score(mdl, x) for key, mdl in model.a1_models.items()}
@@ -299,23 +301,35 @@ def recommender_from_dict(doc: dict) -> RecommenderModel:
     for name in doc["features"]:
         if name not in META_FEATURE_NAMES:
             raise ValueError(f"recommender key 'features' names no meta-feature: {name!r}")
+    if doc.get("approach") not in ("a1", "a2"):
+        raise ValueError(f"recommender key 'approach' must be 'a1' or 'a2', "
+                         f"not {doc.get('approach')!r}")
     model = RecommenderModel(
         approach=doc["approach"], preset_name=doc["preset"], alpha=float(doc["alpha"]),
         epsilon=float(doc["epsilon"]), feature_names=list(doc["features"]),
         methods=list(doc["methods"]), multipliers=[float(m) for m in doc["multipliers"]],
-        classifier_spec=LearnerSpec.from_dict(doc["classifier_spec"]),
-        regressor_spec=LearnerSpec.from_dict(doc["regressor_spec"])
-        if doc.get("regressor_spec") else None,
+        classifier_spec=_spec(doc, "classifier_spec"),
+        regressor_spec=_spec(doc, "regressor_spec") if doc.get("regressor_spec") else None,
         trained_on_ids=list(doc["trained_on"]))
-    if model.approach == "a1":
-        for token, mdoc in doc["models"].items():
-            method, m = token.rsplit("@", 1)
-            model.a1_models[(method, float(m))] = model_from_dict(mdoc)
-    else:
-        for r, pair in doc["models"].items():
-            model.a2_classifiers[r] = model_from_dict(pair["classifier"])
-            model.a2_regressors[r] = model_from_dict(pair["regressor"])
+    for token, entry in doc["models"].items():
+        try:
+            if model.approach == "a1":
+                method, _, m = token.rpartition("@")
+                model.a1_models[(method, float(m))] = model_from_dict(entry)
+            else:
+                pair = entry if isinstance(entry, dict) else {}
+                model.a2_classifiers[token] = model_from_dict(pair.get("classifier"))
+                model.a2_regressors[token] = model_from_dict(pair.get("regressor"))
+        except ValueError as exc:
+            raise ValueError(f"recommender key 'models' entry {token!r}: {exc}") from None
     return model
+
+
+def _spec(doc: dict, key: str) -> LearnerSpec:
+    try:
+        return LearnerSpec.from_dict(doc[key])
+    except ValueError as exc:
+        raise ValueError(f"recommender key {key!r}: {exc}") from None
 
 
 def save_recommender(model: RecommenderModel, path: str | Path) -> None:

@@ -2,6 +2,10 @@ import numpy as np
 import pytest
 
 from resamplerec.data import Dataset
+from resamplerec.evaluation import QualityGrid
+from resamplerec.recommender import Recommendation
+from resamplerec.resampling import ResamplingSpec
+from resamplerec.rng import derive_rng
 
 
 @pytest.fixture
@@ -23,3 +27,12 @@ def make_dataset(n_major: int, n_minor: int, dim: int = 2, seed: int = 0,
     return Dataset(id=dataset_id,
                    features=np.vstack([x0, x1]),
                    labels=np.array([0] * n_major + [1] * n_minor))
+
+
+def random_cell_recommendation(grid: QualityGrid, seed: int) -> Recommendation:
+    """The random-cell baseline: a uniform draw over the evaluated cells,
+    no-resampling included."""
+    keys = [k for k in grid.cell_keys() if k in grid.cells]
+    rng = derive_rng(seed, grid.dataset_id, "random-cell")
+    method, m = keys[int(rng.integers(0, len(keys)))]
+    return Recommendation(ResamplingSpec(method, m), "random-cell")

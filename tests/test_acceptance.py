@@ -15,9 +15,9 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+import resamplerec.assessment as assessment
 import resamplerec.evaluation as evaluation
-from resamplerec.assessment import (assess_bank, format_ara_table, random_cell_recommendation,
-                                    recommendation_accuracy)
+from resamplerec.assessment import assess_bank, format_ara_table, recommendation_accuracy
 from resamplerec.cli import main as cli_main
 from resamplerec.data import (Dataset, MixtureConfig, generate_mixture,
                               imbalance_ratio, stratified_folds)
@@ -28,7 +28,7 @@ from resamplerec.qualityvars import binarize_targets, compute_quality_variables
 from resamplerec.recommender import PRESETS, build_meta_dataset, recommend, train
 from resamplerec.resampling import ResamplingSpec, resample
 
-from conftest import make_dataset
+from conftest import make_dataset, random_cell_recommendation
 from oracles import (point_on_some_smote_segment, pr_auc_step_curve,
                      student_t_sf_quadrature)
 from test_qualityvars import random_grid, row_pvalue
@@ -195,18 +195,32 @@ def desk_run():
     grids = parallel_map(_desk_grid, datasets, WORKERS)
     bank = list(zip(datasets, grids))
     recommender_cfgs = [("rec1", PRESETS["rs1-dtree"]), ("rec2", PRESETS["rs2-dtree"])]
-    report = assess_bank(bank, recommender_cfgs, k_prime=5, seed=DESK_SEED, learner=TREE,
-                         epsilon=0.75, workers=WORKERS,
-                         include_random_cell=True)
+    static_cells = []
+
+    def keep_static_cells(*args):  # assess_bank's one map: each dataset's static cells
+        out = parallel_map(*args)
+        static_cells.extend(out)
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(assessment, "parallel_map", keep_static_cells)
+        report = assess_bank(bank, recommender_cfgs, k_prime=5, seed=DESK_SEED, learner=TREE,
+                             epsilon=0.75, workers=WORKERS)
+    # the random-cell baseline, normalised on the pool assess_bank used for
+    # every other strategy: grid cells plus the static cells
+    random_cell_ra = [recommendation_accuracy(grid, random_cell_recommendation(grid, DESK_SEED),
+                                              extra_cells=dict(cells.values()))
+                      for grid, cells in zip(grids, static_cells)]
     meta = build_meta_dataset(bank, epsilon=0.75)
     model_a1 = train(meta, PRESETS["rs1-dtree"])
     return {"datasets": datasets, "grids": grids, "report": report,
+            "random_cell_ara": float(np.mean(random_cell_ra)),
             "model_a1": model_a1, "held_out": held_out}
 
 
 def test_criterion_6_desk_scale_direction(desk_run):
     with criterion(6, "desk-scale directional reproduction"):
-        ara = desk_run["report"].ara
+        ara = {**desk_run["report"].ara, "random-cell": desk_run["random_cell_ara"]}
         print()
         print(format_ara_table(ara), flush=True)
         for rec in ("rec1", "rec2"):

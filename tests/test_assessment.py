@@ -7,15 +7,14 @@ from hypothesis import strategies as st
 
 from resamplerec.assessment import (ALL_STATIC_STRATEGIES, StaticStrategy, apply_static,
                                     assess_bank, ecdf, ecdf_svg, evaluate_cell_on_demand,
-                                    format_ara_table, random_cell_recommendation,
-                                    recommendation_accuracy, write_report)
+                                    format_ara_table, recommendation_accuracy, write_report)
 from resamplerec.data import MixtureConfig, generate_mixture, imbalance_ratio
 from resamplerec.evaluation import FoldSplits, QualityGrid, grid_folds, quality_grid
 from resamplerec.learners import LearnerSpec
 from resamplerec.recommender import PRESETS, Recommendation
 from resamplerec.resampling import ResamplingSpec
 
-from conftest import make_dataset
+from conftest import make_dataset, random_cell_recommendation
 from oracles import ecdf_share_below
 
 TREE = LearnerSpec("decision_tree", max_depth=3, min_leaf=2)

@@ -409,8 +409,10 @@ class TestPipelineCommands:
             assert captured.err.startswith("error ") and captured.err.count("\n") == 1
 
     def test_recommend_huge_variance_column(self, tmp_path, capsys):
-        """A column whose m2 ** 2 overflows ends in one error line naming it,
-        not in an OverflowError traceback."""
+        """A column whose m2 ** 2 overflows has no finite kurtosis. The a1 model
+        reads a kurtosis p-value, so it ends in one error line naming the
+        column, not in an OverflowError traceback; the a2 model reads no
+        moment of the column and answers."""
         from resamplerec.data import Dataset, ingest_csv, write_csv
 
         cfg_path = tiny_config(tmp_path)
@@ -429,6 +431,11 @@ class TestPipelineCommands:
         assert captured.out == ""
         assert captured.err.startswith("error E_FAILED: feature column 0: variance ")
         assert captured.err.count("\n") == 1
+        assert main(["recommend", "--config", str(cfg_path),
+                     "--model", str(tmp_path / "out" / "models" / "a2.json"),
+                     "--data", str(query)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and len(captured.out.splitlines()) == 2
 
     def test_recommend_missing_model(self, tmp_path, capsys):
         cfg_path = tiny_config(tmp_path)
@@ -507,12 +514,51 @@ class TestBrokenInputs:
         assert one_error_line(capsys) == \
             "error E_FAILED: line 3: field larger than field limit (131072)\n"
 
+    def test_recommend_refuses_a_header_only_csv(self, trained, tmp_path, capsys):
+        """No data row: one error line, and no loadtxt warning on stderr."""
+        cfg_path, model, _ = trained
+        query = tmp_path / "q.csv"
+        query.write_text("f0,f1,label\n")
+        assert main(["recommend", "--config", str(cfg_path), "--model", str(model),
+                     "--data", str(query)]) == 1
+        assert one_error_line(capsys) == "error E_FAILED: not binary: 0 distinct labels\n"
+
+    @pytest.mark.parametrize("approach, problem", [
+        ("a1", "feature column 0: variance "), ("a2", "meta-features must be finite")])
+    def test_recommend_refuses_an_overflowing_column_without_a_warning(
+            self, trained, tmp_path, capsys, approach, problem):
+        """Finite values near the float maximum overflow the class means and
+        moments: one error line, and no numpy warning on stderr."""
+        from resamplerec.data import Dataset, ingest_csv, write_csv
+
+        cfg_path, model, data = trained
+        s = ingest_csv(data)
+        x = s.features.copy()
+        x[:, 0] *= 1e307
+        query = tmp_path / "q.csv"
+        write_csv(Dataset(id="q", features=x, labels=s.labels), query)
+        assert main(["recommend", "--config", str(cfg_path),
+                     "--model", str(model.with_name(f"{approach}.json")),
+                     "--data", str(query)]) == 1
+        assert one_error_line(capsys).startswith(f"error E_FAILED: {problem}")
+
     @pytest.mark.parametrize("change, problem", [
         (lambda doc: [1, 2], "recommender document is not a JSON object"),
         (lambda doc: {**doc, "models": None}, "recommender key 'models' must be a JSON object"),
         (lambda doc: {**doc, "features": doc["features"] + ["n_rows"]},
          "recommender key 'features' names no meta-feature: 'n_rows'"),
-    ], ids=["list-document", "null-models", "unknown-feature"])
+        (lambda doc: {**doc, "models": {**doc["models"], "ros@1.5": None}},
+         "recommender key 'models' entry 'ros@1.5': not a model document"),
+        (lambda doc: {**doc, "classifier_spec": {**doc["classifier_spec"], "depht": 3}},
+         "recommender key 'classifier_spec': learner spec has unknown field 'depht'"),
+        (lambda doc: {**doc, "models": {**doc["models"], "ros@1.5": {
+            **doc["models"]["ros@1.5"],
+            "spec": {**doc["models"]["ros@1.5"]["spec"], "depht": 3}}}},
+         "recommender key 'models' entry 'ros@1.5': learner spec has unknown field 'depht'"),
+        (lambda doc: {**doc, "approach": "a3"},
+         "recommender key 'approach' must be 'a1' or 'a2', not 'a3'"),
+    ], ids=["list-document", "null-models", "unknown-feature", "null-model-entry",
+            "unknown-classifier-spec-field", "unknown-model-spec-field", "unknown-approach"])
     def test_recommend_refuses_a_malformed_model_file(self, trained, tmp_path, capsys,
                                                      change, problem):
         cfg_path, model, data = trained

@@ -1,9 +1,13 @@
+import csv
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+import resamplerec.data as data
 from resamplerec.data import (Dataset, MixtureConfig, generate_mixture, imbalance_ratio,
                               ingest_csv, round_half_up, stratified_folds, write_csv)
 
@@ -146,6 +150,85 @@ class TestIngestOracle:
             except ValueError as exc:
                 outcomes.append(str(exc))
         assert outcomes[0] == outcomes[1]
+
+
+# pieces of CSV text where the C reader and csv.reader may part ways
+_PIECES = ('"', "\r", "\n", "\0", " ", "\t", "_", "\u0661", "e", "+", "-", "nan", "inf",
+           "1", "0.5", "2e3", ".", "x", "\xa0", "\x0c")
+_NUMBER = st.one_of(st.floats(width=64).map(repr), st.integers(-99, 99).map(str),
+                    st.floats(-1e6, 1e6).map(lambda v: f"{v:.3e}"))
+_JUNK = st.lists(st.sampled_from(_PIECES), min_size=0, max_size=4).map("".join)
+_LABEL = st.sampled_from(["0", "1", "a", "b", " a", "nan", "1.0"])
+_TERMINATOR = st.sampled_from(["\n", "\r\n", "\r", "\r\r\n", "\n\r", ""])
+_OVERSIZED = "2" * (csv.field_size_limit() + 1)
+
+
+@st.composite
+def _csv_text(draw):
+    """A header and up to 8 lines: mostly well-formed rows, some with a junk
+    cell, a wrong width, a blank or whitespace-only line, or an oversized
+    field."""
+    header = draw(st.sampled_from([["f0", "label"], ["label", "f0", "f1"], ["label"],
+                                   ["f0", "label", "f1"], ["f0", "f1"], []]))
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["row"] * 12 + ["junk", "width", "blank", "space",
+                                                     "oversized"]))
+        if kind == "blank":
+            lines.append("")
+        elif kind == "space":
+            lines.append(draw(st.sampled_from([" ", "\t", "  "])))
+        else:
+            cells = [draw(_LABEL) if h == "label" else draw(_NUMBER) for h in header]
+            if kind == "junk" and cells:
+                cells[draw(st.integers(0, len(cells) - 1))] = draw(_JUNK)
+            elif kind == "width":
+                cells = cells[:-1] if cells and draw(st.booleans()) else cells + ["1"]
+            elif kind == "oversized" and cells:
+                cells[0] = _OVERSIZED
+            lines.append(",".join(cells))
+    # one line ending for the file, and now and then another one
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = "".join(line + (end if draw(st.integers(0, 8)) else draw(_TERMINATOR))
+                   for line in lines)
+    return draw(st.sampled_from(["", "\ufeff"])) + text
+
+
+def _ingest_outcome(path):
+    """The dataset's bytes, or the text of the error."""
+    try:
+        s = ingest_csv(path)
+    except ValueError as exc:
+        return str(exc)
+    return s.features.shape, s.features.tobytes(), s.labels.tobytes()
+
+
+class TestIngestReaders:
+    """`ingest_csv` reads plain files with `np.loadtxt` and every other file
+    with the row-by-row `csv.reader`; on any text both give the same result."""
+
+    @given(text=_csv_text())
+    @example("label\r0\n0\n")
+    @example("f0,label\n1,a\r\r\n2,b\r\n")
+    @example("f0,label\n1,a\r2,b\n")
+    @example("f0,label\n1,a\n2,b\r")
+    @example("f0,label\n1,a\n2,b\n\r\n\r")
+    @example("f0,label\n   \n")
+    @example("f0,label\n")
+    @settings(max_examples=400, deadline=None)
+    def test_same_result_or_error_as_the_row_reader(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("readers") / "d.csv"
+        path.write_bytes(text.encode("utf-8"))
+        ours = _ingest_outcome(path)
+        with mock.patch.object(data, "_read_plain_csv", return_value=None):
+            assert ours == _ingest_outcome(path)
+
+    def test_plain_file_takes_the_c_reader(self, tmp_path):
+        s = make_dataset(30, 10, dim=3)
+        path = tmp_path / "d.csv"
+        write_csv(s, path)
+        x, codes, names = data._read_plain_csv(path, "label")
+        assert x.tobytes() == s.features.tobytes() and sorted(names) == ["0", "1"]
 
 
 class TestDatasetInvariants:

@@ -259,6 +259,42 @@ class TestMetaFeaturesOracle:
             assert _outcome(partial(statistic, name), sample) == expected, name
 
 
+class TestNamedSubset:
+    """`compute_meta_features(s, names)` computes only what `names` needs."""
+
+    @given(n_major=_CLASS_SIZE, n_minor=_CLASS_SIZE, dim=st.integers(1, 6),
+           seed=st.integers(0, 2 ** 32 - 1), scale_exp=st.integers(-3, 7),
+           names=st.lists(st.sampled_from(META_FEATURE_NAMES), max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_names_of_the_full_vector(self, n_major, n_minor, dim, seed,
+                                                 scale_exp, names):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n_major + n_minor, dim)) * 10.0 ** scale_exp
+        s = Dataset(id="o", features=x,
+                    labels=rng.permutation(np.array([0] * n_major + [1] * n_minor)))
+        part = compute_meta_features(s, names)
+        assert part.names == tuple(names)
+        assert part.values.tobytes() == compute_meta_features(s).select(names).tobytes()
+
+    def test_unknown_name_rejected(self):
+        with pytest.raises(ValueError, match="unknown meta-feature 'n_rows'"):
+            compute_meta_features(make_dataset(10, 10), ["n_objects", "n_rows"])
+
+    def test_undefined_feature_refused_only_when_asked_for(self):
+        """A column whose m2 ** 2 overflows has no finite kurtosis: the full
+        vector is refused, names that need no moment of it are not."""
+        s = make_dataset(20, 10, dim=2, seed=3)
+        x = s.features.copy()
+        x[:, 0] *= 1e80
+        huge = Dataset(id="huge", features=x, labels=s.labels)
+        with pytest.raises(ValueError, match="^feature column 0: variance "):
+            compute_meta_features(huge)
+        with pytest.raises(ValueError, match="^feature column 0: variance "):
+            compute_meta_features(huge, ["max_kurt_pval_minor"])
+        names = ["reversed_ir", "center_distance", "slog_min_abs_cov_eig_major"]
+        assert np.isfinite(compute_meta_features(huge, names).values).all()
+
+
 def _outcome(fn, sample):
     """The result as bytes, or the raised error's kind and message."""
     try:
