@@ -15,6 +15,7 @@ Every command exits non-zero on failure after printing a single line
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .config import ConfigError, load_config
@@ -23,7 +24,10 @@ from .pipeline import (PipelineError, cmd_assess, cmd_gen, cmd_grid, cmd_meta,
                        cmd_recommend, cmd_report, cmd_train)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: `parse_args` returns a fresh
+    namespace on every call and keeps no state in the parser."""
     parser = argparse.ArgumentParser(prog="resamplerec",
                                      description="resampling recommendation pipeline")
     sub = parser.add_subparsers(dest="command", required=True)

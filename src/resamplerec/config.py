@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .data import MixtureConfig
-from .learners import DEFAULT_LEARNERS, LearnerSpec
+from .learners import DEFAULT_LEARNERS, SPEC_FIELD_TYPES, LearnerSpec
 from .recommender import DEFAULT_PRESETS, PRESETS
 from .resampling import ResamplingSpec
 
@@ -44,9 +44,7 @@ _MIXTURE_RANGES = {"dim_range": _INTEGER, "size_range": _INTEGER,
                    "mean_range": _NUMBER, "cov_scale_range": _NUMBER}
 _MULTIPLIER_KEYS = ("min", "max", "step")
 _MINIMUMS = {"count": 1, "k": 2, "k_prime": 2, "workers": 1}
-_LEARNER_KEYS = {"kind": _STRING, "max_depth": "an integer or null", "min_leaf": _INTEGER,
-                 "k": _INTEGER, "l1_strength": _NUMBER, "max_iter": _INTEGER, "tol": _NUMBER,
-                 "n_estimators": _INTEGER, "learning_rate": _NUMBER}
+_LEARNER_KEYS = {name: what for name, (what, _) in SPEC_FIELD_TYPES.items()}
 
 
 class ConfigError(ValueError):

@@ -10,6 +10,7 @@ recommendation never trains a base learner.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,14 +72,36 @@ class LearnerSpec:
         """The spec of a `to_dict` object; a ValueError names a bad field."""
         if not isinstance(d, dict):
             raise ValueError("learner spec is not a JSON object")
-        if not _SPEC_FIELDS.issuperset(d):
-            raise ValueError(f"learner spec has unknown field {min(d.keys() - _SPEC_FIELDS)!r}")
+        unknown = d.keys() - SPEC_FIELD_TYPES.keys()
+        if unknown:
+            raise ValueError(f"learner spec has unknown field {min(unknown)!r}")
         if "kind" not in d:
             raise ValueError("learner spec has no field 'kind'")
+        for name, value in d.items():
+            what, ok = SPEC_FIELD_TYPES[name]
+            if not ok(value):
+                raise ValueError(f"learner spec field {name!r} must be {what}, "
+                                 f"not {json.dumps(value)}")
         return LearnerSpec(**d)
 
 
-_SPEC_FIELDS = frozenset(LearnerSpec.__dataclass_fields__)
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# the JSON value each spec field takes: (its description, its test)
+SPEC_FIELD_TYPES = {
+    "kind": ("a string", lambda v: isinstance(v, str)),
+    "max_depth": ("an integer or null", lambda v: v is None or _is_int(v)),
+    "min_leaf": ("an integer", _is_int), "k": ("an integer", _is_int),
+    "l1_strength": ("a number", _is_number), "max_iter": ("an integer", _is_int),
+    "tol": ("a number", _is_number), "n_estimators": ("an integer", _is_int),
+    "learning_rate": ("a number", _is_number),
+}
 
 # documented defaults for the paper-level experiments
 DEFAULT_ADABOOST_DEPTH = 3
@@ -148,11 +171,15 @@ def constant_model(spec: LearnerSpec, n_features: int, score: float) -> Model:
     return Model(spec=spec, n_features=n_features, constant_score=float(score))
 
 
+def _check_width(model: Model, width: int) -> None:
+    if width != model.n_features:
+        raise ValueError(f"expected {model.n_features} features, got {width}")
+
+
 def predict_scores(model: Model, x: np.ndarray) -> np.ndarray:
     """Class-1 scores in [0,1] (or real predictions for the regressor)."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if x.shape[1] != model.n_features:
-        raise ValueError(f"expected {model.n_features} features, got {x.shape[1]}")
+    _check_width(model, x.shape[1])
     if model.constant_score is not None:
         return np.full(x.shape[0], model.constant_score)
     kind = model.spec.kind
@@ -169,6 +196,12 @@ def predict_scores(model: Model, x: np.ndarray) -> np.ndarray:
 
 
 def predict_score(model: Model, x: np.ndarray) -> float:
+    """The score of one row `x` (1-D, or 2-D with one row); `predict_scores`
+    gives the same float. A constant model returns its stored score without
+    building an array."""
+    if model.constant_score is not None:
+        _check_width(model, np.shape(x)[-1])
+        return model.constant_score
     return float(predict_scores(model, np.atleast_2d(x))[0])
 
 
@@ -200,12 +233,19 @@ def model_to_dict(model: Model) -> dict:
     return doc
 
 
-def model_from_dict(doc: dict) -> Model:
+def model_from_dict(doc: dict, shared: tuple[dict, LearnerSpec] | None = None) -> Model:
+    """The model of a `model_to_dict` document. `shared` is a spec object and
+    its decoded LearnerSpec: a `spec` equal to that object, value types
+    included, takes that LearnerSpec instead of being decoded again."""
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ValueError("not a model document")
     if doc.get("version") != MODEL_VERSION:
         raise ValueError(f"unsupported model version {doc.get('version')}")
-    spec = LearnerSpec.from_dict(doc.get("spec"))
+    spec_doc = doc.get("spec")
+    if shared is not None and _same_json(spec_doc, shared[0]):
+        spec = shared[1]
+    else:
+        spec = LearnerSpec.from_dict(spec_doc)
     model = Model(spec=spec, n_features=int(doc["n_features"]))
     if "constant_score" in doc:
         model.constant_score = float(doc["constant_score"])
@@ -223,3 +263,8 @@ def model_from_dict(doc: dict) -> Model:
         model.stages = [BoostStage(TreeNode.from_dict(st["tree"]), float(st["weight"]))
                         for st in doc["stages"]]
     return model
+
+
+def _same_json(a, b: dict) -> bool:
+    """a == b, and every value of the same type (1, 1.0 and true differ)."""
+    return a == b and all(type(a[key]) is type(value) for key, value in b.items())

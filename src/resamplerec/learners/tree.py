@@ -124,12 +124,18 @@ def _grow_tree(x, y, sample_weight, max_depth, min_leaf, regression):
         # rows: the node's rows ascending; order/xs: its rows and values per feature
         wn = w[rows]
         w_total = wn.sum()
-        s = wy[rows].sum() if regression else wn[y[rows] == 1].sum()
+        if regression:
+            s = wy[rows].sum()
+        else:
+            ones = y[rows] == 1
+            s = wn[ones].sum()
         node = TreeNode(value=float(s / w_total), n_samples=rows.shape[0])
         if max_depth is not None and depth >= max_depth:
             return node
         if rows.shape[0] < 2 * min_leaf:
             return node
+        if not regression and np.count_nonzero(ones) in (0, rows.shape[0]):
+            return node  # one label: every split has zero (or NaN) gain
         squares = (wy2[order], float(wy2[rows].sum())) if regression else None
         found = _best_split(xs, w[order], wy[order], w_total, float(s), min_leaf, squares)
         if found is None:

@@ -311,15 +311,20 @@ def recommender_from_dict(doc: dict) -> RecommenderModel:
         classifier_spec=_spec(doc, "classifier_spec"),
         regressor_spec=_spec(doc, "regressor_spec") if doc.get("regressor_spec") else None,
         trained_on_ids=list(doc["trained_on"]))
+    # entries whose spec is the top-level one (all of them in a trained
+    # document) share its LearnerSpec rather than decode it again
+    classifier = (doc["classifier_spec"], model.classifier_spec)
+    regressor = (doc["regressor_spec"], model.regressor_spec) if model.regressor_spec else None
     for token, entry in doc["models"].items():
         try:
             if model.approach == "a1":
                 method, _, m = token.rpartition("@")
-                model.a1_models[(method, float(m))] = model_from_dict(entry)
+                model.a1_models[(method, float(m))] = model_from_dict(entry, classifier)
             else:
                 pair = entry if isinstance(entry, dict) else {}
-                model.a2_classifiers[token] = model_from_dict(pair.get("classifier"))
-                model.a2_regressors[token] = model_from_dict(pair.get("regressor"))
+                model.a2_classifiers[token] = model_from_dict(pair.get("classifier"),
+                                                              classifier)
+                model.a2_regressors[token] = model_from_dict(pair.get("regressor"), regressor)
         except ValueError as exc:
             raise ValueError(f"recommender key 'models' entry {token!r}: {exc}") from None
     return model

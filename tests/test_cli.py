@@ -1,15 +1,20 @@
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from resamplerec.cli import main
+from resamplerec.cli import build_parser, main
 from resamplerec.config import MultiplierGrid, RunConfig, config_from_dict, load_config
 
 
@@ -555,10 +560,16 @@ class TestBrokenInputs:
             **doc["models"]["ros@1.5"],
             "spec": {**doc["models"]["ros@1.5"]["spec"], "depht": 3}}}},
          "recommender key 'models' entry 'ros@1.5': learner spec has unknown field 'depht'"),
+        (lambda doc: {**doc, "models": {**doc["models"], "ros@1.5": {
+            **doc["models"]["ros@1.5"],
+            "spec": {**doc["models"]["ros@1.5"]["spec"], "min_leaf": 5.0}}}},
+         "recommender key 'models' entry 'ros@1.5': "
+         "learner spec field 'min_leaf' must be an integer, not 5.0"),
         (lambda doc: {**doc, "approach": "a3"},
          "recommender key 'approach' must be 'a1' or 'a2', not 'a3'"),
     ], ids=["list-document", "null-models", "unknown-feature", "null-model-entry",
-            "unknown-classifier-spec-field", "unknown-model-spec-field", "unknown-approach"])
+            "unknown-classifier-spec-field", "unknown-model-spec-field",
+            "model-spec-float-equal-to-the-shared-integer", "unknown-approach"])
     def test_recommend_refuses_a_malformed_model_file(self, trained, tmp_path, capsys,
                                                      change, problem):
         cfg_path, model, data = trained
@@ -567,6 +578,85 @@ class TestBrokenInputs:
         assert main(["recommend", "--config", str(cfg_path), "--model", str(broken),
                      "--data", str(data)]) == 1
         assert one_error_line(capsys) == f"error E_FAILED: {problem}\n"
+
+
+_INTEGER_FIELDS = ("min_leaf", "k", "max_iter", "n_estimators")
+_NUMBER_FIELDS = ("l1_strength", "tol", "learning_rate")
+
+
+@st.composite
+def wrong_typed_spec_fields(draw) -> tuple[str, object]:
+    """A learner spec field and a JSON value of a type the field does not take."""
+    floats = st.floats(allow_nan=False)
+    strings = st.text(max_size=4)
+    field = draw(st.sampled_from(("kind", "max_depth") + _INTEGER_FIELDS + _NUMBER_FIELDS))
+    if field == "kind":
+        values = st.none() | st.booleans() | st.integers() | floats
+    elif field == "max_depth":
+        values = st.booleans() | floats | strings
+    elif field in _INTEGER_FIELDS:
+        values = st.none() | st.booleans() | floats | strings
+    else:
+        values = st.none() | st.booleans() | strings
+    return field, draw(values)
+
+
+class TestSpecValueTypes:
+    @given(wrong_typed_spec_fields(), st.sampled_from(["classifier_spec", "entry"]))
+    @example(("k", 5.0), "entry")  # equal to the shared spec's 5 as a Python value
+    @example(("learning_rate", True), "entry")  # equal to the shared spec's 1.0
+    @example(("k", "5"), "classifier_spec")
+    @settings(max_examples=40, deadline=None)
+    def test_recommend_names_a_wrong_typed_field(self, trained, field_value, where):
+        """A model file whose top-level or entry spec holds a value of the
+        wrong JSON type ends in one error line that names the field."""
+        cfg_path, model, data = trained
+        field, value = field_value
+        doc = json.loads(model.read_text())
+        if where == "classifier_spec":
+            doc["classifier_spec"][field] = value
+            prefix = "recommender key 'classifier_spec'"
+        else:
+            token = min(doc["models"])
+            doc["models"][token]["spec"][field] = value
+            prefix = f"recommender key 'models' entry {token!r}"
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            broken = Path(tmp) / "model.json"
+            broken.write_text(json.dumps(doc))
+            with redirect_stdout(out), redirect_stderr(err):
+                status = main(["recommend", "--config", str(cfg_path),
+                               "--model", str(broken), "--data", str(data)])
+        assert status == 1 and out.getvalue() == ""
+        assert err.getvalue().count("\n") == 1
+        assert err.getvalue().startswith(
+            f"error E_FAILED: {prefix}: learner spec field {field!r} must be ")
+
+
+class TestParserReuse:
+    """`main` builds its parser once per process, and no call's arguments
+    or errors reach the next call."""
+
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_count_of_one_call_does_not_stick(self, tmp_path):
+        cfg_path = tiny_config(tmp_path)
+        manifest = tmp_path / "out" / "datasets" / "manifest.json"
+        assert main(["gen", "--config", str(cfg_path), "--count", "3"]) == 0
+        assert len(json.loads(manifest.read_text())["datasets"]) == 3
+        assert main(["gen", "--config", str(cfg_path)]) == 0
+        assert len(json.loads(manifest.read_text())["datasets"]) == 6
+
+    def test_usage_error_then_a_valid_call(self, trained, capsys):
+        cfg_path, model, data = trained
+        with pytest.raises(SystemExit) as info:
+            main(["recommend", "--config", str(cfg_path), "--data", str(data)])
+        assert info.value.code == 2
+        assert "the following arguments are required: --model" in capsys.readouterr().err
+        assert main(["recommend", "--config", str(cfg_path), "--model", str(model),
+                     "--data", str(data)]) == 0
+        assert capsys.readouterr().out.count("\n") == 2
 
 
 _IMPORT_BOUNDARY_SCRIPT = """

@@ -49,6 +49,34 @@ class TestSpec:
         spec = DEFAULT_LEARNERS["adaboost_clf"]
         assert LearnerSpec.from_dict(spec.to_dict()) == spec
 
+    @given(st.builds(
+        LearnerSpec, kind=st.sampled_from(learners.KINDS),
+        max_depth=st.none() | st.integers(0, 64), min_leaf=st.integers(1, 64),
+        k=st.integers(1, 64), l1_strength=st.integers(0, 9) | st.floats(0.0, 1e300),
+        max_iter=st.integers(0, 10**6),
+        tol=st.integers(0, 9) | st.floats(allow_nan=False),
+        n_estimators=st.integers(1, 64),
+        learning_rate=st.integers(-9, 9) | st.floats(allow_nan=False)))
+    def test_valid_specs_round_trip(self, spec):
+        assert LearnerSpec.from_dict(spec.to_dict()) == spec
+        assert LearnerSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
+
+    @pytest.mark.parametrize("field, value, problem", [
+        ("k", "5", 'must be an integer, not "5"'),
+        ("k", True, "must be an integer, not true"),
+        ("n_estimators", 2.5, "must be an integer, not 2.5"),
+        ("min_leaf", 5.0, "must be an integer, not 5.0"),
+        ("max_depth", "x", 'must be an integer or null, not "x"'),
+        ("tol", "1e-6", 'must be a number, not "1e-6"'),
+        ("learning_rate", False, "must be a number, not false"),
+        ("kind", 3, "must be a string, not 3"),
+    ])
+    def test_wrong_value_type_names_the_field(self, field, value, problem):
+        doc = {**DEFAULT_LEARNERS["adaboost_clf"].to_dict(), field: value}
+        with pytest.raises(ValueError) as info:
+            LearnerSpec.from_dict(doc)
+        assert str(info.value) == f"learner spec field {field!r} {problem}"
+
 
 class TestDecisionTree:
     def test_separable_two_points(self):
@@ -173,6 +201,19 @@ class TestSplitterOracle:
         with mock.patch.object(learners.boost, "build_regression_tree",
                                oracles.regression_tree):
             assert same_stages(stages, fit_boosted_regressor(x, y, **kw))
+
+
+def test_class_zero_rows_of_tiny_weight_still_match_oracle():
+    """A node with class-0 rows whose weight vanishes next to its class-1
+    weight (as boosting can make it) is not label-pure: its class-1 weight
+    may equal its total, yet it is searched as the oracle searches it."""
+    x = np.arange(12, dtype=np.float64)[:, None]
+    y = np.array([0, 0, 0, 1, 1, 1, 1, 1, 1, 0, 0, 0])
+    w = np.where(y == 1, 1.0, 1e-20)
+    for min_leaf in (1, 2, 3):
+        kw = dict(max_depth=None, min_leaf=min_leaf, sample_weight=w)
+        assert same_tree(build_classification_tree(x, y, **kw),
+                         oracles.classification_tree(x, y, **kw))
 
 
 class TestKNN:
@@ -477,6 +518,28 @@ class TestPredictContract:
         with pytest.raises(ValueError, match="features"):
             predict_scores(model, np.zeros((2, 5)))
 
+    @pytest.mark.parametrize("kind", ["decision_tree", "knn", "logreg_l1", "adaboost_clf",
+                                      "adaboost_reg"])
+    def test_predict_score_is_the_first_of_predict_scores(self, kind):
+        s = make_dataset(30, 10, dim=3, seed=29)
+        model = fit_arrays(DEFAULT_LEARNERS[kind], s.features, s.labels)
+        for row in s.features[::7]:
+            want = float(predict_scores(model, row[None, :])[0])
+            for x in (row, row[None, :]):
+                assert same_bits(predict_score(model, x), want)
+
+    @given(st.floats(), st.integers(1, 6))
+    def test_constant_predict_score_is_the_first_of_predict_scores(self, score, width):
+        model = constant_model(LearnerSpec("adaboost_clf"), width, score)
+        for x in (np.zeros(width), np.zeros((1, width))):
+            assert same_bits(predict_score(model, x), float(predict_scores(model, x)[0]))
+
+    @pytest.mark.parametrize("shape", [(3,), (1, 3), (1, 5)])
+    def test_constant_model_checks_the_width(self, shape):
+        model = constant_model(LearnerSpec("adaboost_clf"), 4, 0.25)
+        with pytest.raises(ValueError, match=f"expected 4 features, got {shape[-1]}"):
+            predict_score(model, np.zeros(shape))
+
     def test_deterministic(self):
         s = make_dataset(60, 20, seed=19)
         for kind in ("decision_tree", "knn", "logreg_l1", "adaboost_clf"):
@@ -484,6 +547,11 @@ class TestPredictContract:
             b = fit_arrays(DEFAULT_LEARNERS[kind], s.features, s.labels)
             assert np.array_equal(predict_scores(a, s.features),
                                   predict_scores(b, s.features))
+
+
+def same_bits(a: float, b: float) -> bool:
+    return type(a) is float and type(b) is float \
+        and np.float64(a).tobytes() == np.float64(b).tobytes()
 
 
 def json_round_trip(model: Model) -> Model:

@@ -1,3 +1,4 @@
+import json
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -9,12 +10,14 @@ from hypothesis import strategies as st
 
 from resamplerec.data import MixtureConfig, generate_mixture, imbalance_ratio
 from resamplerec.evaluation import quality_grid
-from resamplerec.learners import LearnerSpec, constant_model, fit_arrays, fit_count
-from resamplerec.qualityvars import binarize_targets
+from resamplerec.learners import (LearnerSpec, constant_model, fit_arrays, fit_count,
+                                  model_to_dict)
+from resamplerec.qualityvars import binarize_targets, format_multiplier
 from resamplerec.recommender import (PRESETS, MetaRecord, RecommenderModel,
                                      build_meta_dataset, load_recommender, recommend,
-                                     recommender_to_dict, save_recommender, snap_to_grid,
-                                     train, train_approach1, train_approach2)
+                                     recommender_from_dict, recommender_to_dict,
+                                     save_recommender, snap_to_grid, train,
+                                     train_approach1, train_approach2)
 
 from conftest import make_dataset
 
@@ -235,9 +238,42 @@ class TestSerialization:
     def test_format_check(self, meta_records):
         doc = recommender_to_dict(train(meta_records, PRESETS["rs1-dtree"]))
         doc["format"] = "other"
-        from resamplerec.recommender import recommender_from_dict
         with pytest.raises(ValueError, match="not a recommender"):
             recommender_from_dict(doc)
+
+
+def json_document(model: RecommenderModel) -> dict:
+    return json.loads(json.dumps(recommender_to_dict(model)))
+
+
+class TestEditedDocuments:
+    """A trained document's entries share the top-level spec's LearnerSpec;
+    an entry whose spec differs is decoded to its own spec."""
+
+    def test_trained_entries_share_the_top_level_specs(self, meta_records):
+        a1 = recommender_from_dict(json_document(train(meta_records, PRESETS["rs1-dtree"])))
+        assert all(m.spec is a1.classifier_spec for m in a1.a1_models.values())
+        a2 = recommender_from_dict(json_document(train(meta_records, PRESETS["rs2-dtree"])))
+        assert all(m.spec is a2.classifier_spec for m in a2.a2_classifiers.values())
+        assert all(m.spec is a2.regressor_spec for m in a2.a2_regressors.values())
+
+    @pytest.mark.parametrize("spec", [
+        replace(PRESETS["rs1-dtree"].classifier_spec, max_depth=5),
+        LearnerSpec("logreg_l1", l1_strength=0.5),
+    ], ids=["other-max-depth", "other-kind"])
+    def test_an_entry_with_another_spec_keeps_it(self, meta_records, small_bank, spec):
+        doc = json_document(train(meta_records, PRESETS["rs1-dtree"]))
+        token = min(doc["models"])
+        entry = doc["models"][token]
+        doc["models"][token] = model_to_dict(constant_model(spec, entry["n_features"], 0.75))
+        model = recommender_from_dict(doc)
+        key = next(k for k in model.a1_models if f"{k[0]}@{k[1]!r}" == token)
+        assert model.a1_models[key].spec == spec
+        assert model.a1_models[key].spec != model.classifier_spec
+        assert all(m.spec is model.classifier_spec
+                   for k, m in model.a1_models.items() if k != key)
+        assert recommend(model, small_bank[0][0]).details["p_hat"][
+            f"{key[0]}@{format_multiplier(key[1])}"] == 0.75
 
 
 # multipliers whose shortest repr needs many digits
