@@ -236,7 +236,10 @@ def model_to_dict(model: Model) -> dict:
 def model_from_dict(doc: dict, shared: tuple[dict, LearnerSpec] | None = None) -> Model:
     """The model of a `model_to_dict` document. `shared` is a spec object and
     its decoded LearnerSpec: a `spec` equal to that object, value types
-    included, takes that LearnerSpec instead of being decoded again."""
+    included, takes that LearnerSpec instead of being decoded again.
+
+    A ValueError names a key that is missing or holds the wrong JSON type.
+    """
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ValueError("not a model document")
     if doc.get("version") != MODEL_VERSION:
@@ -246,23 +249,75 @@ def model_from_dict(doc: dict, shared: tuple[dict, LearnerSpec] | None = None) -
         spec = shared[1]
     else:
         spec = LearnerSpec.from_dict(spec_doc)
-    model = Model(spec=spec, n_features=int(doc["n_features"]))
+    width = _key(doc, "n_features", "an integer >= 1", lambda v: _is_int(v) and v >= 1)
+    model = Model(spec=spec, n_features=width)
     if "constant_score" in doc:
-        model.constant_score = float(doc["constant_score"])
+        model.constant_score = float(_key(doc, "constant_score", "a number", _is_number))
         return model
     kind = spec.kind
     if kind == "decision_tree":
-        model.tree = TreeNode.from_dict(doc["tree"])
+        model.tree = _tree_from_dict(_key(doc, "tree", "an object", _is_object), width)
     elif kind == "knn":
-        model.train_x = np.asarray(doc["train_x"], dtype=np.float64)
-        model.train_y = np.asarray(doc["train_y"], dtype=np.float64)
+        model.train_x = _array(doc, "train_x", (None, width))
+        model.train_y = _array(doc, "train_y", (model.train_x.shape[0],))
     elif kind == "logreg_l1":
-        model.coef = np.asarray(doc["coef"], dtype=np.float64)
-        model.intercept = float(doc["intercept"])
+        model.coef = _array(doc, "coef", (width,))
+        model.intercept = float(_key(doc, "intercept", "a number", _is_number))
     else:
-        model.stages = [BoostStage(TreeNode.from_dict(st["tree"]), float(st["weight"]))
-                        for st in doc["stages"]]
+        for st in _key(doc, "stages", "a non-empty array", lambda v: isinstance(v, list) and v):
+            tree = _key(st, "tree", "an object", _is_object, "boost stage")
+            weight = _key(st, "weight", "a number", _is_number, "boost stage")
+            model.stages.append(BoostStage(_tree_from_dict(tree, width), float(weight)))
     return model
+
+
+def _is_object(value) -> bool:
+    return isinstance(value, dict)
+
+
+def _key(doc, key: str, what: str, ok, where: str = "model"):
+    """doc[key] when `ok` accepts it; else a ValueError naming `where` and the key."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} is not a JSON object")
+    if key not in doc:
+        raise ValueError(f"{where} has no key {key!r}")
+    value = doc[key]
+    if not ok(value):
+        text = json.dumps(value)
+        raise ValueError(f"{where} key {key!r} must be {what}, not "
+                         f"{text if len(text) <= 40 else text[:37] + '...'}")
+    return value
+
+
+def _array(doc: dict, key: str, shape: tuple) -> np.ndarray:
+    """doc[key] as a float64 array of `shape`, where None takes any length."""
+    what = ("an array of numbers of shape "
+            f"[{', '.join('n' if n is None else str(n) for n in shape)}]")
+    value = _key(doc, key, what, lambda v: isinstance(v, list))
+    try:
+        array = np.asarray(value)
+    except ValueError:  # ragged
+        array = None
+    if array is None or array.dtype.kind not in "iuf" or array.ndim != len(shape) \
+            or any(want not in (None, have) for want, have in zip(shape, array.shape)):
+        raise ValueError(f"model key {key!r} must be {what}")
+    return array.astype(np.float64)
+
+
+def _tree_from_dict(node: dict, width: int) -> TreeNode:
+    """The tree of a `TreeNode.to_dict` object whose splits read features
+    0..width-1; a ValueError names a missing or wrong-typed key."""
+    n = _key(node, "n", "an integer", _is_int, "tree node")
+    if "feature" not in node:
+        return TreeNode(value=float(_key(node, "value", "a number", _is_number, "tree node")),
+                        n_samples=n)
+    return TreeNode(
+        feature=_key(node, "feature", f"an integer in 0..{width - 1}",
+                     lambda v: _is_int(v) and 0 <= v < width, "tree node"),
+        threshold=float(_key(node, "threshold", "a number", _is_number, "tree node")),
+        n_samples=n,
+        left=_tree_from_dict(_key(node, "left", "an object", _is_object, "tree node"), width),
+        right=_tree_from_dict(_key(node, "right", "an object", _is_object, "tree node"), width))
 
 
 def _same_json(a, b: dict) -> bool:

@@ -50,18 +50,6 @@ class TreeNode:
             "right": self.right.to_dict(),
         }
 
-    @staticmethod
-    def from_dict(d: dict) -> "TreeNode":
-        if "feature" not in d:
-            return TreeNode(value=float(d["value"]), n_samples=int(d["n"]))
-        return TreeNode(
-            feature=int(d["feature"]),
-            threshold=float(d["threshold"]),
-            n_samples=int(d["n"]),
-            left=TreeNode.from_dict(d["left"]),
-            right=TreeNode.from_dict(d["right"]),
-        )
-
 
 def _best_split(xs, ws, wys, w_total, s, min_leaf, squares=None):
     """Scan every feature at once for the split with the largest impurity decrease.

@@ -12,10 +12,15 @@ The meta-dataset has one build path: `meta`, `train` and `assess` each
 compute it from the datasets and their grids (`build_meta_dataset`).
 `meta.csv` is an export of it that no command reads back.
 
-Grid evaluation is resumable: cells already on disk are reused as long as
-the content hash of the inputs (dataset bytes, learner, grid definition,
-seed) matches; a mismatch is refused so stale caches can never leak into
-results.
+One rule decides whether a saved grid is the config's grid, for `grid`
+(which resumes from it) and for `meta`, `train` and `assess` (which read
+it): `_trusted_grid`. The grid's `.cache.json` marker, written after the
+grid files, holds a content hash of the dataset file's bytes, the full
+learner spec, methods, multipliers, `k` and `seed`. A grid without its
+marker is no grid: `grid` computes it afresh and the other commands stop
+with E_MISSING_INPUT. A marker that is unreadable or holds no hash is
+E_GRID_CORRUPT, and a hash that differs from the config's is
+E_CACHE_MISMATCH, so a stale grid never reaches a result.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from .assessment import assess_bank, format_ara_table, write_report
 from .config import RunConfig
 from .data import (Dataset, csv_text, generate_mixture, ingest_csv, read_columns, write_csv,
                    write_files_atomically)
-from .evaluation import QualityGrid, load_grid, quality_grid, save_grid
+from .evaluation import GridFileError, QualityGrid, load_grid, quality_grid, save_grid
 from .parallel import parallel_map
 from .qualityvars import binarize_targets, format_multiplier, quality_row
 from .recommender import (PRESETS, MetaRecord, build_meta_dataset, load_recommender,
@@ -102,25 +107,40 @@ def cmd_gen(cfg: RunConfig) -> None:
     print(f"gen: wrote {len(entries)} datasets to {ds_dir}")
 
 
-def load_bank(cfg: RunConfig) -> list[Dataset]:
-    """Datasets from the manifest and/or a user-provided CSV directory."""
-    out: list[Dataset] = []
+def _bank_files(cfg: RunConfig) -> list[tuple[str, Path]]:
+    """(dataset id, CSV file) of every dataset: the manifest's, then csv_dir's."""
+    files: list[tuple[str, Path]] = []
     manifest = _manifest_path(cfg)
     if manifest.exists():
-        doc = json.loads(manifest.read_text(encoding="utf-8"))
-        for entry in doc["datasets"]:
+        try:
+            doc = json.loads(manifest.read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise ValueError(f"manifest {manifest} is not valid JSON: {exc}") from None
+        entries = doc.get("datasets") if isinstance(doc, dict) else None
+        if not isinstance(entries, list):
+            raise ValueError(f"manifest {manifest}: key 'datasets' must be a JSON array")
+        for i, entry in enumerate(entries):
+            for key in ("id", "file"):
+                if not isinstance(entry, dict) or not isinstance(entry.get(key), str) \
+                        or not entry[key]:
+                    raise ValueError(f"manifest {manifest}: key 'datasets[{i}].{key}' "
+                                     "must be a non-empty string")
             path = manifest.parent / entry["file"]
             if not path.exists():
                 raise PipelineError("E_MISSING_INPUT", f"dataset file missing: {path}")
-            out.append(ingest_csv(path, label_column=cfg.label_column,
-                                  dataset_id=entry["id"]))
+            files.append((entry["id"], path))
     if cfg.csv_dir:
-        for path in sorted(Path(cfg.csv_dir).glob("*.csv")):
-            out.append(ingest_csv(path, label_column=cfg.label_column))
-    if not out:
+        files += [(path.stem, path) for path in sorted(Path(cfg.csv_dir).glob("*.csv"))]
+    if not files:
         raise PipelineError("E_MISSING_INPUT",
                             "no datasets: run `gen` first or set csv_dir")
-    return out
+    return files
+
+
+def load_bank(cfg: RunConfig) -> list[Dataset]:
+    """Datasets from the manifest and/or a user-provided CSV directory."""
+    return [ingest_csv(path, label_column=cfg.label_column, dataset_id=ds_id)
+            for ds_id, path in _bank_files(cfg)]
 
 
 def _grid_def_doc(cfg: RunConfig) -> dict:
@@ -143,24 +163,48 @@ def _grid_paths(cfg: RunConfig, dataset_id: str) -> tuple[Path, Path]:
     return grid_dir / f"{dataset_id}.csv", grid_dir / f"{dataset_id}.cache.json"
 
 
+def _trusted_grid(cfg: RunConfig, dataset_id: str, input_hash: str) -> QualityGrid | None:
+    """The saved grid of a dataset when its marker vouches that it is the config's
+    grid; None when the grid file or its marker is missing.
+
+    `input_hash` is `_grid_input_hash` of the config and the dataset's file.
+    A marker that is unreadable or holds no hash raises GridFileError; one
+    whose hash differs raises E_CACHE_MISMATCH, naming the grid-definition
+    fields that differ.
+    """
+    csv_path, cache_path = _grid_paths(cfg, dataset_id)
+    if not (csv_path.exists() and cache_path.exists()):
+        return None
+    try:
+        marker = json.loads(cache_path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise GridFileError(f"cannot read grid marker {cache_path}: {exc}") from None
+    if not isinstance(marker, dict) or not isinstance(marker.get("input_hash"), str):
+        raise GridFileError(f"grid marker {cache_path} holds no input hash")
+    grid = load_grid(csv_path)
+    if marker["input_hash"] != input_hash:
+        want = {"learner": cfg.learner.token(), "k": cfg.k,
+                "methods": [m for m in cfg.methods if m != "none"],
+                "multipliers": cfg.multiplier_values(), "seed": cfg.seed}
+        have = {"learner": grid.learner_id, "k": grid.k, "methods": grid.methods,
+                "multipliers": grid.multipliers, "seed": grid.seed}
+        differ = [name for name in want if want[name] != have[name]]
+        cause = (f"was computed with another {', '.join(differ)} than the config" if differ
+                 else "was computed before the dataset file or a learner setting changed")
+        raise PipelineError("E_CACHE_MISMATCH", f"grid for {dataset_id} {cause}; "
+                                                f"delete {csv_path.parent} and rerun `grid`")
+    return grid
+
+
 def _grid_pool_task(context, s: Dataset) -> tuple[str, int, int]:
     """Compute (or resume) one dataset's grid; returns (id, computed, cached)."""
-    cfg, workers = context
+    cfg, workers, files = context
     csv_path, cache_path = _grid_paths(cfg, s.id)
-    input_hash = _grid_input_hash(cfg, _dataset_bytes(cfg, s))
-    precomputed: dict = {}
-    if cache_path.exists():
-        cache = json.loads(cache_path.read_text(encoding="utf-8"))
-        if cache.get("input_hash") != input_hash:
-            raise PipelineError(
-                "E_CACHE_MISMATCH",
-                f"grid inputs changed for {s.id}; delete {csv_path.parent} to recompute")
-        if csv_path.exists():
-            old = load_grid(csv_path)
-            precomputed.update(old.cells)
-            precomputed.update(old.skips)
+    input_hash = _grid_input_hash(cfg, files[s.id].read_bytes())
+    old = _trusted_grid(cfg, s.id, input_hash)
+    precomputed = {**old.cells, **old.skips} if old else {}
     n_cells = 1 + len(cfg.methods) * len(cfg.multiplier_values())
-    cached = sum(1 for key in precomputed)
+    cached = len(precomputed)
     grid = quality_grid(s, cfg.learner, list(cfg.methods), cfg.multiplier_values(),
                         cfg.k, cfg.seed, workers=workers, precomputed=precomputed)
     save_grid(grid, csv_path)
@@ -169,23 +213,14 @@ def _grid_pool_task(context, s: Dataset) -> tuple[str, int, int]:
     return s.id, n_cells - cached, cached
 
 
-def _dataset_bytes(cfg: RunConfig, s: Dataset) -> bytes:
-    path = cfg.out_dir() / "datasets" / f"{s.id}.csv"
-    if path.exists():
-        return path.read_bytes()
-    if cfg.csv_dir and (Path(cfg.csv_dir) / f"{s.id}.csv").exists():
-        return (Path(cfg.csv_dir) / f"{s.id}.csv").read_bytes()
-    # datasets passed in memory (library use): hash the values themselves
-    return s.features.tobytes() + s.labels.tobytes()
-
-
 def cmd_grid(cfg: RunConfig) -> None:
     """Evaluate one quality grid per dataset, reusing cached cells."""
     bank = load_bank(cfg)
     # several datasets run one per worker, each grid serially; a lone
     # dataset's cells share the workers instead
     inner = cfg.workers if len(bank) == 1 else 1
-    results = parallel_map(_grid_pool_task, bank, cfg.workers, (cfg, inner))
+    results = parallel_map(_grid_pool_task, bank, cfg.workers,
+                           (cfg, inner, dict(_bank_files(cfg))))
     computed = sum(r[1] for r in results)
     cached = sum(r[2] for r in results)
     total = computed + cached
@@ -196,24 +231,13 @@ def cmd_grid(cfg: RunConfig) -> None:
 
 
 def load_grids(cfg: RunConfig, bank: list[Dataset]) -> list[QualityGrid]:
-    """The grid of every dataset, each checked against the config's grid definition."""
-    want = {"learner": cfg.learner.token(), "k": cfg.k,
-            "methods": [m for m in cfg.methods if m != "none"],
-            "multipliers": cfg.multiplier_values()}
+    """The grid of every dataset, each one the config's grid (`_trusted_grid`)."""
+    files = dict(_bank_files(cfg))
     grids = []
     for s in bank:
-        csv_path, _ = _grid_paths(cfg, s.id)
-        if not csv_path.exists():
+        grid = _trusted_grid(cfg, s.id, _grid_input_hash(cfg, files[s.id].read_bytes()))
+        if grid is None:
             raise PipelineError("E_MISSING_INPUT", f"grid missing for {s.id}: run `grid` first")
-        grid = load_grid(csv_path)
-        have = {"learner": grid.learner_id, "k": grid.k,
-                "methods": grid.methods, "multipliers": grid.multipliers}
-        differ = [name for name in want if want[name] != have[name]]
-        if differ:
-            raise PipelineError(
-                "E_CACHE_MISMATCH",
-                f"grid for {s.id} was computed with another {', '.join(differ)} than the "
-                f"config; delete {csv_path.parent} and rerun `grid`")
         grids.append(grid)
     return grids
 

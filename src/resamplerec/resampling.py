@@ -50,18 +50,6 @@ class ResamplingSpec:
         m = _SMOTE_RE.match(self.method)
         return int(m.group(1)) if m else None
 
-    def token(self) -> str:
-        return f"{self.method},{format(self.multiplier, '.10g')}"
-
-    @staticmethod
-    def parse(text: str) -> "ResamplingSpec":
-        parts = text.strip().split(",")
-        if len(parts) == 1:
-            return ResamplingSpec(parts[0])
-        if len(parts) != 2:
-            raise ValueError(f"cannot parse resampling spec {text!r}")
-        return ResamplingSpec(parts[0], float(parts[1]))
-
 
 def feasible(spec: ResamplingSpec, n_major: int, n_minor: int) -> str | None:
     """Return None when spec applies to the given class counts, else a reason."""

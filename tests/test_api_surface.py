@@ -1,9 +1,11 @@
 """The package exports nothing that only tests call.
 
-A public top-level function or class of `src/resamplerec` must be used by
-the package itself, by `perfbench/` or by `scripts/`. A name that only an
-`__init__.py` re-exports, or only a test calls, is dead weight: its test
-should exercise the form the package runs instead.
+A public top-level function or class of `src/resamplerec`, and a public
+method of such a class, must be used by the package itself, by
+`perfbench/` or by `scripts/`. A name that only an `__init__.py`
+re-exports, or only a test calls, is dead weight: its test should exercise
+the form the package runs instead. Uses are matched by name, so a method
+counts as used when any attribute of that name is read.
 """
 
 import ast
@@ -13,14 +15,22 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "resamplerec"
 
 
+def _public(nodes) -> list:
+    return [node for node in nodes if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
 def _public_definitions() -> dict[str, str]:
-    """Public top-level function and class names -> the module defining them."""
+    """Public top-level function and class names, and `Class.method` for the
+    public methods of public classes -> the module defining them."""
     names = {}
     for path in sorted(PACKAGE.rglob("*.py")):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
-                    and not node.name.startswith("_"):
-                names[node.name] = str(path.relative_to(PACKAGE))
+        module = str(path.relative_to(PACKAGE))
+        for node in _public(ast.parse(path.read_text(encoding="utf-8")).body):
+            names[node.name] = module
+            if isinstance(node, ast.ClassDef):
+                for method in _public(node.body):
+                    names[f"{node.name}.{method.name}"] = module
     return names
 
 
@@ -42,5 +52,5 @@ def _used_names() -> set[str]:
 def test_every_public_name_is_used_outside_the_tests():
     used = _used_names()
     unused = {name: module for name, module in _public_definitions().items()
-              if name not in used}
+              if name.rpartition(".")[2] not in used}
     assert unused == {}

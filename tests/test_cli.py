@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from resamplerec.cli import build_parser, main
 from resamplerec.config import MultiplierGrid, RunConfig, config_from_dict, load_config
+from resamplerec.learners import LearnerSpec
 
 
 def tiny_config(tmp_path: Path, **extra) -> Path:
@@ -470,6 +471,163 @@ class TestPipelineCommands:
         assert [s.id for s in bank] == ["synth-9-0", "synth-9-1"]
 
 
+def run_cli(args: list[str]) -> tuple[int, str, str]:
+    """(exit status, stdout, stderr) of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        status = main(args)
+    return status, out.getvalue(), err.getvalue()
+
+
+# the grid definition of `gridded`; `mixture.seed` is fixed, so the master seed
+# changes the grids but not the datasets
+_TRUST_CONFIG = {"count": 2, "mixture": {"dim_range": [3, 4], "size_range": [60, 90],
+                                         "minor_fraction_range": [0.15, 0.3], "seed": 5}}
+_TRUST_LEARNER = {"kind": "decision_tree", "max_depth": 3, "min_leaf": 2}
+# the learner fields that the decision tree's token leaves out, at their defaults
+_OUTSIDE_TOKEN = {name: value for name, value in LearnerSpec("decision_tree").to_dict().items()
+                  if name not in ("kind", "max_depth", "min_leaf")}
+
+
+@pytest.fixture(scope="module")
+def gridded(tmp_path_factory) -> Path:
+    """The directory of a tiny run through `grid`."""
+    root = tmp_path_factory.mktemp("gridded")
+    cfg_path = tiny_config(root, **_TRUST_CONFIG)
+    for command in ("gen", "grid"):
+        assert main([command, "--config", str(cfg_path)]) == 0, command
+    return root
+
+
+def copy_of(gridded, tmp: Path) -> Path:
+    """A copy of the gridded run's `out/` under tmp; returns tmp."""
+    shutil.copytree(gridded / "out", tmp / "out")
+    return tmp
+
+
+def _multiplier_grids():
+    return st.builds(dict, min=st.sampled_from([1.0, 1.25, 1.5]),
+                     max=st.sampled_from([2.0, 2.5, 3.0]), step=st.sampled_from([0.5, 1.0])) \
+        .filter(lambda m: MultiplierGrid(**m).values() != [1.5, 2.0, 2.5])
+
+
+@st.composite
+def grid_input_changes(draw) -> tuple[dict, int | None, str]:
+    """One change of a grid input: (config keys to set, index of a dataset file
+    to append a blank line to or None, the cause the error line gives)."""
+    choice = draw(st.sampled_from(["seed", "learner", "dataset", "k", "methods",
+                                   "multipliers"]))
+    named = "was computed with another {} than the config"
+    if choice == "seed":
+        return {"seed": draw(st.integers(0, 2**31).filter(lambda v: v != 5))}, None, \
+            named.format("seed")
+    if choice == "learner":  # a field that the learner token leaves out
+        field = draw(st.sampled_from(sorted(_OUTSIDE_TOKEN)))
+        default = _OUTSIDE_TOKEN[field]
+        value = draw((st.integers(1, 1000) if isinstance(default, int)
+                      else st.floats(1e-9, 10.0)).filter(lambda v: v != default))
+        return {"learner": {**_TRUST_LEARNER, field: value}}, None, \
+            "was computed before the dataset file or a learner setting changed"
+    if choice == "dataset":
+        return {}, draw(st.integers(0, 1)), \
+            "was computed before the dataset file or a learner setting changed"
+    if choice == "k":
+        return {"k": draw(st.sampled_from([2, 3, 5]))}, None, named.format("k")
+    if choice == "methods":
+        methods = draw(st.lists(st.sampled_from(["ros", "rus", "smote1"]), min_size=1,
+                                unique=True).filter(lambda ms: ms != ["ros", "rus"]))
+        return {"methods": methods}, None, named.format("methods")
+    return {"multipliers": draw(_multiplier_grids())}, None, named.format("multipliers")
+
+
+class TestGridTrust:
+    """`grid`, `meta`, `train` and `assess` trust a saved grid by one rule:
+    its `.cache.json` marker holds the content hash of the dataset file and
+    of the config's learner spec, methods, multipliers, `k` and `seed`."""
+
+    COMMANDS = ("grid", "meta", "train", "assess")
+
+    @given(grid_input_changes())
+    @example(({"seed": 7}, None, "was computed with another seed than the config"))
+    @example(({"learner": {**_TRUST_LEARNER, "tol": 1e-4}}, None,
+              "was computed before the dataset file or a learner setting changed"))
+    @settings(max_examples=25, deadline=None)
+    def test_a_changed_input_is_refused_by_every_command(self, gridded, change):
+        """Each command exits 1 with one E_CACHE_MISMATCH line and writes nothing."""
+        updates, dataset, cause = change
+        with tempfile.TemporaryDirectory() as tmp:
+            root = copy_of(gridded, Path(tmp))
+            out = root / "out"
+            ids = [f"synth-5-{i}" for i in range(2)]
+            if dataset is not None:
+                path = out / "datasets" / f"{ids[dataset]}.csv"
+                path.write_bytes(path.read_bytes() + b"\r\n")
+            cfg_path = tiny_config(root, **{**_TRUST_CONFIG, **updates})
+            first = ids[dataset] if dataset is not None else ids[0]  # the first refused
+            before = read_tree(out)
+            for command in self.COMMANDS:
+                status, stdout, err = run_cli([command, "--config", str(cfg_path)])
+                assert (status, stdout) == (1, ""), command
+                assert err == (f"error E_CACHE_MISMATCH: grid for {first} {cause}; "
+                               f"delete {out / 'grids'} and rerun `grid`\n"), command
+                assert read_tree(out) == before, command
+
+    @given(st.sampled_from(["alpha", "epsilon", "k_prime", "workers",
+                            "use_windowed_pval_for_targets"]), st.data())
+    @settings(max_examples=6, deadline=None)
+    def test_a_setting_outside_the_grid_keeps_it(self, gridded, key, data):
+        """A key the marker does not cover leaves `out/` byte-identical to a
+        fresh run with that key."""
+        value = data.draw({"alpha": st.sampled_from([0.1, 0.3]),
+                           "epsilon": st.sampled_from([0.5, 1.0]),
+                           "k_prime": st.just(2), "workers": st.just(2),
+                           "use_windowed_pval_for_targets": st.just(True)}[key])
+        with tempfile.TemporaryDirectory() as tmp:
+            root = copy_of(gridded, Path(tmp))
+            cfg_path = tiny_config(root, **_TRUST_CONFIG, **{key: value})
+            for command in self.COMMANDS:
+                assert run_cli([command, "--config", str(cfg_path)])[0] == 0, command
+            fresh = root / "fresh"
+            for command in ("gen",) + self.COMMANDS:
+                status = run_cli([command, "--config", str(cfg_path), "--out", str(fresh)])[0]
+                assert status == 0, command
+            assert read_tree(root / "out") == read_tree(fresh)
+
+    def test_a_deleted_marker_is_a_missing_grid(self, gridded, tmp_path, capsys):
+        """`grid` computes a grid without its marker afresh, to the same bytes;
+        `meta`, `train` and `assess` stop with E_MISSING_INPUT."""
+        out = copy_of(gridded, tmp_path) / "out"
+        cfg_path = tiny_config(tmp_path, **_TRUST_CONFIG)
+        (out / "grids" / "synth-5-1.cache.json").unlink()
+        before = read_tree(out)
+        for command in ("meta", "train", "assess"):
+            assert main([command, "--config", str(cfg_path)]) == 1, command
+            assert one_error_line(capsys) == ("error E_MISSING_INPUT: grid missing for "
+                                              "synth-5-1: run `grid` first\n")
+            assert read_tree(out) == before
+        assert main(["grid", "--config", str(cfg_path)]) == 0
+        assert "grid synth-5-1: 7 computed, 0 cached" in capsys.readouterr().out
+        assert read_tree(out) == read_tree(gridded / "out")
+
+    @pytest.mark.parametrize("text, problem", [
+        ("[]", "grid marker {} holds no input hash"),
+        ("{}", "grid marker {} holds no input hash"),
+        ('{"input_hash": 7}', "grid marker {} holds no input hash"),
+        ('{"input_hash": "0f', "cannot read grid marker {}: Unterminated string"),
+    ], ids=["list", "empty-object", "number-hash", "truncated"])
+    def test_a_broken_marker_is_refused(self, gridded, tmp_path, capsys, text, problem):
+        out = copy_of(gridded, tmp_path) / "out"
+        cfg_path = tiny_config(tmp_path, **_TRUST_CONFIG)
+        marker = out / "grids" / "synth-5-0.cache.json"
+        marker.write_text(text)
+        before = read_tree(out)
+        for command in self.COMMANDS:
+            assert main([command, "--config", str(cfg_path)]) == 1, command
+            err = one_error_line(capsys)
+            assert err.startswith(f"error E_GRID_CORRUPT: {problem.format(marker)}"), err
+            assert read_tree(out) == before
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
     """A tiny run through `train`: (config path, a1 model path, a dataset CSV)."""
@@ -578,6 +736,93 @@ class TestBrokenInputs:
         assert main(["recommend", "--config", str(cfg_path), "--model", str(broken),
                      "--data", str(data)]) == 1
         assert one_error_line(capsys) == f"error E_FAILED: {problem}\n"
+
+
+    @pytest.mark.parametrize("edit, problem", [
+        (lambda entry: entry["spec"].update(kind="logreg_l1"), "model has no key 'coef'"),
+        (lambda entry: entry.update(n_features=4.7),
+         "model key 'n_features' must be an integer >= 1, not 4.7"),
+        (lambda entry: entry["stages"][0]["tree"].update(value="0.5"),
+         'tree node key \'value\' must be a number, not "0.5"'),
+    ], ids=["spec-of-another-kind", "fractional-width", "string-leaf"])
+    def test_recommend_names_a_bad_payload_key(self, trained, tmp_path, capsys, edit, problem):
+        """A fitted entry with a missing or wrong-typed payload key is one
+        error line that names the entry and the key."""
+        cfg_path, model, data = trained
+        doc = json.loads(model.read_text())
+        token = min(t for t, entry in doc["models"].items() if "constant_score" not in entry)
+        stages = doc["models"][token]["stages"]
+        stages[0]["tree"] = {"value": 0.5, "n": 3}  # a leaf, for the string-leaf edit
+        edit(doc["models"][token])
+        broken = tmp_path / "model.json"
+        broken.write_text(json.dumps(doc))
+        assert main(["recommend", "--config", str(cfg_path), "--model", str(broken),
+                     "--data", str(data)]) == 1
+        assert one_error_line(capsys) == \
+            f"error E_FAILED: recommender key 'models' entry {token!r}: {problem}\n"
+
+    @pytest.mark.parametrize("manifest, problem", [
+        ([], "key 'datasets' must be a JSON array"),
+        ({"datasets": {}}, "key 'datasets' must be a JSON array"),
+        ({"datasets": [{"id": "synth-5-0"}]}, "key 'datasets[0].file' must be a non-empty string"),
+        ({"datasets": [{"id": "synth-5-0", "file": 3}]},
+         "key 'datasets[0].file' must be a non-empty string"),
+        ({"datasets": [{"id": "synth-5-0", "file": "synth-5-0.csv"}, {"file": "x.csv"}]},
+         "key 'datasets[1].id' must be a non-empty string"),
+        ({"datasets": [{"id": "", "file": "synth-5-0.csv"}]},
+         "key 'datasets[0].id' must be a non-empty string"),
+        ({"datasets": ["synth-5-0.csv"]}, "key 'datasets[0].id' must be a non-empty string"),
+    ], ids=["list", "object-datasets", "no-file", "number-file", "no-id", "empty-id",
+            "string-entry"])
+    def test_a_malformed_manifest_is_one_error_line(self, tmp_path, capsys, manifest, problem):
+        cfg_path = tiny_config(tmp_path, count=2)
+        assert main(["gen", "--config", str(cfg_path)]) == 0
+        path = tmp_path / "out" / "datasets" / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        for command in ("grid", "meta", "train", "assess"):
+            assert main([command, "--config", str(cfg_path)]) == 1, command
+            assert one_error_line(capsys) == f"error E_FAILED: manifest {path}: {problem}\n"
+
+    def test_a_manifest_that_is_not_json_is_one_error_line(self, tmp_path, capsys):
+        cfg_path = tiny_config(tmp_path, count=2)
+        assert main(["gen", "--config", str(cfg_path)]) == 0
+        path = tmp_path / "out" / "datasets" / "manifest.json"
+        path.write_text('{"datasets": [')
+        capsys.readouterr()
+        assert main(["grid", "--config", str(cfg_path)]) == 1
+        assert one_error_line(capsys).startswith(
+            f"error E_FAILED: manifest {path} is not valid JSON: ")
+
+    @pytest.mark.parametrize("gone_after, code", [
+        ("load_bank", "E_MISSING_INPUT: dataset file missing: {}"),
+        ("_bank_files", "E_FAILED: [Errno 2] No such file or directory: '{}'"),
+    ])
+    def test_a_dataset_file_gone_before_hashing_names_its_path(self, tmp_path, capsys,
+                                                              monkeypatch, gone_after, code):
+        """A dataset file that vanishes between reading the bank and hashing
+        the file for the grid check is one error line that names it, not a
+        cache mismatch."""
+        from resamplerec import pipeline
+
+        cfg_path = tiny_config(tmp_path, count=2)
+        assert main(["gen", "--config", str(cfg_path)]) == 0
+        assert main(["grid", "--config", str(cfg_path)]) == 0
+        gone = tmp_path / "out" / "datasets" / "synth-5-0.csv"
+        real = getattr(pipeline, gone_after)
+        calls = []
+
+        def call_then_remove(cfg):
+            result = real(cfg)
+            calls.append(cfg)
+            if len(calls) == 2 or gone_after == "load_bank":
+                gone.unlink()
+            return result
+
+        monkeypatch.setattr(pipeline, gone_after, call_then_remove)
+        capsys.readouterr()
+        assert main(["meta", "--config", str(cfg_path)]) == 1
+        assert one_error_line(capsys) == f"error {code.format(gone)}\n"
 
 
 _INTEGER_FIELDS = ("min_leaf", "k", "max_iter", "n_estimators")

@@ -586,6 +586,62 @@ class TestSerialization:
             learners.model_from_dict(doc)
 
 
+def _set(key, value):
+    return lambda doc: doc.update({key: value})
+
+
+class TestPayloadKeys:
+    """A model document with a missing or wrong-typed payload key is one
+    ValueError that names the key, not a KeyError or a TypeError."""
+
+    @pytest.mark.parametrize("kind, edit, problem", [
+        ("logreg_l1", lambda doc: doc.pop("coef"), "model has no key 'coef'"),
+        ("logreg_l1", _set("coef", [0.5, 0.5]),
+         "model key 'coef' must be an array of numbers of shape [3]"),
+        ("logreg_l1", _set("coef", ["1", "2", "3"]),
+         "model key 'coef' must be an array of numbers of shape [3]"),
+        ("logreg_l1", _set("coef", None),
+         "model key 'coef' must be an array of numbers of shape [3], not null"),
+        ("logreg_l1", _set("intercept", "0"), 'model key \'intercept\' must be a number, not "0"'),
+        ("knn", _set("train_x", [[1.0, 2.0, 3.0], [1.0]]),
+         "model key 'train_x' must be an array of numbers of shape [n, 3]"),
+        ("knn", _set("train_y", [1.0]),
+         "model key 'train_y' must be an array of numbers of shape [55]"),
+        ("decision_tree", _set("tree", []), "model key 'tree' must be an object, not []"),
+        ("decision_tree", lambda doc: doc["tree"].update(feature=3),
+         "tree node key 'feature' must be an integer in 0..2, not 3"),
+        ("decision_tree", lambda doc: doc["tree"].update(threshold=None),
+         "tree node key 'threshold' must be a number, not null"),
+        ("decision_tree", lambda doc: doc["tree"].pop("left"), "tree node has no key 'left'"),
+        ("adaboost_clf", _set("stages", []), "model key 'stages' must be a non-empty array, not []"),
+        ("adaboost_clf", lambda doc: doc["stages"][0].update(weight=True),
+         "boost stage key 'weight' must be a number, not true"),
+        ("adaboost_clf", lambda doc: doc["stages"][0]["tree"].pop("n"), "tree node has no key 'n'"),
+        ("adaboost_clf", lambda doc: doc["stages"].append(None), "boost stage is not a JSON object"),
+        ("adaboost_clf", _set("n_features", 4.7),
+         "model key 'n_features' must be an integer >= 1, not 4.7"),
+        ("knn", _set("n_features", 0), "model key 'n_features' must be an integer >= 1, not 0"),
+        ("decision_tree", _set("n_features", True),
+         "model key 'n_features' must be an integer >= 1, not true"),
+        ("logreg_l1", lambda doc: doc.pop("n_features"), "model has no key 'n_features'"),
+    ])
+    def test_a_bad_key_is_named(self, kind, edit, problem):
+        s = make_dataset(40, 15, dim=3, seed=23)
+        doc = json.loads(json.dumps(model_to_dict(fit_arrays(DEFAULT_LEARNERS[kind],
+                                                             s.features, s.labels))))
+        edit(doc)
+        with pytest.raises(ValueError) as info:
+            model_from_dict(doc)
+        assert str(info.value) == problem
+
+    def test_a_constant_score_must_be_a_number(self):
+        doc = model_to_dict(constant_model(LearnerSpec("adaboost_clf"), 4, 0.75))
+        doc["constant_score"] = [0.75]
+        with pytest.raises(ValueError, match=r"^model key 'constant_score' must be a number, "
+                                             r"not \[0.75\]$"):
+            model_from_dict(doc)
+
+
 def test_fit_counter_increments():
     s = make_dataset(20, 8)
     before = fit_count()
