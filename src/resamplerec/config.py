@@ -2,7 +2,8 @@
 
 Defaults are the paper-level experiment constants (k=20 folds, multipliers
 1.25..10.0 step 0.25, epsilon 0.75, alpha 0.05, k'=10). Command-line flags
-override file values.
+override file values. The document is read through `jsondoc`, the one JSON
+reader, so a bad key is one ConfigError (E_CONFIG) naming its key path.
 """
 
 from __future__ import annotations
@@ -12,69 +13,34 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .data import MixtureConfig
+from .jsondoc import read_array, read_json, read_object
 from .learners import DEFAULT_LEARNERS, SPEC_FIELD_TYPES, LearnerSpec
 from .recommender import DEFAULT_PRESETS, PRESETS
 from .resampling import ResamplingSpec
 
 DEFAULT_METHODS = ["ros", "rus", "smote1", "smote3", "smote5", "smote7"]
 
-_INTEGER = "an integer"
-_NUMBER = "a number"
-_STRING = "a string"
-_KINDS = {
-    _INTEGER: lambda v: isinstance(v, int) and not isinstance(v, bool),
-    _NUMBER: lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
-    _STRING: lambda v: isinstance(v, str),
-    "true or false": lambda v: isinstance(v, bool),
-    "a string or null": lambda v: v is None or isinstance(v, str),
-    "an integer or null": lambda v: v is None or _KINDS[_INTEGER](v),
-    "an object": lambda v: isinstance(v, dict),
-    "a string or an object": lambda v: isinstance(v, (str, dict)),
-    "a list": lambda v: isinstance(v, list),
-}
-
-_SCALAR_KEYS = {"seed": _INTEGER, "out": _STRING, "k": _INTEGER, "k_prime": _INTEGER,
-                "alpha": _NUMBER, "epsilon": _NUMBER, "count": _INTEGER,
-                "csv_dir": "a string or null", "label_column": _STRING,
-                "use_windowed_pval_for_targets": "true or false", "workers": _INTEGER}
-_TOP_KEYS = tuple(_SCALAR_KEYS) + ("learner", "methods", "multipliers", "mixture",
-                                   "approaches", "presets")
-_MIXTURE_RANGES = {"dim_range": _INTEGER, "size_range": _INTEGER,
-                   "minor_fraction_range": _NUMBER, "components_range": _INTEGER,
-                   "mean_range": _NUMBER, "cov_scale_range": _NUMBER}
-_MULTIPLIER_KEYS = ("min", "max", "step")
+# the JSON kind (a key of jsondoc.KINDS) of each top-level key
+_SCALAR_KEYS = {"seed": "an integer", "out": "a string", "k": "an integer",
+                "k_prime": "an integer", "alpha": "a number", "epsilon": "a number",
+                "count": "an integer", "csv_dir": "a string or null",
+                "label_column": "a string", "use_windowed_pval_for_targets": "true or false",
+                "workers": "an integer"}
+_TOP_KEYS = {**_SCALAR_KEYS, "learner": "a string or an object", "methods": "an array",
+             "multipliers": "an object", "mixture": "an object", "approaches": "an array",
+             "presets": "an object"}
+_MIXTURE_RANGES = {"dim_range": "an integer", "size_range": "an integer",
+                   "minor_fraction_range": "a number", "components_range": "an integer",
+                   "mean_range": "a number", "cov_scale_range": "a number"}
+_MIXTURE_KEYS = {**dict.fromkeys(_MIXTURE_RANGES, "an array"), "seed": "an integer"}
+_MULTIPLIER_KEYS = dict.fromkeys(("min", "max", "step"), "a number")
 _MINIMUMS = {"count": 1, "k": 2, "k_prime": 2, "workers": 1}
-_LEARNER_KEYS = {name: what for name, (what, _) in SPEC_FIELD_TYPES.items()}
 
 
 class ConfigError(ValueError):
     """A config document the pipeline cannot run; reported as E_CONFIG."""
 
     code = "E_CONFIG"
-
-
-def _typed(value, kind: str, path: str):
-    """Return value when it is of `kind` (a key of _KINDS); else raise ConfigError."""
-    if not _KINDS[kind](value):
-        raise ConfigError(f"config key '{path}' must be {kind}, got {json.dumps(value)}")
-    return value
-
-
-def _list_of(value, kind: str, path: str) -> list:
-    _typed(value, "a list", path)
-    for i, item in enumerate(value):
-        _typed(item, kind, f"{path}[{i}]")
-    return value
-
-
-def _check_keys(d: dict, prefix: str, allowed, required=()) -> None:
-    _typed(d, "an object", prefix.rstrip("."))
-    for key in d:
-        if key not in allowed:
-            raise ConfigError(f"unknown config key '{prefix}{key}'")
-    for key in required:
-        if key not in d:
-            raise ConfigError(f"missing config key '{prefix}{key}'")
 
 
 @dataclass(frozen=True)
@@ -158,17 +124,12 @@ def _mixture_from_dict(d: dict) -> MixtureConfig:
     if "minor_cov_scale_range" in d:
         # not parsed, nor hashed into the dataset manifest, so it would be ignored
         raise ConfigError("config key 'mixture.minor_cov_scale_range' is not supported")
-    _check_keys(d, "mixture.", tuple(_MIXTURE_RANGES) + ("seed",))
-    kwargs = {}
-    for name, kind in _MIXTURE_RANGES.items():
-        if name in d:
-            bounds = _list_of(d[name], kind, f"mixture.{name}")
-            if len(bounds) != 2:
-                raise ConfigError(f"config key 'mixture.{name}' must be [low, high], "
-                                  f"got {json.dumps(bounds)}")
-            kwargs[name] = tuple(bounds)
+    read_object(d, _MIXTURE_KEYS, "config", ConfigError, prefix="mixture.")
+    kwargs = {name: tuple(read_array(d, name, kind, "config", ConfigError, shape=(2,),
+                                     prefix="mixture."))
+              for name, kind in _MIXTURE_RANGES.items() if name in d}
     if "seed" in d:
-        kwargs["seed"] = _typed(d["seed"], _INTEGER, "mixture.seed")
+        kwargs["seed"] = d["seed"]
     try:
         return MixtureConfig(**kwargs)
     except ValueError as exc:
@@ -178,49 +139,37 @@ def _mixture_from_dict(d: dict) -> MixtureConfig:
 def _learner_from_config(learner) -> LearnerSpec:
     if isinstance(learner, str):
         learner = {"kind": learner}
-    _typed(learner, "a string or an object", "learner")
-    _check_keys(learner, "learner.", _LEARNER_KEYS, required=("kind",))
-    for key, value in learner.items():
-        _typed(value, _LEARNER_KEYS[key], f"learner.{key}")
+    read_object(learner, SPEC_FIELD_TYPES, "config", ConfigError, required=("kind",),
+                prefix="learner.")
     if learner["kind"] not in DEFAULT_LEARNERS:
         raise ConfigError(f"unknown learner kind {learner['kind']!r} in 'learner.kind'")
-    base = DEFAULT_LEARNERS[learner["kind"]].to_dict()
-    base.update(learner)
-    return LearnerSpec.from_dict(base)
+    return LearnerSpec(**{**DEFAULT_LEARNERS[learner["kind"]].to_dict(), **learner})
 
 
 def config_from_dict(doc: dict) -> RunConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("a config document must be a JSON object")
-    _check_keys(doc, "", _TOP_KEYS)
-    kwargs: dict = {}
-    for name, kind in _SCALAR_KEYS.items():
-        if name in doc:
-            kwargs[name] = _typed(doc[name], kind, name)
+    read_object(doc, _TOP_KEYS, "config", ConfigError)
+    kwargs: dict = {name: doc[name] for name in _SCALAR_KEYS if name in doc}
     if "learner" in doc:
         kwargs["learner"] = _learner_from_config(doc["learner"])
-    if "methods" in doc:
-        for i, method in enumerate(_list_of(doc["methods"], _STRING, "methods")):
-            try:
-                ResamplingSpec(method)
-            except ValueError:
-                raise ConfigError(f"unknown resampling method {method!r} in 'methods[{i}]'")
-        kwargs["methods"] = tuple(doc["methods"])
+    for name in ("methods", "approaches"):
+        if name in doc:
+            kwargs[name] = tuple(read_array(doc, name, "a string", "config", ConfigError))
+    for i, method in enumerate(kwargs.get("methods", ())):
+        try:
+            ResamplingSpec(method)
+        except ValueError:
+            raise ConfigError(f"unknown resampling method {method!r} in 'methods[{i}]'")
     if "multipliers" in doc:
-        m = doc["multipliers"]
-        _check_keys(m, "multipliers.", _MULTIPLIER_KEYS, required=_MULTIPLIER_KEYS)
-        kwargs["multipliers"] = MultiplierGrid(
-            **{key: float(_typed(m[key], _NUMBER, f"multipliers.{key}"))
-               for key in _MULTIPLIER_KEYS})
+        m = read_object(doc["multipliers"], _MULTIPLIER_KEYS, "config", ConfigError,
+                        required=_MULTIPLIER_KEYS, prefix="multipliers.")
+        kwargs["multipliers"] = MultiplierGrid(**{name: float(m[name]) for name in m})
     if "mixture" in doc:
         kwargs["mixture"] = _mixture_from_dict(doc["mixture"])
-    if "approaches" in doc:
-        kwargs["approaches"] = tuple(_list_of(doc["approaches"], _STRING, "approaches"))
     if "presets" in doc:
-        _typed(doc["presets"], "an object", "presets")
-        for approach, name in doc["presets"].items():
-            _typed(name, _STRING, f"presets.{approach}")
-        kwargs["presets"] = dict(doc["presets"])
+        presets = doc["presets"]  # approach -> preset name
+        read_object(presets, dict.fromkeys(presets, "a string"), "config", ConfigError,
+                    prefix="presets.")
+        kwargs["presets"] = dict(presets)
     cfg = RunConfig(**kwargs)
     # the generator seed follows the master seed unless set explicitly
     if "mixture" not in doc or "seed" not in doc.get("mixture", {}):
@@ -229,13 +178,7 @@ def config_from_dict(doc: dict) -> RunConfig:
 
 
 def load_config(path: str | Path | None, overrides: dict | None = None) -> RunConfig:
-    doc: dict = {}
-    if path is not None:
-        text = Path(path).read_text(encoding="utf-8")
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+    doc = {} if path is None else read_json(path, "config", ConfigError)
     if overrides and isinstance(doc, dict):  # config_from_dict rejects any other document
         doc.update({k: v for k, v in overrides.items() if v is not None})
     return config_from_dict(doc)

@@ -16,6 +16,7 @@ import numpy as np
 
 from .data import (Dataset, FoldAssignment, csv_text, read_columns, stratified_folds,
                    write_files_atomically)
+from .jsondoc import read_array, read_json, read_key
 from .learners import LearnerSpec, fit_arrays, predict_scores
 from .parallel import parallel_map
 from .resampling import ResamplingSpec, feasible, resample, smote_neighbor_order
@@ -263,12 +264,18 @@ def load_grid(csv_path: str | Path) -> QualityGrid:
     cell, dataset or learner outside that definition.
     """
     csv_path = Path(csv_path)
+    meta_path = _meta_path(csv_path)
+    meta = read_json(meta_path, "grid meta", GridFileError)
+    where = f"grid meta {meta_path}"
+    grid = QualityGrid(
+        dataset_id=read_key(meta, "dataset_id", "a string", where, GridFileError),
+        learner_id=read_key(meta, "learner", "a string", where, GridFileError),
+        k=read_key(meta, "k", "an integer", where, GridFileError, low=2),
+        seed=read_key(meta, "seed", "an integer", where, GridFileError),
+        methods=list(read_array(meta, "methods", "a string", where, GridFileError)),
+        multipliers=[float(m) for m in read_array(meta, "multipliers", "a float string",
+                                                  where, GridFileError)])
     try:
-        meta = json.loads(_meta_path(csv_path).read_text(encoding="utf-8"))
-        grid = QualityGrid(
-            dataset_id=meta["dataset_id"], learner_id=meta["learner"], k=int(meta["k"]),
-            seed=int(meta["seed"]), methods=list(meta["methods"]),
-            multipliers=[float(m) for m in meta["multipliers"]])
         ds_ids, learners, methods, mults, folds, scores = read_columns(
             csv_path, ("dataset_id", "learner", "method", "multiplier", "fold", "score"))
         mult_of = {text: float(text) for text in set(mults)}
@@ -278,7 +285,7 @@ def load_grid(csv_path: str | Path) -> QualityGrid:
         methods, mults, reasons = read_columns(_skips_path(csv_path),
                                                ("method", "multiplier", "reason"))
         skips = {(method, float(m)): reason for method, m, reason in zip(methods, mults, reasons)}
-    except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (OSError, ValueError, OverflowError) as exc:
         raise GridFileError(f"cannot read grid {csv_path}: {exc}") from exc
 
     if set(zip(ds_ids, learners)) - {(grid.dataset_id, grid.learner_id)}:

@@ -10,11 +10,11 @@ recommendation never trains a base learner.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..jsondoc import read_array, read_key, read_object
 from .boost import (BoostStage, boosted_classifier_scores, boosted_regressor_predict,
                     fit_boosted_classifier, fit_boosted_regressor)
 from .instrument import count_fit as _count_fit
@@ -60,47 +60,19 @@ class LearnerSpec:
         return f"{self.kind}(n={self.n_estimators},depth={self.max_depth},min_leaf={self.min_leaf})"
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind, "max_depth": self.max_depth, "min_leaf": self.min_leaf,
-            "k": self.k, "l1_strength": self.l1_strength, "max_iter": self.max_iter,
-            "tol": self.tol, "n_estimators": self.n_estimators,
-            "learning_rate": self.learning_rate,
-        }
+        return dict(vars(self))  # every field, in declaration order
 
     @staticmethod
-    def from_dict(d: dict) -> "LearnerSpec":
-        """The spec of a `to_dict` object; a ValueError names a bad field."""
-        if not isinstance(d, dict):
-            raise ValueError("learner spec is not a JSON object")
-        unknown = d.keys() - SPEC_FIELD_TYPES.keys()
-        if unknown:
-            raise ValueError(f"learner spec has unknown field {min(unknown)!r}")
-        if "kind" not in d:
-            raise ValueError("learner spec has no field 'kind'")
-        for name, value in d.items():
-            what, ok = SPEC_FIELD_TYPES[name]
-            if not ok(value):
-                raise ValueError(f"learner spec field {name!r} must be {what}, "
-                                 f"not {json.dumps(value)}")
-        return LearnerSpec(**d)
+    def from_dict(d: dict, where: str = "learner spec") -> "LearnerSpec":
+        """The spec of a `to_dict` object; a ValueError names `where` and a bad key."""
+        return LearnerSpec(**read_object(d, SPEC_FIELD_TYPES, where, required=("kind",)))
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-# the JSON value each spec field takes: (its description, its test)
+# the JSON kind (a key of jsondoc.KINDS) of each spec field
 SPEC_FIELD_TYPES = {
-    "kind": ("a string", lambda v: isinstance(v, str)),
-    "max_depth": ("an integer or null", lambda v: v is None or _is_int(v)),
-    "min_leaf": ("an integer", _is_int), "k": ("an integer", _is_int),
-    "l1_strength": ("a number", _is_number), "max_iter": ("an integer", _is_int),
-    "tol": ("a number", _is_number), "n_estimators": ("an integer", _is_int),
-    "learning_rate": ("a number", _is_number),
+    "kind": "a string", "max_depth": "an integer or null", "min_leaf": "an integer",
+    "k": "an integer", "l1_strength": "a number", "max_iter": "an integer", "tol": "a number",
+    "n_estimators": "an integer", "learning_rate": "a number",
 }
 
 # documented defaults for the paper-level experiments
@@ -242,82 +214,49 @@ def model_from_dict(doc: dict, shared: tuple[dict, LearnerSpec] | None = None) -
     """
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ValueError("not a model document")
-    if doc.get("version") != MODEL_VERSION:
-        raise ValueError(f"unsupported model version {doc.get('version')}")
-    spec_doc = doc.get("spec")
+    if doc.get("version") != MODEL_VERSION or type(doc["version"]) is not int:  # not 1.0
+        raise ValueError(f"unsupported model version {doc.get('version')!r}")
+    spec_doc = read_key(doc, "spec", "an object", "model")
     if shared is not None and _same_json(spec_doc, shared[0]):
         spec = shared[1]
     else:
         spec = LearnerSpec.from_dict(spec_doc)
-    width = _key(doc, "n_features", "an integer >= 1", lambda v: _is_int(v) and v >= 1)
-    model = Model(spec=spec, n_features=width)
+    width = read_key(doc, "n_features", "an integer", "model", low=1)
     if "constant_score" in doc:
-        model.constant_score = float(_key(doc, "constant_score", "a number", _is_number))
-        return model
+        return constant_model(spec, width, read_key(doc, "constant_score", "a number", "model"))
+    model = Model(spec=spec, n_features=width)
     kind = spec.kind
     if kind == "decision_tree":
-        model.tree = _tree_from_dict(_key(doc, "tree", "an object", _is_object), width)
+        model.tree = _tree_from_dict(read_key(doc, "tree", "an object", "model"), width)
     elif kind == "knn":
-        model.train_x = _array(doc, "train_x", (None, width))
-        model.train_y = _array(doc, "train_y", (model.train_x.shape[0],))
+        model.train_x = np.array(read_array(doc, "train_x", "a number", "model",
+                                            shape=(None, width)), dtype=np.float64)
+        model.train_y = np.array(read_array(doc, "train_y", "a number", "model",
+                                            shape=(len(model.train_x),)), dtype=np.float64)
     elif kind == "logreg_l1":
-        model.coef = _array(doc, "coef", (width,))
-        model.intercept = float(_key(doc, "intercept", "a number", _is_number))
+        model.coef = np.array(read_array(doc, "coef", "a number", "model", shape=(width,)),
+                              dtype=np.float64)
+        model.intercept = float(read_key(doc, "intercept", "a number", "model"))
     else:
-        for st in _key(doc, "stages", "a non-empty array", lambda v: isinstance(v, list) and v):
-            tree = _key(st, "tree", "an object", _is_object, "boost stage")
-            weight = _key(st, "weight", "a number", _is_number, "boost stage")
+        for st in read_key(doc, "stages", "a non-empty array", "model"):
+            tree = read_key(st, "tree", "an object", "boost stage")
+            weight = read_key(st, "weight", "a number", "boost stage")
             model.stages.append(BoostStage(_tree_from_dict(tree, width), float(weight)))
     return model
-
-
-def _is_object(value) -> bool:
-    return isinstance(value, dict)
-
-
-def _key(doc, key: str, what: str, ok, where: str = "model"):
-    """doc[key] when `ok` accepts it; else a ValueError naming `where` and the key."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"{where} is not a JSON object")
-    if key not in doc:
-        raise ValueError(f"{where} has no key {key!r}")
-    value = doc[key]
-    if not ok(value):
-        text = json.dumps(value)
-        raise ValueError(f"{where} key {key!r} must be {what}, not "
-                         f"{text if len(text) <= 40 else text[:37] + '...'}")
-    return value
-
-
-def _array(doc: dict, key: str, shape: tuple) -> np.ndarray:
-    """doc[key] as a float64 array of `shape`, where None takes any length."""
-    what = ("an array of numbers of shape "
-            f"[{', '.join('n' if n is None else str(n) for n in shape)}]")
-    value = _key(doc, key, what, lambda v: isinstance(v, list))
-    try:
-        array = np.asarray(value)
-    except ValueError:  # ragged
-        array = None
-    if array is None or array.dtype.kind not in "iuf" or array.ndim != len(shape) \
-            or any(want not in (None, have) for want, have in zip(shape, array.shape)):
-        raise ValueError(f"model key {key!r} must be {what}")
-    return array.astype(np.float64)
 
 
 def _tree_from_dict(node: dict, width: int) -> TreeNode:
     """The tree of a `TreeNode.to_dict` object whose splits read features
     0..width-1; a ValueError names a missing or wrong-typed key."""
-    n = _key(node, "n", "an integer", _is_int, "tree node")
+    n = read_key(node, "n", "an integer", "tree node")
     if "feature" not in node:
-        return TreeNode(value=float(_key(node, "value", "a number", _is_number, "tree node")),
-                        n_samples=n)
+        return TreeNode(value=float(read_key(node, "value", "a number", "tree node")), n_samples=n)
     return TreeNode(
-        feature=_key(node, "feature", f"an integer in 0..{width - 1}",
-                     lambda v: _is_int(v) and 0 <= v < width, "tree node"),
-        threshold=float(_key(node, "threshold", "a number", _is_number, "tree node")),
+        feature=read_key(node, "feature", "an integer", "tree node", low=0, high=width - 1),
+        threshold=float(read_key(node, "threshold", "a number", "tree node")),
         n_samples=n,
-        left=_tree_from_dict(_key(node, "left", "an object", _is_object, "tree node"), width),
-        right=_tree_from_dict(_key(node, "right", "an object", _is_object, "tree node"), width))
+        left=_tree_from_dict(read_key(node, "left", "an object", "tree node"), width),
+        right=_tree_from_dict(read_key(node, "right", "an object", "tree node"), width))
 
 
 def _same_json(a, b: dict) -> bool:

@@ -31,13 +31,20 @@ def parallel_map(fn: Callable, items: Sequence, workers: int, context=None) -> l
     Otherwise `fn` and `context` reach each worker once, through the pool's
     initializer, so whatever the context fills on first use (a grid's
     `FoldSplits`) fills once per worker and serves all of that worker's
-    items. `fn` must be a module-level function.
+    items. `fn` must be a module-level function. A worker that dies raises
+    ChildProcessError.
     """
     if workers <= 1 or len(items) <= 1:
         return [fn(context, item) for item in items]
     # imported here: the pool loads multiprocessing, which serial runs never need
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
-    with ProcessPoolExecutor(max_workers=min(workers, len(items)), initializer=_init_worker,
+    workers = min(workers, len(items))
+    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                              initargs=(fn, context)) as pool:
-        return list(pool.map(_run, items))
+        try:
+            return list(pool.map(_run, items))
+        except BrokenProcessPool:  # an OSError ends the command in one error line
+            raise ChildProcessError(f"a worker process of {workers} died before its tasks "
+                                    "finished; rerun the command to resume") from None

@@ -36,6 +36,7 @@ from .config import RunConfig
 from .data import (Dataset, csv_text, generate_mixture, ingest_csv, read_columns, write_csv,
                    write_files_atomically)
 from .evaluation import GridFileError, QualityGrid, load_grid, quality_grid, save_grid
+from .jsondoc import read_array, read_json, read_key
 from .parallel import parallel_map
 from .qualityvars import binarize_targets, format_multiplier, quality_row
 from .recommender import (PRESETS, MetaRecord, build_meta_dataset, load_recommender,
@@ -112,23 +113,15 @@ def _bank_files(cfg: RunConfig) -> list[tuple[str, Path]]:
     files: list[tuple[str, Path]] = []
     manifest = _manifest_path(cfg)
     if manifest.exists():
-        try:
-            doc = json.loads(manifest.read_text(encoding="utf-8"))
-        except ValueError as exc:
-            raise ValueError(f"manifest {manifest} is not valid JSON: {exc}") from None
-        entries = doc.get("datasets") if isinstance(doc, dict) else None
-        if not isinstance(entries, list):
-            raise ValueError(f"manifest {manifest}: key 'datasets' must be a JSON array")
-        for i, entry in enumerate(entries):
-            for key in ("id", "file"):
-                if not isinstance(entry, dict) or not isinstance(entry.get(key), str) \
-                        or not entry[key]:
-                    raise ValueError(f"manifest {manifest}: key 'datasets[{i}].{key}' "
-                                     "must be a non-empty string")
-            path = manifest.parent / entry["file"]
+        where = f"manifest {manifest}"
+        doc = read_json(manifest, "manifest", ValueError)
+        for i, entry in enumerate(read_array(doc, "datasets", "an object", where)):
+            ds_id, name = (read_key(entry, key, "a non-empty string", where,
+                                    prefix=f"datasets[{i}].") for key in ("id", "file"))
+            path = manifest.parent / name
             if not path.exists():
                 raise PipelineError("E_MISSING_INPUT", f"dataset file missing: {path}")
-            files.append((entry["id"], path))
+            files.append((ds_id, path))
     if cfg.csv_dir:
         files += [(path.stem, path) for path in sorted(Path(cfg.csv_dir).glob("*.csv"))]
     if not files:
@@ -175,14 +168,10 @@ def _trusted_grid(cfg: RunConfig, dataset_id: str, input_hash: str) -> QualityGr
     csv_path, cache_path = _grid_paths(cfg, dataset_id)
     if not (csv_path.exists() and cache_path.exists()):
         return None
-    try:
-        marker = json.loads(cache_path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise GridFileError(f"cannot read grid marker {cache_path}: {exc}") from None
-    if not isinstance(marker, dict) or not isinstance(marker.get("input_hash"), str):
-        raise GridFileError(f"grid marker {cache_path} holds no input hash")
+    saved_hash = read_key(read_json(cache_path, "grid marker", GridFileError), "input_hash",
+                          "a string", f"grid marker {cache_path}", GridFileError)
     grid = load_grid(csv_path)
-    if marker["input_hash"] != input_hash:
+    if saved_hash != input_hash:
         want = {"learner": cfg.learner.token(), "k": cfg.k,
                 "methods": [m for m in cfg.methods if m != "none"],
                 "multipliers": cfg.multiplier_values(), "seed": cfg.seed}

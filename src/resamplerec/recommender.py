@@ -6,6 +6,9 @@ classifier per method on the does-any-multiplier-help indicator plus one
 regressor per method predicting the best multiplier. Both share the decision
 rule: take the positive prediction with the highest probability, fall back
 to no-resampling when nothing is predicted to help.
+
+A trained file is read back through `jsondoc`, the one reader of the JSON
+documents the program reads, so a bad key is one ValueError that names it.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import numpy as np
 
 from .data import Dataset, write_files_atomically
 from .evaluation import QualityGrid
+from .jsondoc import read_array, read_json, read_key
 from .learners import (LearnerSpec, Model, constant_model, fit_arrays, model_from_dict,
                        model_to_dict, predict_score)
 from .metafeatures import META_FEATURE_NAMES, MetaFeatures, compute_meta_features
@@ -281,60 +285,52 @@ def recommender_to_dict(model: RecommenderModel) -> dict:
     return doc
 
 
-# the JSON type of each array or object key of a recommender document
-_DOC_TYPES = {"features": list, "methods": list, "multipliers": list, "trained_on": list,
-              "classifier_spec": dict, "models": dict}
-
-
 def recommender_from_dict(doc: dict) -> RecommenderModel:
     """The model of a `recommender_to_dict` document; a ValueError names a bad key."""
-    if not isinstance(doc, dict):
-        raise ValueError("recommender document is not a JSON object")
-    if doc.get("format") != RECOMMENDER_FORMAT:
+    where = "recommender"
+    if read_key(doc, "format", "any value", where) != RECOMMENDER_FORMAT:
         raise ValueError("not a recommender document")
-    if doc.get("version") != RECOMMENDER_VERSION:
-        raise ValueError(f"unsupported recommender version {doc.get('version')}")
-    for key, kind in _DOC_TYPES.items():
-        if not isinstance(doc.get(key), kind):
-            raise ValueError(f"recommender key {key!r} must be a JSON "
-                             f"{'array' if kind is list else 'object'}")
-    for name in doc["features"]:
+    if doc.get("version") != RECOMMENDER_VERSION or type(doc["version"]) is not int:
+        raise ValueError(f"unsupported recommender version {doc.get('version')!r}")
+    approach = read_key(doc, "approach", "a string", where)
+    if approach not in ("a1", "a2"):
+        raise ValueError(f"recommender key 'approach' must be 'a1' or 'a2', not {approach!r}")
+    features = read_array(doc, "features", "a string", where)
+    for name in features:
         if name not in META_FEATURE_NAMES:
             raise ValueError(f"recommender key 'features' names no meta-feature: {name!r}")
-    if doc.get("approach") not in ("a1", "a2"):
-        raise ValueError(f"recommender key 'approach' must be 'a1' or 'a2', "
-                         f"not {doc.get('approach')!r}")
     model = RecommenderModel(
-        approach=doc["approach"], preset_name=doc["preset"], alpha=float(doc["alpha"]),
-        epsilon=float(doc["epsilon"]), feature_names=list(doc["features"]),
-        methods=list(doc["methods"]), multipliers=[float(m) for m in doc["multipliers"]],
+        approach=approach, preset_name=read_key(doc, "preset", "a string", where),
+        alpha=float(read_key(doc, "alpha", "a number", where)),
+        epsilon=float(read_key(doc, "epsilon", "a number", where)), feature_names=list(features),
+        methods=list(read_array(doc, "methods", "a string", where)),
+        multipliers=[float(m) for m in read_array(doc, "multipliers", "a float string", where)],
         classifier_spec=_spec(doc, "classifier_spec"),
-        regressor_spec=_spec(doc, "regressor_spec") if doc.get("regressor_spec") else None,
-        trained_on_ids=list(doc["trained_on"]))
+        regressor_spec=_spec(doc, "regressor_spec") if approach == "a2"
+        else read_key(doc, "regressor_spec", "null", where),
+        trained_on_ids=list(read_array(doc, "trained_on", "a string", where)))
     # entries whose spec is the top-level one (all of them in a trained
     # document) share its LearnerSpec rather than decode it again
     classifier = (doc["classifier_spec"], model.classifier_spec)
-    regressor = (doc["regressor_spec"], model.regressor_spec) if model.regressor_spec else None
-    for token, entry in doc["models"].items():
+    regressor = (doc["regressor_spec"], model.regressor_spec)
+    for token, entry in read_key(doc, "models", "an object", where).items():
         try:
-            if model.approach == "a1":
+            if approach == "a1":
                 method, _, m = token.rpartition("@")
                 model.a1_models[(method, float(m))] = model_from_dict(entry, classifier)
             else:
-                pair = entry if isinstance(entry, dict) else {}
-                model.a2_classifiers[token] = model_from_dict(pair.get("classifier"),
-                                                              classifier)
-                model.a2_regressors[token] = model_from_dict(pair.get("regressor"), regressor)
+                model.a2_classifiers[token] = model_from_dict(
+                    read_key(entry, "classifier", "an object", "entry"), classifier)
+                model.a2_regressors[token] = model_from_dict(
+                    read_key(entry, "regressor", "an object", "entry"), regressor)
         except ValueError as exc:
             raise ValueError(f"recommender key 'models' entry {token!r}: {exc}") from None
     return model
 
 
-def _spec(doc: dict, key: str) -> LearnerSpec:
-    try:
-        return LearnerSpec.from_dict(doc[key])
-    except ValueError as exc:
-        raise ValueError(f"recommender key {key!r}: {exc}") from None
+def _spec(doc: dict, name: str) -> LearnerSpec:
+    return LearnerSpec.from_dict(read_key(doc, name, "an object", "recommender"),
+                                 f"recommender key {name!r}: learner spec")
 
 
 def save_recommender(model: RecommenderModel, path: str | Path) -> None:
@@ -342,4 +338,4 @@ def save_recommender(model: RecommenderModel, path: str | Path) -> None:
 
 
 def load_recommender(path: str | Path) -> RecommenderModel:
-    return recommender_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    return recommender_from_dict(read_json(path, "recommender", ValueError))

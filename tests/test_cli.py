@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from resamplerec import pipeline
 from resamplerec.cli import build_parser, main
 from resamplerec.config import MultiplierGrid, RunConfig, config_from_dict, load_config
 from resamplerec.learners import LearnerSpec
@@ -75,6 +76,16 @@ class TestConfig:
         assert cfg.preset_for("a1") == "rs1-dtree"
         cfg2 = config_from_dict({"learner": "knn"})
         assert cfg2.preset_for("a2") == "rs2-knn"
+
+
+_REAL_GRID_TASK = pipeline._grid_pool_task
+
+
+def _grid_task_dying_on_synth_5_1(context, s):
+    """The grid pool task, except that the worker handed dataset synth-5-1 dies at once."""
+    if s.id == "synth-5-1":
+        os._exit(3)
+    return _REAL_GRID_TASK(context, s)
 
 
 class TestPipelineCommands:
@@ -187,29 +198,29 @@ class TestPipelineCommands:
         assert err.startswith("error E_MISSING_INPUT:")
 
     @pytest.mark.parametrize("extra, message", [
-        ({"kk": 3}, "unknown config key 'kk'"),
-        ({"mixture": {"dimrange": [2, 3]}}, "unknown config key 'mixture.dimrange'"),
+        ({"kk": 3}, "config has unknown key 'kk'"),
+        ({"mixture": {"dimrange": [2, 3]}}, "config has unknown key 'mixture.dimrange'"),
         ({"multipliers": {"min": 1.5, "max": 2.5, "step": 0.5, "stp": 1}},
-         "unknown config key 'multipliers.stp'"),
-        ({"multipliers": {"min": 1.5}}, "missing config key 'multipliers.max'"),
+         "config has unknown key 'multipliers.stp'"),
+        ({"multipliers": {"min": 1.5}}, "config has no key 'multipliers.max'"),
         ({"learner": {"kind": "decision_tree", "maxdepth": 3}},
-         "unknown config key 'learner.maxdepth'"),
+         "config has unknown key 'learner.maxdepth'"),
         ({"mixture": {"minor_cov_scale_range": [1.0, 2.0]}},
          "config key 'mixture.minor_cov_scale_range' is not supported"),
-        ({"learner": 5}, "config key 'learner' must be a string or an object, got 5"),
-        ([{"k": 4}], "a config document must be a JSON object"),
+        ({"learner": 5}, "config key 'learner' must be a string or an object, not 5"),
+        ([{"k": 4}], "config is not a JSON object"),
         ({"mixture": {"dim_range": [3]}},
-         "config key 'mixture.dim_range' must be [low, high], got [3]"),
-        ({"k": "ten"}, 'config key \'k\' must be an integer, got "ten"'),
-        ({"seed": True}, "config key 'seed' must be an integer, got true"),
+         "config key 'mixture.dim_range' must be an array of integers of shape [2], not [3]"),
+        ({"k": "ten"}, 'config key \'k\' must be an integer, not "ten"'),
+        ({"seed": True}, "config key 'seed' must be an integer, not true"),
         ({"learner": {"kind": "knn", "k": 2.5}},
-         "config key 'learner.k' must be an integer, got 2.5"),
+         "config key 'learner.k' must be an integer, not 2.5"),
         ({"multipliers": {"min": "1.5", "max": 2.5, "step": 0.5}},
-         'config key \'multipliers.min\' must be a number, got "1.5"'),
+         'config key \'multipliers.min\' must be a number, not "1.5"'),
         ({"mixture": {"size_range": [60.5, 90]}},
-         "config key 'mixture.size_range[0]' must be an integer, got 60.5"),
+         "config key 'mixture.size_range[0]' must be an integer, not 60.5"),
         ({"methods": ["ros", "smote0"]}, "unknown resampling method 'smote0' in 'methods[1]'"),
-        ({"presets": {"a1": 1}}, "config key 'presets.a1' must be a string, got 1"),
+        ({"presets": {"a1": 1}}, "config key 'presets.a1' must be a string, not 1"),
         ({"count": -1}, "config key 'count' must be >= 1, got -1"),
         ({"k": 1}, "config key 'k' must be >= 2, got 1"),
         ({"k_prime": 1}, "config key 'k_prime' must be >= 2, got 1"),
@@ -279,6 +290,25 @@ class TestPipelineCommands:
         assert main(["grid", "--config", str(cfg_path)]) == 0
         assert "0 cached" in capsys.readouterr().out
         assert read_tree(tmp_path / "out") == whole
+
+    def test_grid_resumes_after_a_pool_worker_dies(self, tmp_path, monkeypatch, capsys):
+        """A worker that dies abruptly ends `grid` in one error line; a rerun
+        resumes to the bytes of a run that was never interrupted."""
+        trees = []
+        for run in ("whole", "interrupted"):
+            cfg_path = tiny_config(tmp_path, count=3, out=str(tmp_path / run / "out"))
+            assert main(["gen", "--config", str(cfg_path)]) == 0
+            if run == "interrupted":
+                monkeypatch.setattr(pipeline, "_grid_pool_task", _grid_task_dying_on_synth_5_1)
+                capsys.readouterr()
+                assert main(["grid", "--config", str(cfg_path), "--workers", "2"]) == 1
+                assert one_error_line(capsys) == (
+                    "error E_FAILED: a worker process of 2 died before its tasks finished; "
+                    "rerun the command to resume\n")
+                monkeypatch.undo()
+            assert main(["grid", "--config", str(cfg_path), "--workers", "2"]) == 0
+            trees.append(read_tree(tmp_path / run / "out"))
+        assert trees[0] == trees[1]
 
     def test_meta_reruns_after_crash_mid_save(self, tmp_path, monkeypatch, capsys):
         """A meta save that dies after moving meta.csv leaves no sidecar and no
@@ -610,9 +640,9 @@ class TestGridTrust:
         assert read_tree(out) == read_tree(gridded / "out")
 
     @pytest.mark.parametrize("text, problem", [
-        ("[]", "grid marker {} holds no input hash"),
-        ("{}", "grid marker {} holds no input hash"),
-        ('{"input_hash": 7}', "grid marker {} holds no input hash"),
+        ("[]", "grid marker {} is not a JSON object"),
+        ("{}", "grid marker {} has no key 'input_hash'"),
+        ('{"input_hash": 7}', "grid marker {} key 'input_hash' must be a string, not 7"),
         ('{"input_hash": "0f', "cannot read grid marker {}: Unterminated string"),
     ], ids=["list", "empty-object", "number-hash", "truncated"])
     def test_a_broken_marker_is_refused(self, gridded, tmp_path, capsys, text, problem):
@@ -706,23 +736,24 @@ class TestBrokenInputs:
         assert one_error_line(capsys).startswith(f"error E_FAILED: {problem}")
 
     @pytest.mark.parametrize("change, problem", [
-        (lambda doc: [1, 2], "recommender document is not a JSON object"),
-        (lambda doc: {**doc, "models": None}, "recommender key 'models' must be a JSON object"),
+        (lambda doc: [1, 2], "recommender is not a JSON object"),
+        (lambda doc: {**doc, "models": None},
+         "recommender key 'models' must be an object, not null"),
         (lambda doc: {**doc, "features": doc["features"] + ["n_rows"]},
          "recommender key 'features' names no meta-feature: 'n_rows'"),
         (lambda doc: {**doc, "models": {**doc["models"], "ros@1.5": None}},
          "recommender key 'models' entry 'ros@1.5': not a model document"),
         (lambda doc: {**doc, "classifier_spec": {**doc["classifier_spec"], "depht": 3}},
-         "recommender key 'classifier_spec': learner spec has unknown field 'depht'"),
+         "recommender key 'classifier_spec': learner spec has unknown key 'depht'"),
         (lambda doc: {**doc, "models": {**doc["models"], "ros@1.5": {
             **doc["models"]["ros@1.5"],
             "spec": {**doc["models"]["ros@1.5"]["spec"], "depht": 3}}}},
-         "recommender key 'models' entry 'ros@1.5': learner spec has unknown field 'depht'"),
+         "recommender key 'models' entry 'ros@1.5': learner spec has unknown key 'depht'"),
         (lambda doc: {**doc, "models": {**doc["models"], "ros@1.5": {
             **doc["models"]["ros@1.5"],
             "spec": {**doc["models"]["ros@1.5"]["spec"], "min_leaf": 5.0}}}},
          "recommender key 'models' entry 'ros@1.5': "
-         "learner spec field 'min_leaf' must be an integer, not 5.0"),
+         "learner spec key 'min_leaf' must be an integer, not 5.0"),
         (lambda doc: {**doc, "approach": "a3"},
          "recommender key 'approach' must be 'a1' or 'a2', not 'a3'"),
     ], ids=["list-document", "null-models", "unknown-feature", "null-model-entry",
@@ -762,16 +793,17 @@ class TestBrokenInputs:
             f"error E_FAILED: recommender key 'models' entry {token!r}: {problem}\n"
 
     @pytest.mark.parametrize("manifest, problem", [
-        ([], "key 'datasets' must be a JSON array"),
-        ({"datasets": {}}, "key 'datasets' must be a JSON array"),
-        ({"datasets": [{"id": "synth-5-0"}]}, "key 'datasets[0].file' must be a non-empty string"),
+        ([], "is not a JSON object"),
+        ({"datasets": {}}, "key 'datasets' must be an array of objects, not {}"),
+        ({"datasets": [{"id": "synth-5-0"}]}, "has no key 'datasets[0].file'"),
         ({"datasets": [{"id": "synth-5-0", "file": 3}]},
-         "key 'datasets[0].file' must be a non-empty string"),
+         "key 'datasets[0].file' must be a non-empty string, not 3"),
         ({"datasets": [{"id": "synth-5-0", "file": "synth-5-0.csv"}, {"file": "x.csv"}]},
-         "key 'datasets[1].id' must be a non-empty string"),
+         "has no key 'datasets[1].id'"),
         ({"datasets": [{"id": "", "file": "synth-5-0.csv"}]},
-         "key 'datasets[0].id' must be a non-empty string"),
-        ({"datasets": ["synth-5-0.csv"]}, "key 'datasets[0].id' must be a non-empty string"),
+         'key \'datasets[0].id\' must be a non-empty string, not ""'),
+        ({"datasets": ["synth-5-0.csv"]},
+         'key \'datasets[0]\' must be an object, not "synth-5-0.csv"'),
     ], ids=["list", "object-datasets", "no-file", "number-file", "no-id", "empty-id",
             "string-entry"])
     def test_a_malformed_manifest_is_one_error_line(self, tmp_path, capsys, manifest, problem):
@@ -782,7 +814,7 @@ class TestBrokenInputs:
         capsys.readouterr()
         for command in ("grid", "meta", "train", "assess"):
             assert main([command, "--config", str(cfg_path)]) == 1, command
-            assert one_error_line(capsys) == f"error E_FAILED: manifest {path}: {problem}\n"
+            assert one_error_line(capsys) == f"error E_FAILED: manifest {path} {problem}\n"
 
     def test_a_manifest_that_is_not_json_is_one_error_line(self, tmp_path, capsys):
         cfg_path = tiny_config(tmp_path, count=2)
@@ -792,7 +824,7 @@ class TestBrokenInputs:
         capsys.readouterr()
         assert main(["grid", "--config", str(cfg_path)]) == 1
         assert one_error_line(capsys).startswith(
-            f"error E_FAILED: manifest {path} is not valid JSON: ")
+            f"error E_FAILED: cannot read manifest {path}: ")
 
     @pytest.mark.parametrize("gone_after, code", [
         ("load_bank", "E_MISSING_INPUT: dataset file missing: {}"),
@@ -875,7 +907,7 @@ class TestSpecValueTypes:
         assert status == 1 and out.getvalue() == ""
         assert err.getvalue().count("\n") == 1
         assert err.getvalue().startswith(
-            f"error E_FAILED: {prefix}: learner spec field {field!r} must be ")
+            f"error E_FAILED: {prefix}: learner spec key {field!r} must be ")
 
 
 class TestParserReuse:

@@ -75,7 +75,7 @@ class TestSpec:
         doc = {**DEFAULT_LEARNERS["adaboost_clf"].to_dict(), field: value}
         with pytest.raises(ValueError) as info:
             LearnerSpec.from_dict(doc)
-        assert str(info.value) == f"learner spec field {field!r} {problem}"
+        assert str(info.value) == f"learner spec key {field!r} {problem}"
 
 
 class TestDecisionTree:
@@ -597,16 +597,16 @@ class TestPayloadKeys:
     @pytest.mark.parametrize("kind, edit, problem", [
         ("logreg_l1", lambda doc: doc.pop("coef"), "model has no key 'coef'"),
         ("logreg_l1", _set("coef", [0.5, 0.5]),
-         "model key 'coef' must be an array of numbers of shape [3]"),
-        ("logreg_l1", _set("coef", ["1", "2", "3"]),
-         "model key 'coef' must be an array of numbers of shape [3]"),
+         "model key 'coef' must be an array of numbers of shape [3], not [0.5, 0.5]"),
+        ("logreg_l1", _set("coef", ["1", "2", "3"]), 'model key \'coef[0]\' must be a number, not "1"'),
         ("logreg_l1", _set("coef", None),
          "model key 'coef' must be an array of numbers of shape [3], not null"),
         ("logreg_l1", _set("intercept", "0"), 'model key \'intercept\' must be a number, not "0"'),
         ("knn", _set("train_x", [[1.0, 2.0, 3.0], [1.0]]),
-         "model key 'train_x' must be an array of numbers of shape [n, 3]"),
+         "model key 'train_x' must be an array of numbers of shape [n, 3], "
+         "not [[1.0, 2.0, 3.0], [1.0]]"),
         ("knn", _set("train_y", [1.0]),
-         "model key 'train_y' must be an array of numbers of shape [55]"),
+         "model key 'train_y' must be an array of numbers of shape [55], not [1.0]"),
         ("decision_tree", _set("tree", []), "model key 'tree' must be an object, not []"),
         ("decision_tree", lambda doc: doc["tree"].update(feature=3),
          "tree node key 'feature' must be an integer in 0..2, not 3"),

@@ -1,3 +1,4 @@
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -21,6 +22,12 @@ def _fail_first(marker_dir, item):
     return item
 
 
+def _die_on_item_1(context, item):
+    if item == 1:
+        os._exit(3)
+    return item
+
+
 def test_pool_never_larger_than_item_count(monkeypatch):
     pools = []
     real_init = ProcessPoolExecutor.__init__
@@ -40,3 +47,10 @@ def test_failed_task_stops_the_queue(tmp_path):
     with pytest.raises(RuntimeError, match="item 0 failed"):
         parallel_map(_fail_first, list(range(60)), workers=2, context=str(tmp_path))
     assert len(list(tmp_path.glob("*.done"))) <= 10
+
+
+def test_a_dead_worker_is_a_child_process_error():
+    """A worker that dies abruptly is an OSError naming the pool size, not
+    the pool's own BrokenProcessPool (a RuntimeError)."""
+    with pytest.raises(ChildProcessError, match="^a worker process of 2 died "):
+        parallel_map(_die_on_item_1, [0, 1, 2], workers=2)
