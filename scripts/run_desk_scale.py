@@ -47,10 +47,13 @@ def main() -> int:
         json.dump(config, fh)
         cfg_path = fh.name
 
-    for command in ("gen", "grid", "meta", "train", "assess"):
-        code = cli_main([command, "--config", cfg_path])
-        if code != 0:
-            return code
+    try:
+        for command in ("gen", "grid", "meta", "train", "assess"):
+            code = cli_main([command, "--config", cfg_path])
+            if code != 0:
+                return code
+    finally:
+        os.remove(cfg_path)
     print(f"\nartifacts in {Path(args.out).resolve()}")
     return 0
 

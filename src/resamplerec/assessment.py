@@ -54,23 +54,21 @@ def apply_static(strategy: StaticStrategy, s: Dataset) -> Recommendation:
 
 
 def _rec_cell_key(rec: Recommendation) -> tuple[str, float]:
-    if rec.spec.method == "none":
-        return BASELINE_KEY
-    return (rec.spec.method, float(rec.spec.multiplier))
+    return rec.spec.method, rec.spec.multiplier  # "none" is always at 1.0: BASELINE_KEY
 
 
-def recommendation_accuracy(grid: QualityGrid, rec: Recommendation,
+def recommendation_accuracy(grid: QualityGrid, key: tuple[str, float],
                             extra_cells: dict[tuple[str, float], float] | None = None) -> float:
-    """Min-max-normalized mean quality of the recommended cell.
+    """Min-max-normalized mean quality of the cell `key` (`BASELINE_KEY` for
+    no resampling).
 
     The pool is every evaluated grid cell (baseline included) plus any
     `extra_cells` means, such as cells evaluated off the grid with
     `evaluate_cell_on_demand`. Returns 1.0 when the pool has no spread.
     """
-    pool = {key: float(v.mean()) for key, v in grid.cells.items()}
+    pool = {cell: float(v.mean()) for cell, v in grid.cells.items()}
     if extra_cells:
         pool.update(extra_cells)
-    key = _rec_cell_key(rec)
     if key not in pool:
         raise ValueError(f"cell {key} not in grid or extra cells")
     lo = min(pool.values())
@@ -108,21 +106,17 @@ def _static_cells_task(learner, item):
     splits = FoldSplits(s, grid_folds(s, grid))
     out: dict[str, tuple[tuple[str, float], float]] = {}
     for strategy in ALL_STATIC_STRATEGIES:
-        rec = apply_static(strategy, s)
-        key = _rec_cell_key(rec)
-        if key == BASELINE_KEY:
-            out[strategy.value] = (key, float(grid.baseline.mean()))
-            continue
-        method, m = key
+        method, m = _rec_cell_key(apply_static(strategy, s))
         if method == "rus":
             m = min(m, _rus_multiplier_cap(splits))
-            key = (method, m)
+        out[strategy.value] = (BASELINE_KEY, float(grid.baseline.mean()))
+        if method == "none":
+            continue
         try:
             scores = evaluate_cell_on_demand(s, grid, learner, ResamplingSpec(method, m), splits)
         except CellInfeasible:
-            out[strategy.value] = (BASELINE_KEY, float(grid.baseline.mean()))
             continue
-        out[strategy.value] = (key, float(scores.mean()))
+        out[strategy.value] = ((method, m), float(scores.mean()))
     return out
 
 
@@ -186,7 +180,7 @@ def assess_bank(bank: list[tuple[Dataset, QualityGrid]],
     order = [ids[i] for i in rng.permutation(len(ids))]
     fold_ids = [list(chunk) for chunk in np.array_split(np.array(order, dtype=object), k_prime)]
 
-    recommendations: dict[tuple[str, str], Recommendation] = {}
+    recommended: dict[tuple[str, str], tuple[str, float]] = {}  # the cell of each answer
     fold_train_ids: list[dict] = []
     for j, test_ids in enumerate(fold_ids):
         train_ids = [i for i in order if i not in set(test_ids)]
@@ -197,7 +191,7 @@ def assess_bank(bank: list[tuple[Dataset, QualityGrid]],
             model = train(train_records, preset,
                           use_windowed_pval_for_targets=use_windowed_pval_for_targets)
             for ds_id in test_ids:
-                recommendations[(ds_id, name)] = recommend(model, datasets[ds_id])
+                recommended[(ds_id, name)] = _rec_cell_key(recommend(model, datasets[ds_id]))
 
     static_cells = dict(zip(ids, parallel_map(_static_cells_task, bank, workers, learner)))
 
@@ -207,17 +201,15 @@ def assess_bank(bank: list[tuple[Dataset, QualityGrid]],
     ra: dict[tuple[str, str], float] = {}
     for ds_id in ids:
         grid = grids[ds_id]
-        extra = {key: mean for key, mean in static_cells[ds_id].values()}
+        extra = dict(static_cells[ds_id].values())
         for name, _ in recommender_cfgs:
-            rec = recommendations[(ds_id, name)]
-            key = _rec_cell_key(rec)
+            key = recommended[(ds_id, name)]
             if key in grid.skips and key not in extra:
-                rec = Recommendation(ResamplingSpec("none"), name)
-            ra[(ds_id, name)] = recommendation_accuracy(grid, rec, extra_cells=extra)
+                key = BASELINE_KEY
+            ra[(ds_id, name)] = recommendation_accuracy(grid, key, extra)
         for strategy in ALL_STATIC_STRATEGIES:
-            key, mean = static_cells[ds_id][strategy.value]
-            rec = Recommendation(ResamplingSpec(*key), strategy.value)
-            ra[(ds_id, strategy.value)] = recommendation_accuracy(grid, rec, extra_cells=extra)
+            key, _ = static_cells[ds_id][strategy.value]
+            ra[(ds_id, strategy.value)] = recommendation_accuracy(grid, key, extra)
 
     ara = {name: float(np.mean([ra[(ds_id, name)] for ds_id in ids]))
            for name in strategy_names}

@@ -103,14 +103,9 @@ class RunConfig:
                 raise ConfigError(f"unknown approach {a!r} in 'approaches[{i}]'")
 
     def preset_for(self, approach: str) -> str:
-        if approach in self.presets:
-            name = self.presets[approach]
-        else:
-            name = DEFAULT_PRESETS.get((approach, self.learner.kind))
-            if name is None:
-                raise ValueError(f"no default preset for {approach}/{self.learner.kind}")
-        if name not in PRESETS:
-            raise ValueError(f"unknown preset {name!r}")
+        name = self.presets.get(approach) or DEFAULT_PRESETS.get((approach, self.learner.kind))
+        if name is None:
+            raise ValueError(f"no default preset for {approach}/{self.learner.kind}")
         return name
 
     def out_dir(self) -> Path:
@@ -165,10 +160,14 @@ def config_from_dict(doc: dict) -> RunConfig:
         kwargs["multipliers"] = MultiplierGrid(**{name: float(m[name]) for name in m})
     if "mixture" in doc:
         kwargs["mixture"] = _mixture_from_dict(doc["mixture"])
-    if "presets" in doc:
-        presets = doc["presets"]  # approach -> preset name
-        read_object(presets, dict.fromkeys(presets, "a string"), "config", ConfigError,
-                    prefix="presets.")
+    if "presets" in doc:  # approach -> the name of one of its presets
+        presets = read_object(doc["presets"], dict.fromkeys(("a1", "a2"), "a string"), "config",
+                              ConfigError, prefix="presets.")
+        for approach, name in presets.items():
+            names = [n for n, preset in PRESETS.items() if preset.approach == approach]
+            if name not in names:
+                raise ConfigError(f"config key 'presets.{approach}' must be one of "
+                                  f"{', '.join(names)}, not {json.dumps(name)}")
         kwargs["presets"] = dict(presets)
     cfg = RunConfig(**kwargs)
     # the generator seed follows the master seed unless set explicitly

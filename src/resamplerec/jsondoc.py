@@ -14,20 +14,22 @@ import math
 from pathlib import Path
 
 
-def _float_text(value) -> bool:
+def _finite(value) -> bool:
+    """Whether `float(value)` is finite. Python's JSON parser also reads NaN,
+    Infinity and integers beyond a float's range, which JSON does not have."""
     try:
-        return isinstance(value, str) and math.isfinite(float(value))
-    except ValueError:
+        return math.isfinite(float(value))
+    except (ValueError, OverflowError):
         return False
 
 
 # each JSON kind a value can be asked for -> its test; true is no number
 KINDS = {
     "an integer": lambda v: type(v) is int,
-    "a number": lambda v: type(v) is float or type(v) is int,
+    "a number": lambda v: type(v) in (int, float) and _finite(v),
     "a string": lambda v: isinstance(v, str),
     "a non-empty string": lambda v: isinstance(v, str) and v != "",
-    "a float string": _float_text,
+    "a float string": lambda v: isinstance(v, str) and _finite(v),
     "true or false": lambda v: isinstance(v, bool),
     "null": lambda v: v is None,
     "any value": lambda v: True,

@@ -192,14 +192,13 @@ def _grid_pool_task(context, s: Dataset) -> tuple[str, int, int]:
     input_hash = _grid_input_hash(cfg, files[s.id].read_bytes())
     old = _trusted_grid(cfg, s.id, input_hash)
     precomputed = {**old.cells, **old.skips} if old else {}
-    n_cells = 1 + len(cfg.methods) * len(cfg.multiplier_values())
     cached = len(precomputed)
     grid = quality_grid(s, cfg.learner, list(cfg.methods), cfg.multiplier_values(),
                         cfg.k, cfg.seed, workers=workers, precomputed=precomputed)
     save_grid(grid, csv_path)
     # the cache marker goes last: a grid is resumed only when all its files are whole
     write_files_atomically({cache_path: json.dumps({"input_hash": input_hash}, sort_keys=True)})
-    return s.id, n_cells - cached, cached
+    return s.id, len(grid.cells) + len(grid.skips) - cached, cached
 
 
 def cmd_grid(cfg: RunConfig) -> None:

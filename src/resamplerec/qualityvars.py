@@ -123,30 +123,28 @@ def binarize_targets(qv: QualityVariables, alpha: float,
                      use_windowed_pval_for_targets: bool = False) -> MetaTargets:
     """Per-cell and per-method indicators of beating the baseline at level alpha.
 
-    By default the indicators use the plain per-cell p-value, matching the
-    literal target formulas. The windowed switch bases every target on the
-    eps-window maximum instead (and the best multiplier on its argmin),
-    which suppresses single-cell false positives from testing many cells.
+    One rule for every target: a cell helps when its p-value is below alpha,
+    a method when its best cell does, and the best multiplier is the argmin
+    of the p-value (ties: the smaller multiplier). By default the p-value is
+    the plain per-cell one, matching the literal target formulas; the
+    windowed switch uses the eps-window maximum instead (whose argmin is
+    `m_star`), which suppresses single-cell false positives from testing
+    many cells.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must be in (0, 1)")
+    pval = "q_pvalw" if use_windowed_pval_for_targets else "q_pval"
     y_rm: dict[tuple[str, float], int] = {}
     y_r: dict[str, int] = {}
     z_r: dict[str, float] = {}
     for method in qv.methods:
-        present = qv.method_cells(method)
+        present = [(getattr(cv, pval), m) for m, cv in qv.method_cells(method)]
         if not present:
             continue
-        if use_windowed_pval_for_targets:
-            for m, cv in present:
-                y_rm[(method, m)] = int(cv.q_pvalw < alpha)
-            y_r[method] = int(min(cv.q_pvalw for _, cv in present) < alpha)
-            z_r[method] = qv.per_method[method].m_star
-        else:
-            for m, cv in present:
-                y_rm[(method, m)] = int(cv.q_pval < alpha)
-            y_r[method] = int(min(cv.q_pval for _, cv in present) < alpha)
-            z_r[method] = min(present, key=lambda item: (item[1].q_pval, item[0]))[0]
+        for p, m in present:
+            y_rm[(method, m)] = int(p < alpha)
+        p_best, z_r[method] = min(present)
+        y_r[method] = int(p_best < alpha)
     return MetaTargets(alpha=alpha, y_rm=y_rm, y_r=y_r, z_r=z_r)
 
 

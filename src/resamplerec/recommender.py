@@ -1,11 +1,13 @@
 """Meta-learning recommenders.
 
+Both approaches learn from one target rule: a cell beats the baseline when
+its p-value is below the preset's alpha (`qualityvars.binarize_targets`).
 Approach 1 trains one binary meta-classifier per (method, multiplier) cell
-on the "beats the baseline at level alpha" indicator. Approach 2 trains one
-classifier per method on the does-any-multiplier-help indicator plus one
-regressor per method predicting the best multiplier. Both share the decision
-rule: take the positive prediction with the highest probability, fall back
-to no-resampling when nothing is predicted to help.
+on that indicator. Approach 2 trains one classifier per method on the
+does-any-multiplier-help indicator plus one regressor per method predicting
+the best multiplier. Both answer by one decision rule (`recommend`): rank
+the candidate cells predicted to help (p >= 0.5) by probability, take the
+first one feasible on the dataset, else no resampling.
 
 A trained file is read back through `jsondoc`, the one reader of the JSON
 documents the program reads, so a bad key is one ValueError that names it.
@@ -214,46 +216,45 @@ def snap_to_grid(z: float, multipliers: list[float]) -> float:
     return min(ms, key=lambda m: (abs(m - z), m))
 
 
-def _spec_feasible(method: str, m: float, s: Dataset) -> bool:
-    return feasible(ResamplingSpec(method, m), s.n_major, s.n_minor) is None
-
-
 def recommend(model: RecommenderModel, s: Dataset) -> Recommendation:
     """Meta-features in, (method, multiplier) out; never fits a base learner.
 
     Only the meta-features the model reads are computed, so a dataset is
     refused only when one of those is undefined.
 
-    Candidates predicted to beat the baseline are ranked by probability
-    (ties: method order, then smaller multiplier); infeasible winners fall
-    through to the next candidate and finally to no-resampling.
+    Each approach scores its candidates: approach 1 one per cell model,
+    approach 2 one per method, whose cell is at its regressed multiplier
+    snapped to the grid. Those predicted to beat the baseline (p >= 0.5) are
+    ranked by probability (ties: method order, then smaller multiplier);
+    infeasible winners fall through to the next candidate and finally to
+    no-resampling.
     """
     x = compute_meta_features(s, model.feature_names).values[None, :]
-    method_order = {r: i for i, r in enumerate(model.methods)}
     if model.approach == "a1":
-        probs = {key: predict_score(mdl, x) for key, mdl in model.a1_models.items()}
-        candidates = [(key, p) for key, p in probs.items() if p >= 0.5]
-        candidates.sort(key=lambda item: (-item[1], method_order[item[0][0]], item[0][1]))
+        p_hat = {key: predict_score(mdl, x) for key, mdl in model.a1_models.items()}
         details = {"approach": "a1",
                    "p_hat": {f"{k[0]}@{format_multiplier(k[1])}": p
-                             for k, p in sorted(probs.items())}}
-        for (method, m), _ in candidates:
-            if _spec_feasible(method, m, s):
-                return Recommendation(ResamplingSpec(method, m), "a1", details)
-        return Recommendation(ResamplingSpec("none"), "a1", details)
+                             for k, p in sorted(p_hat.items())}}
 
-    probs_r = {r: predict_score(mdl, x) for r, mdl in model.a2_classifiers.items()}
-    z_hat = {r: predict_score(model.a2_regressors[r], x) for r in model.a2_classifiers}
-    details = {"approach": "a2",
-               "p_hat": {r: p for r, p in sorted(probs_r.items())},
-               "z_hat": {r: z for r, z in sorted(z_hat.items())}}
-    candidates = [(r, p) for r, p in probs_r.items() if p >= 0.5]
-    candidates.sort(key=lambda item: (-item[1], method_order[item[0]]))
-    for r, _ in candidates:
-        m = snap_to_grid(z_hat[r], model.multipliers)
-        if _spec_feasible(r, m, s):
-            return Recommendation(ResamplingSpec(r, m), "a2", details)
-    return Recommendation(ResamplingSpec("none"), "a2", details)
+        def cell(key):
+            return key
+    else:
+        p_hat = {r: predict_score(mdl, x) for r, mdl in model.a2_classifiers.items()}
+        z_hat = {r: predict_score(model.a2_regressors[r], x) for r in p_hat}
+        details = {"approach": "a2", "p_hat": dict(sorted(p_hat.items())),
+                   "z_hat": dict(sorted(z_hat.items()))}
+
+        def cell(r):
+            return r, snap_to_grid(z_hat[r], model.multipliers)
+    method_order = {r: i for i, r in enumerate(model.methods)}
+    # filtered before `cell`, so only candidates have their multiplier snapped
+    positive = sorted(((cell(key), p) for key, p in p_hat.items() if p >= 0.5),
+                      key=lambda item: (-item[1], method_order[item[0][0]], item[0][1]))
+    for (method, m), _ in positive:
+        spec = ResamplingSpec(method, m)
+        if feasible(spec, s.n_major, s.n_minor) is None:
+            return Recommendation(spec, model.approach, details)
+    return Recommendation(ResamplingSpec("none"), model.approach, details)
 
 
 RECOMMENDER_FORMAT = "resamplerec-recommender"
@@ -309,14 +310,22 @@ def recommender_from_dict(doc: dict) -> RecommenderModel:
         regressor_spec=_spec(doc, "regressor_spec") if approach == "a2"
         else read_key(doc, "regressor_spec", "null", where),
         trained_on_ids=list(read_array(doc, "trained_on", "a string", where)))
+    for name in ("methods", "multipliers"):
+        if not doc[name]:
+            raise ValueError(f"recommender key {name!r} must be a non-empty array, not []")
     # entries whose spec is the top-level one (all of them in a trained
     # document) share its LearnerSpec rather than decode it again
     classifier = (doc["classifier_spec"], model.classifier_spec)
     regressor = (doc["regressor_spec"], model.regressor_spec)
+    methods, multipliers = set(model.methods), set(model.multipliers)
     for token, entry in read_key(doc, "models", "an object", where).items():
         try:
+            method, _, m = token.rpartition("@") if approach == "a1" else (token, "", "")
+            if method not in methods:
+                raise ValueError(f"method {method!r} is not in 'methods'")
             if approach == "a1":
-                method, _, m = token.rpartition("@")
+                if float(m) not in multipliers:
+                    raise ValueError(f"multiplier {m} is not in 'multipliers'")
                 model.a1_models[(method, float(m))] = model_from_dict(entry, classifier)
             else:
                 model.a2_classifiers[token] = model_from_dict(

@@ -3,8 +3,6 @@ import pytest
 
 from resamplerec.data import Dataset
 from resamplerec.evaluation import QualityGrid
-from resamplerec.recommender import Recommendation
-from resamplerec.resampling import ResamplingSpec
 from resamplerec.rng import derive_rng
 
 
@@ -29,10 +27,9 @@ def make_dataset(n_major: int, n_minor: int, dim: int = 2, seed: int = 0,
                    labels=np.array([0] * n_major + [1] * n_minor))
 
 
-def random_cell_recommendation(grid: QualityGrid, seed: int) -> Recommendation:
+def random_cell(grid: QualityGrid, seed: int) -> tuple[str, float]:
     """The random-cell baseline: a uniform draw over the evaluated cells,
     no-resampling included."""
     keys = [k for k in grid.cell_keys() if k in grid.cells]
     rng = derive_rng(seed, grid.dataset_id, "random-cell")
-    method, m = keys[int(rng.integers(0, len(keys)))]
-    return Recommendation(ResamplingSpec(method, m), "random-cell")
+    return keys[int(rng.integers(0, len(keys)))]

@@ -6,7 +6,9 @@ thresholds, the t-tail oracle integrates the density numerically, and the
 SMOTE oracle re-derives neighbor sets with plain sorted() instead of numpy.
 The tree, L1-logreg, SMOTE-neighbor, kNN-score, meta-feature and CSV-ingest
 references are earlier versions of the production code, kept verbatim so
-that faster rewrites are checked bit for bit.
+that faster rewrites are checked bit for bit; so are the recommender's
+decision rule and the meta-target rule, written once per case, so that the
+shorter forms are checked answer for answer.
 """
 
 import csv
@@ -16,10 +18,15 @@ from pathlib import Path
 import numpy as np
 from scipy.integrate import quad
 
+from resamplerec import metafeatures
 from resamplerec.data import Dataset
+from resamplerec.learners import predict_score
 from resamplerec.learners.tree import TreeNode, _norm_weights
 from resamplerec.metafeatures import (_MOMENT_NAMES, MIN_TEST_SAMPLE, MetaFeatures,
                                       _abs_cov_eigs, slog)
+from resamplerec.qualityvars import MetaTargets, QualityVariables, format_multiplier
+from resamplerec.recommender import Recommendation, RecommenderModel, snap_to_grid
+from resamplerec.resampling import ResamplingSpec, feasible
 from resamplerec.stats import normal_two_sided_pvalue
 
 _GAIN_TOL = 1e-12
@@ -491,3 +498,82 @@ def ingest_csv(path: str | Path, label_column: str = "label", dataset_id: str | 
     y = np.fromiter((1 if v == minor_raw else 0 for v in raw_labels), dtype=np.int64)
     x = np.asarray(rows, dtype=np.float64)
     return Dataset(id=dataset_id or path.stem, features=x, labels=y)
+
+
+# --- the recommender's decision rule and the target rule, one branch per
+# approach and per p-value kind (the library runs one ranking loop for both
+# approaches and picks the p-value once); `metafeatures.` is the library's
+# function, since this module has its own `compute_meta_features`
+
+
+def _spec_feasible(method: str, m: float, s: Dataset) -> bool:
+    return feasible(ResamplingSpec(method, m), s.n_major, s.n_minor) is None
+
+
+def recommend(model: RecommenderModel, s: Dataset) -> Recommendation:
+    """Meta-features in, (method, multiplier) out; never fits a base learner.
+
+    Only the meta-features the model reads are computed, so a dataset is
+    refused only when one of those is undefined.
+
+    Candidates predicted to beat the baseline are ranked by probability
+    (ties: method order, then smaller multiplier); infeasible winners fall
+    through to the next candidate and finally to no-resampling.
+    """
+    x = metafeatures.compute_meta_features(s, model.feature_names).values[None, :]
+    method_order = {r: i for i, r in enumerate(model.methods)}
+    if model.approach == "a1":
+        probs = {key: predict_score(mdl, x) for key, mdl in model.a1_models.items()}
+        candidates = [(key, p) for key, p in probs.items() if p >= 0.5]
+        candidates.sort(key=lambda item: (-item[1], method_order[item[0][0]], item[0][1]))
+        details = {"approach": "a1",
+                   "p_hat": {f"{k[0]}@{format_multiplier(k[1])}": p
+                             for k, p in sorted(probs.items())}}
+        for (method, m), _ in candidates:
+            if _spec_feasible(method, m, s):
+                return Recommendation(ResamplingSpec(method, m), "a1", details)
+        return Recommendation(ResamplingSpec("none"), "a1", details)
+
+    probs_r = {r: predict_score(mdl, x) for r, mdl in model.a2_classifiers.items()}
+    z_hat = {r: predict_score(model.a2_regressors[r], x) for r in model.a2_classifiers}
+    details = {"approach": "a2",
+               "p_hat": {r: p for r, p in sorted(probs_r.items())},
+               "z_hat": {r: z for r, z in sorted(z_hat.items())}}
+    candidates = [(r, p) for r, p in probs_r.items() if p >= 0.5]
+    candidates.sort(key=lambda item: (-item[1], method_order[item[0]]))
+    for r, _ in candidates:
+        m = snap_to_grid(z_hat[r], model.multipliers)
+        if _spec_feasible(r, m, s):
+            return Recommendation(ResamplingSpec(r, m), "a2", details)
+    return Recommendation(ResamplingSpec("none"), "a2", details)
+
+
+def binarize_targets(qv: QualityVariables, alpha: float,
+                     use_windowed_pval_for_targets: bool = False) -> MetaTargets:
+    """Per-cell and per-method indicators of beating the baseline at level alpha.
+
+    By default the indicators use the plain per-cell p-value, matching the
+    literal target formulas. The windowed switch bases every target on the
+    eps-window maximum instead (and the best multiplier on its argmin),
+    which suppresses single-cell false positives from testing many cells.
+    """
+    if not (0.0 < alpha < 1.0):
+        raise ValueError("alpha must be in (0, 1)")
+    y_rm: dict[tuple[str, float], int] = {}
+    y_r: dict[str, int] = {}
+    z_r: dict[str, float] = {}
+    for method in qv.methods:
+        present = qv.method_cells(method)
+        if not present:
+            continue
+        if use_windowed_pval_for_targets:
+            for m, cv in present:
+                y_rm[(method, m)] = int(cv.q_pvalw < alpha)
+            y_r[method] = int(min(cv.q_pvalw for _, cv in present) < alpha)
+            z_r[method] = qv.per_method[method].m_star
+        else:
+            for m, cv in present:
+                y_rm[(method, m)] = int(cv.q_pval < alpha)
+            y_r[method] = int(min(cv.q_pval for _, cv in present) < alpha)
+            z_r[method] = min(present, key=lambda item: (item[1].q_pval, item[0]))[0]
+    return MetaTargets(alpha=alpha, y_rm=y_rm, y_r=y_r, z_r=z_r)

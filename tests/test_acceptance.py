@@ -28,7 +28,7 @@ from resamplerec.qualityvars import binarize_targets, compute_quality_variables
 from resamplerec.recommender import PRESETS, build_meta_dataset, recommend, train
 from resamplerec.resampling import ResamplingSpec, resample
 
-from conftest import make_dataset, random_cell_recommendation
+from conftest import make_dataset, random_cell
 from oracles import (point_on_some_smote_segment, pr_auc_step_curve,
                      student_t_sf_quadrature)
 from test_qualityvars import random_grid, row_pvalue
@@ -208,7 +208,7 @@ def desk_run():
                              epsilon=0.75, workers=WORKERS)
     # the random-cell baseline, normalised on the pool assess_bank used for
     # every other strategy: grid cells plus the static cells
-    random_cell_ra = [recommendation_accuracy(grid, random_cell_recommendation(grid, DESK_SEED),
+    random_cell_ra = [recommendation_accuracy(grid, random_cell(grid, DESK_SEED),
                                               extra_cells=dict(cells.values()))
                       for grid, cells in zip(grids, static_cells)]
     meta = build_meta_dataset(bank, epsilon=0.75)
@@ -229,8 +229,8 @@ def test_criterion_6_desk_scale_direction(desk_run):
             assert ara[rec] >= 0.55
         # sanity on the harness itself: random-cell RA is on-grid and bounded
         for _, grid in zip(desk_run["datasets"], desk_run["grids"]):
-            rec = random_cell_recommendation(grid, seed=DESK_SEED)
-            assert 0.0 <= recommendation_accuracy(grid, rec) <= 1.0
+            key = random_cell(grid, seed=DESK_SEED)
+            assert 0.0 <= recommendation_accuracy(grid, key) <= 1.0
 
 
 def test_criterion_7_recommend_speed(desk_run):

@@ -9,12 +9,13 @@ from resamplerec.assessment import (ALL_STATIC_STRATEGIES, StaticStrategy, apply
                                     assess_bank, ecdf, ecdf_svg, evaluate_cell_on_demand,
                                     format_ara_table, recommendation_accuracy, write_report)
 from resamplerec.data import MixtureConfig, generate_mixture, imbalance_ratio
-from resamplerec.evaluation import FoldSplits, QualityGrid, grid_folds, quality_grid
+from resamplerec.evaluation import (BASELINE_KEY, FoldSplits, QualityGrid, grid_folds,
+                                   quality_grid)
 from resamplerec.learners import LearnerSpec
 from resamplerec.recommender import PRESETS, Recommendation
 from resamplerec.resampling import ResamplingSpec
 
-from conftest import make_dataset, random_cell_recommendation
+from conftest import make_dataset, random_cell
 from oracles import ecdf_share_below
 
 TREE = LearnerSpec("decision_tree", max_depth=3, min_leaf=2)
@@ -35,40 +36,33 @@ class TestRecommendationAccuracy:
                                      ("rus", 2.0): 0.5})
 
     def test_max_cell_scores_one(self):
-        rec = Recommendation(ResamplingSpec("ros", 2.0), "t")
-        assert recommendation_accuracy(self.grid, rec) == 1.0
+        assert recommendation_accuracy(self.grid, ("ros", 2.0)) == 1.0
 
     def test_min_cell_scores_zero(self):
-        rec = Recommendation(ResamplingSpec("none"), "t")
-        assert recommendation_accuracy(self.grid, rec) == 0.0
+        assert recommendation_accuracy(self.grid, BASELINE_KEY) == 0.0
 
     def test_midpoint(self):
-        rec = Recommendation(ResamplingSpec("rus", 2.0), "t")
-        assert recommendation_accuracy(self.grid, rec) == pytest.approx(0.5)
+        assert recommendation_accuracy(self.grid, ("rus", 2.0)) == pytest.approx(0.5)
 
     def test_degenerate_pool_scores_one(self):
         grid = grid_with_means({("none", 1.0): 0.5, ("ros", 2.0): 0.5})
-        rec = Recommendation(ResamplingSpec("ros", 2.0), "t")
-        assert recommendation_accuracy(grid, rec) == 1.0
+        assert recommendation_accuracy(grid, ("ros", 2.0)) == 1.0
 
     def test_extra_cells_join_pool(self):
-        rec = Recommendation(ResamplingSpec("ros", 2.0), "t")
         # an on-demand cell better than every grid cell drags the max up
-        ra = recommendation_accuracy(self.grid, rec, extra_cells={("smote5", 3.7): 0.8})
+        ra = recommendation_accuracy(self.grid, ("ros", 2.0), extra_cells={("smote5", 3.7): 0.8})
         assert ra == pytest.approx((0.6 - 0.4) / (0.8 - 0.4))
 
     def test_off_grid_cell_without_extra_cells_rejected(self):
-        rec = Recommendation(ResamplingSpec("ros", 9.75), "t")
         with pytest.raises(ValueError, match="not in grid or extra cells"):
-            recommendation_accuracy(self.grid, rec)
+            recommendation_accuracy(self.grid, ("ros", 9.75))
 
     def test_off_grid_evaluated_on_demand(self):
         s = make_dataset(60, 20, seed=1)
         grid = quality_grid(s, TREE, ["ros"], [1.5, 2.0], k=4, seed=5)
         scores = evaluate_cell_on_demand(s, grid, TREE, ResamplingSpec("ros", 1.75),
                                          FoldSplits(s, grid_folds(s, grid)))
-        rec = Recommendation(ResamplingSpec("ros", 1.75), "t")
-        ra = recommendation_accuracy(grid, rec, extra_cells={("ros", 1.75): scores.mean()})
+        ra = recommendation_accuracy(grid, ("ros", 1.75), extra_cells={("ros", 1.75): scores.mean()})
         assert 0.0 <= ra <= 1.0
 
 
@@ -193,18 +187,14 @@ class TestAssessBank:
         ras = []
         for s, grid in assess_fixture:
             best = max(grid.cells, key=lambda key: grid.cells[key].mean())
-            rec = Recommendation(ResamplingSpec(*best), "oracle")
-            ras.append(recommendation_accuracy(grid, rec))
+            ras.append(recommendation_accuracy(grid, best))
         assert float(np.mean(ras)) == 1.0
 
     def test_random_cell_recommendation_on_grid(self, assess_fixture):
         for s, grid in assess_fixture:
-            rec = random_cell_recommendation(grid, seed=4)
-            key = (rec.spec.method, rec.spec.multiplier) if rec.spec.method != "none" \
-                else ("none", 1.0)
+            key = random_cell(grid, seed=4)
             assert key in grid.cells
-            again = random_cell_recommendation(grid, seed=4)
-            assert again.spec == rec.spec
+            assert random_cell(grid, seed=4) == key
 
 
 class TestReportFiles:

@@ -131,6 +131,21 @@ class TestPipelineCommands:
         assert main(["grid", "--config", str(cfg_path)]) == 0
         assert "(100.0% cache hits)" in capsys.readouterr().out
 
+    def test_grid_counts_the_cells_of_the_grid_it_saved(self, tmp_path, capsys):
+        """"none" in `methods` is the baseline cell, not three more cells: 1 +
+        2 methods x 3 multipliers = 7 cells per grid, computed once, then cached."""
+        cfg_path = tiny_config(tmp_path, methods=["none", "ros", "rus"], count=2)
+        assert main(["gen", "--config", str(cfg_path)]) == 0
+        capsys.readouterr()
+        assert main(["grid", "--config", str(cfg_path)]) == 0
+        out = capsys.readouterr().out
+        assert "grid synth-5-0: 7 computed, 0 cached" in out
+        assert "grid: 14 cells computed, 0 cached" in out
+        assert main(["grid", "--config", str(cfg_path)]) == 0
+        out = capsys.readouterr().out
+        assert "grid synth-5-0: 0 computed, 7 cached" in out
+        assert "grid: 0 cells computed, 14 cached (100.0% cache hits)" in out
+
     def test_cache_mismatch_refused(self, tmp_path, capsys):
         cfg_path = tiny_config(tmp_path)
         assert main(["gen", "--config", str(cfg_path)]) == 0
@@ -234,12 +249,27 @@ class TestPipelineCommands:
          "got min 0.5, max 2.5, step 0.5"),
         ({"mixture": {"dim_range": [4, 3]}},
          "config key 'mixture' is invalid: dim_range is empty: 4 > 3"),
+        ({"multipliers": {"min": 1.5, "max": float("inf"), "step": 0.5}},
+         "config key 'multipliers.max' must be a number, not Infinity"),
+        ({"epsilon": float("nan")}, "config key 'epsilon' must be a number, not NaN"),
+        ({"alpha": 10**400}, "config key 'alpha' must be a number, not " + "1" + "0" * 36 + "..."),
+        ({"mixture": {"mean_range": [-float("inf"), 1.0]}},
+         "config key 'mixture.mean_range[0]' must be a number, not -Infinity"),
+        ({"presets": {"a3": "rs9-nothing"}}, "config has unknown key 'presets.a3'"),
+        ({"presets": {"a1": "rs2-dtree"}},
+         'config key \'presets.a1\' must be one of rs1-dtree, rs1-knn, rs1-logreg, '
+         'not "rs2-dtree"'),
+        ({"presets": {"a2": "rs9-nothing"}},
+         'config key \'presets.a2\' must be one of rs2-dtree, rs2-knn, rs2-logreg, '
+         'not "rs9-nothing"'),
     ], ids=["top", "mixture", "multipliers", "multipliers-missing", "learner",
             "minor-cov-scale", "learner-type", "document-type", "range-length", "int-type",
             "bool-is-not-int", "learner-field-type", "multiplier-type", "range-item-type",
             "unknown-method", "preset-type", "count-range", "k-range", "k-prime-range",
             "workers-range", "alpha-range", "epsilon-range", "approach", "methods-empty",
-            "multiplier-range", "mixture-range"])
+            "multiplier-range", "mixture-range", "infinite-multiplier", "nan-epsilon",
+            "huge-alpha", "infinite-mean", "preset-approach", "preset-of-the-other-approach",
+            "unknown-preset"])
     def test_config_key_error(self, tmp_path, capsys, extra, message):
         if isinstance(extra, dict):
             cfg_path = tiny_config(tmp_path, **extra)

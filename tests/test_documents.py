@@ -335,9 +335,24 @@ class TestRecommenderFile:
          'recommender key \'regressor_spec\' must be null, not {"kind": "adaboost_reg"}'),
         ("a2", _set("regressor_spec", None),
          "recommender key 'regressor_spec' must be an object, not null"),
+        ("a1", _set("alpha", 10**400),
+         "recommender key 'alpha' must be a number, not " + "1" + "0" * 36 + "..."),
+        ("a2", _set("epsilon", float("nan")),
+         "recommender key 'epsilon' must be a number, not NaN"),
+        ("a1", _set("methods", []), "recommender key 'methods' must be a non-empty array, not []"),
+        ("a2", _set("multipliers", []),
+         "recommender key 'multipliers' must be a non-empty array, not []"),
+        ("a1", _set("methods", ["rus"]),
+         "recommender key 'models' entry 'ros@1.5': method 'ros' is not in 'methods'"),
+        ("a1", _set("multipliers", ["1.5", "2.0"]),
+         "recommender key 'models' entry 'ros@2.5': multiplier 2.5 is not in 'multipliers'"),
+        ("a2", _set("methods", ["ros"]),
+         "recommender key 'models' entry 'rus': method 'rus' is not in 'methods'"),
     ], ids=["null-alpha", "null-epsilon", "null-multiplier", "text-multiplier",
             "infinite-multiplier", "no-preset", "number-preset", "number-methods",
-            "float-version", "a1-regressor-spec", "a2-null-regressor-spec"])
+            "float-version", "a1-regressor-spec", "a2-null-regressor-spec", "huge-alpha",
+            "nan-epsilon", "no-methods", "no-multipliers", "a1-method-not-in-methods",
+            "a1-multiplier-not-in-multipliers", "a2-method-not-in-methods"])
     def test_a_bad_top_level_key_is_named(self, trained, tmp_path, approach, edit, problem):
         doc = model_doc(trained, approach)
         edit(doc)

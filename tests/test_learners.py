@@ -1,4 +1,5 @@
 import json
+import math
 from unittest import mock
 
 import numpy as np
@@ -54,9 +55,9 @@ class TestSpec:
         max_depth=st.none() | st.integers(0, 64), min_leaf=st.integers(1, 64),
         k=st.integers(1, 64), l1_strength=st.integers(0, 9) | st.floats(0.0, 1e300),
         max_iter=st.integers(0, 10**6),
-        tol=st.integers(0, 9) | st.floats(allow_nan=False),
+        tol=st.integers(0, 9) | st.floats(allow_nan=False, allow_infinity=False),
         n_estimators=st.integers(1, 64),
-        learning_rate=st.integers(-9, 9) | st.floats(allow_nan=False)))
+        learning_rate=st.integers(-9, 9) | st.floats(allow_nan=False, allow_infinity=False)))
     def test_valid_specs_round_trip(self, spec):
         assert LearnerSpec.from_dict(spec.to_dict()) == spec
         assert LearnerSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
@@ -70,6 +71,13 @@ class TestSpec:
         ("tol", "1e-6", 'must be a number, not "1e-6"'),
         ("learning_rate", False, "must be a number, not false"),
         ("kind", 3, "must be a string, not 3"),
+        # JSON has no NaN or Infinity, and an integer beyond a float's range
+        # has no float value; Python's JSON parser reads all three
+        ("tol", math.inf, "must be a number, not Infinity"),
+        ("learning_rate", -math.inf, "must be a number, not -Infinity"),
+        ("learning_rate", math.nan, "must be a number, not NaN"),
+        pytest.param("tol", 10**400, "must be a number, not 1" + "0" * 36 + "...",
+                     id="tol-beyond-float-range"),
     ])
     def test_wrong_value_type_names_the_field(self, field, value, problem):
         doc = {**DEFAULT_LEARNERS["adaboost_clf"].to_dict(), field: value}

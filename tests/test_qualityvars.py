@@ -10,6 +10,7 @@ from resamplerec.qualityvars import (binarize_targets, compute_quality_variables
                                      paired_ttest_pvalues, quality_row)
 from resamplerec.stats import student_t_sf
 
+import oracles
 from oracles import student_t_sf_quadrature
 
 
@@ -211,6 +212,32 @@ class TestBinarizeTargets:
             best_w = min(cv.q_pvalw for _, cv in qv.method_cells(method))
             assert windowed.y_r[method] == int(best_w < 0.4)
             assert windowed.z_r[method] == qv.per_method[method].m_star
+
+    @given(st.integers(0, 2**32 - 1), st.lists(st.sampled_from([1.5, 2.0, 2.5, 3.0, 3.5]),
+                                                 min_size=1, max_size=5, unique=True),
+           st.sampled_from([0.05, 0.3, 0.5, 0.9]), st.booleans(), st.floats(0.25, 2.0))
+    @settings(max_examples=150, deadline=None)
+    def test_one_rule_equals_the_two_branch_rule(self, seed, multipliers, alpha, windowed,
+                                                 epsilon):
+        """Targets equal the reference's, which writes the rule once per
+        p-value kind; scores on a coarse lattice tie p-values often (0, 0.5, 1
+        and equal t-statistics), and random cells are skipped."""
+        rng = np.random.default_rng(seed)
+        k = 4
+        cells = {("none", 1.0): rng.integers(0, 4, size=k) / 4.0}
+        skips = {}
+        for method in ("ros", "rus", "smote5"):
+            for m in multipliers:
+                if rng.random() < 0.2:
+                    skips[(method, m)] = "synthetic skip"
+                else:
+                    cells[(method, m)] = rng.integers(0, 4, size=k) / 4.0
+        g = QualityGrid(dataset_id="lattice", learner_id="synthetic", k=k, seed=0,
+                        methods=["ros", "rus", "smote5"], multipliers=multipliers,
+                        cells=cells, skips=skips)
+        qv = compute_quality_variables(g, epsilon)
+        assert binarize_targets(qv, alpha, windowed) == \
+            oracles.binarize_targets(qv, alpha, windowed)
 
     def test_alpha_bounds(self):
         g = random_grid(13)

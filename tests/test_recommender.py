@@ -19,6 +19,7 @@ from resamplerec.recommender import (PRESETS, MetaRecord, RecommenderModel,
                                      save_recommender, snap_to_grid, train,
                                      train_approach1, train_approach2)
 
+import oracles
 from conftest import make_dataset
 
 TREE = LearnerSpec("decision_tree", max_depth=3, min_leaf=2)
@@ -327,6 +328,60 @@ class TestSerializationProperty:
             back = load_recommender(path)
         assert recommender_to_dict(back) == recommender_to_dict(model)
         assert repr(recommend(back, s)) == repr(recommend(model, s))
+
+
+# probabilities that tie, sit exactly at the 0.5 threshold or just below it
+TIED_SCORES = st.one_of(st.sampled_from([0.2, 0.5, float(np.nextafter(0.5, 0.0)), 0.7, 0.9]),
+                        st.floats(0.0, 1.0))
+
+
+@st.composite
+def constant_score_models(draw) -> RecommenderModel:
+    """a1 or a2 models of constant meta-models; a1 cells may be missing (a
+    cell skipped on every training dataset has no model)."""
+    approach = draw(st.sampled_from(["a1", "a2"]))
+    methods = draw(st.lists(st.sampled_from(["ros", "rus", "smote1", "smote5"]), min_size=1,
+                            max_size=4, unique=True))
+    multipliers = draw(st.lists(st.sampled_from([1.0, 1.5, 2.0, 3.0, 4.0, 6.0]), min_size=1,
+                                max_size=5, unique=True))
+    clf, reg = PRESETS["rs2-dtree"].classifier_spec, PRESETS["rs2-dtree"].regressor_spec
+    model = RecommenderModel(
+        approach=approach, preset_name=f"rs{approach[1]}-dtree", alpha=0.05, epsilon=0.75,
+        feature_names=["reversed_ir", "center_distance"], methods=methods,
+        multipliers=multipliers, classifier_spec=clf,
+        regressor_spec=reg if approach == "a2" else None)
+    for method in methods:
+        if approach == "a2":
+            model.a2_classifiers[method] = constant_model(clf, 2, draw(TIED_SCORES))
+            model.a2_regressors[method] = constant_model(reg, 2, draw(st.floats(0.0, 8.0)))
+            continue
+        for m in multipliers:
+            if draw(st.booleans()):
+                model.a1_models[(method, m)] = constant_model(clf, 2, draw(TIED_SCORES))
+    return model
+
+
+# RUS above IR(S) and SMOTE-5 on fewer than 6 minority rows are infeasible
+QUERY_SIZES = st.tuples(st.integers(2, 8), st.integers(0, 30))
+
+
+class TestOneDecisionRule:
+    """`recommend` ranks both approaches' candidates in one loop; the reference
+    writes the rule once per approach. Answers and details must agree."""
+
+    @given(constant_score_models(), QUERY_SIZES)
+    @settings(max_examples=200, deadline=None)
+    def test_constant_models_answer_as_the_two_branch_rule(self, model, sizes):
+        n_minor, extra = sizes
+        s = make_dataset(n_minor + extra, n_minor, seed=extra)
+        assert recommend(model, s) == oracles.recommend(model, s)
+
+    @given(recommender_models(), QUERY_SIZES)
+    @settings(max_examples=40, deadline=None)
+    def test_fitted_models_answer_as_the_two_branch_rule(self, model, sizes):
+        n_minor, extra = sizes
+        s = make_dataset(n_minor + extra, n_minor, seed=extra)
+        assert recommend(model, s) == oracles.recommend(model, s)
 
 
 class TestPresets:
