@@ -17,7 +17,6 @@ from .recommender import (PRESETS, Recommendation, RecommenderModel,
                           train_approach2)
 from .resampling import (ResamplingSpec, random_oversample, random_undersample,
                          resample, smote)
-from .assessment import (StaticStrategy, apply_static, assess_bank, ecdf,
-                         recommendation_accuracy)
+from .assessment import assess_bank, ecdf, recommendation_accuracies
 
 __version__ = "0.1.0"

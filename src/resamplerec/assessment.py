@@ -12,111 +12,64 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
 from .data import Dataset, csv_text, imbalance_ratio, write_files_atomically
-from .evaluation import (BASELINE_KEY, CellInfeasible, FoldSplits, QualityGrid, cv_quality,
-                         grid_folds)
+from .evaluation import BASELINE_KEY, CellInfeasible, FoldSplits, QualityGrid, cv_quality
 from .learners import LearnerSpec
 from .parallel import parallel_map
-from .recommender import (Recommendation, RecommenderPreset, build_meta_dataset,
-                          recommend, train)
+from .recommender import RecommenderPreset, build_meta_dataset, recommend, train
 from .resampling import ResamplingSpec
 from .rng import derive_rng, derive_seed
 
 
-class StaticStrategy(str, Enum):
-    NO_RESAMPLE = "no-resample"
-    ROS_EQS = "ros-eqs"
-    RUS_EQS = "rus-eqs"
-    SMOTE5_EQS = "smote5-eqs"
+# each static strategy's method, applied until the classes balance (IR 1)
+STATIC_STRATEGIES = {"no-resample": "none", "ros-eqs": "ros", "rus-eqs": "rus",
+                     "smote5-eqs": "smote5"}
 
 
-_EQS_METHODS = {
-    StaticStrategy.ROS_EQS: "ros",
-    StaticStrategy.RUS_EQS: "rus",
-    StaticStrategy.SMOTE5_EQS: "smote5",
-}
+def recommendation_accuracies(grid: QualityGrid, extra: dict[tuple[str, float], float]
+                              ) -> dict[tuple[str, float], float]:
+    """The RA of every cell in the pool: its mean quality, min-max normalised.
 
-ALL_STATIC_STRATEGIES = [StaticStrategy.NO_RESAMPLE, StaticStrategy.ROS_EQS,
-                         StaticStrategy.RUS_EQS, StaticStrategy.SMOTE5_EQS]
-
-
-def apply_static(strategy: StaticStrategy, s: Dataset) -> Recommendation:
-    """Static baselines: no-resampling, or resample until classes balance."""
-    if strategy is StaticStrategy.NO_RESAMPLE:
-        return Recommendation(ResamplingSpec("none"), strategy.value)
-    return Recommendation(ResamplingSpec(_EQS_METHODS[strategy], imbalance_ratio(s)),
-                          strategy.value)
-
-
-def _rec_cell_key(rec: Recommendation) -> tuple[str, float]:
-    return rec.spec.method, rec.spec.multiplier  # "none" is always at 1.0: BASELINE_KEY
-
-
-def recommendation_accuracy(grid: QualityGrid, key: tuple[str, float],
-                            extra_cells: dict[tuple[str, float], float] | None = None) -> float:
-    """Min-max-normalized mean quality of the cell `key` (`BASELINE_KEY` for
-    no resampling).
-
-    The pool is every evaluated grid cell (baseline included) plus any
-    `extra_cells` means, such as cells evaluated off the grid with
-    `evaluate_cell_on_demand`. Returns 1.0 when the pool has no spread.
+    The pool is every evaluated grid cell (baseline included) plus the
+    `extra` means, such as the static cells scored off the grid, which
+    replace a grid cell's mean under the same key. Every RA is 1.0 when the
+    pool has no spread.
     """
     pool = {cell: float(v.mean()) for cell, v in grid.cells.items()}
-    if extra_cells:
-        pool.update(extra_cells)
-    if key not in pool:
-        raise ValueError(f"cell {key} not in grid or extra cells")
+    pool.update(extra)
     lo = min(pool.values())
     hi = max(pool.values())
-    if hi == lo:
-        return 1.0
-    return (pool[key] - lo) / (hi - lo)
-
-
-def evaluate_cell_on_demand(s: Dataset, grid: QualityGrid, learner: LearnerSpec,
-                            spec: ResamplingSpec, splits: FoldSplits) -> np.ndarray:
-    """Fold scores of a cell outside the grid, on the grid's folds (`splits`).
-
-    The cell's RNG stream is derived from its method and multiplier, so it
-    does not depend on which caller asks for it or in what order.
-    """
-    seed = derive_seed(grid.seed, s.id, spec.method, "on-demand", repr(float(spec.multiplier)))
-    return cv_quality(s, learner, spec, splits.folds, seed, splits=splits)
-
-
-def _rus_multiplier_cap(splits: FoldSplits) -> float:
-    """Largest multiplier feasible on every training split."""
-    return min(splits.train(j).n_major / splits.train(j).n_minor
-               for j in range(splits.folds.k))
+    return {cell: 1.0 if hi == lo else (mean - lo) / (hi - lo) for cell, mean in pool.items()}
 
 
 def _static_cells_task(learner, item):
-    """Evaluate each static strategy's cell; returns {strategy: (key, mean)}.
+    """Each static strategy's cell and mean on the grid's folds: {strategy: (key, mean)}.
 
-    RUS-to-balance is capped at the largest multiplier feasible on every
-    training split (fold rounding can push IR(train) slightly below IR(S)).
-    A cell that still cannot be applied falls back to the baseline cell.
+    A cell off the grid gets an RNG stream of its own method and multiplier,
+    whatever asks for it. RUS-to-balance is capped at the largest multiplier
+    feasible on every training split (fold rounding can push IR(train)
+    slightly below IR(S)). A cell that still cannot be applied falls back to
+    the baseline cell.
     """
     s, grid = item
-    splits = FoldSplits(s, grid_folds(s, grid))
+    splits = FoldSplits(s, grid.k, grid.seed)
+    rus_cap = min(splits.train(j).n_major / splits.train(j).n_minor for j in range(grid.k))
     out: dict[str, tuple[tuple[str, float], float]] = {}
-    for strategy in ALL_STATIC_STRATEGIES:
-        method, m = _rec_cell_key(apply_static(strategy, s))
-        if method == "rus":
-            m = min(m, _rus_multiplier_cap(splits))
-        out[strategy.value] = (BASELINE_KEY, float(grid.baseline.mean()))
+    for strategy, method in STATIC_STRATEGIES.items():
+        out[strategy] = (BASELINE_KEY, float(grid.baseline.mean()))
         if method == "none":
             continue
+        m = min(imbalance_ratio(s), rus_cap) if method == "rus" else imbalance_ratio(s)
+        seed = derive_seed(grid.seed, s.id, method, "on-demand", repr(m))
         try:
-            scores = evaluate_cell_on_demand(s, grid, learner, ResamplingSpec(method, m), splits)
+            scores = cv_quality(splits, learner, ResamplingSpec(method, m), seed)
         except CellInfeasible:
             continue
-        out[strategy.value] = ((method, m), float(scores.mean()))
+        out[strategy] = ((method, m), float(scores.mean()))
     return out
 
 
@@ -161,7 +114,7 @@ def assess_bank(bank: list[tuple[Dataset, QualityGrid]],
     Each recommender is trained on the meta-records of all datasets outside
     the fold and produces one out-of-fold recommendation per dataset; static
     strategies need no training and are applied to every dataset. All RA
-    values for one dataset share a single min/max pool. A recommended cell
+    values for one dataset come from one pool, built once. A recommended cell
     that the grid skipped (infeasible on some training split, though feasible
     on the whole dataset) scores as the baseline cell, like a static cell
     that cannot be applied.
@@ -191,25 +144,23 @@ def assess_bank(bank: list[tuple[Dataset, QualityGrid]],
             model = train(train_records, preset,
                           use_windowed_pval_for_targets=use_windowed_pval_for_targets)
             for ds_id in test_ids:
-                recommended[(ds_id, name)] = _rec_cell_key(recommend(model, datasets[ds_id]))
+                spec = recommend(model, datasets[ds_id]).spec
+                recommended[(ds_id, name)] = (spec.method, spec.multiplier)
 
     static_cells = dict(zip(ids, parallel_map(_static_cells_task, bank, workers, learner)))
 
-    strategy_names = [name for name, _ in recommender_cfgs] + \
-        [st.value for st in ALL_STATIC_STRATEGIES]
+    strategy_names = [name for name, _ in recommender_cfgs] + list(STATIC_STRATEGIES)
 
     ra: dict[tuple[str, str], float] = {}
     for ds_id in ids:
-        grid = grids[ds_id]
-        extra = dict(static_cells[ds_id].values())
+        accuracies = recommendation_accuracies(grids[ds_id], dict(static_cells[ds_id].values()))
         for name, _ in recommender_cfgs:
             key = recommended[(ds_id, name)]
-            if key in grid.skips and key not in extra:
+            if key not in accuracies and key in grids[ds_id].skips:
                 key = BASELINE_KEY
-            ra[(ds_id, name)] = recommendation_accuracy(grid, key, extra)
-        for strategy in ALL_STATIC_STRATEGIES:
-            key, _ = static_cells[ds_id][strategy.value]
-            ra[(ds_id, strategy.value)] = recommendation_accuracy(grid, key, extra)
+            ra[(ds_id, name)] = accuracies[key]
+        for strategy, (key, _) in static_cells[ds_id].items():
+            ra[(ds_id, strategy)] = accuracies[key]
 
     ara = {name: float(np.mean([ra[(ds_id, name)] for ds_id in ids]))
            for name in strategy_names}

@@ -9,6 +9,7 @@ reader, so a bad key is one ConfigError (E_CONFIG) naming its key path.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -35,6 +36,7 @@ _MIXTURE_RANGES = {"dim_range": "an integer", "size_range": "an integer",
 _MIXTURE_KEYS = {**dict.fromkeys(_MIXTURE_RANGES, "an array"), "seed": "an integer"}
 _MULTIPLIER_KEYS = dict.fromkeys(("min", "max", "step"), "a number")
 _MINIMUMS = {"count": 1, "k": 2, "k_prime": 2, "workers": 1}
+MAX_MULTIPLIERS = 1000  # the paper's grid has 36
 
 
 class ConfigError(ValueError):
@@ -50,20 +52,33 @@ class MultiplierGrid:
     step: float = 0.25
 
     def __post_init__(self):
+        where = f"got min {self.min}, max {self.max}, step {self.step}"
         if self.min < 1.0 or self.max < self.min or self.step <= 0:
             raise ConfigError("config key 'multipliers' must have 1 <= min <= max and step > 0, "
-                              f"got min {self.min}, max {self.max}, step {self.step}")
+                              f"{where}")
+        if self._count() > MAX_MULTIPLIERS:
+            raise ConfigError(f"config key 'multipliers' must list at most {MAX_MULTIPLIERS} "
+                              f"values, {where}")
+        values = self.values()
+        if len(set(values)) < len(values):
+            raise ConfigError("config key 'multipliers' must list distinct values at 10 "
+                              f"decimals, {where}")
+
+    def _count(self) -> int:
+        """How many values `values` lists (MAX_MULTIPLIERS + 1 stands for any more),
+        counted without listing them. The values rise with their index; rounding
+        to 10 decimals can move the last one across `max`."""
+        top = self.max + 1e-9
+        n = math.floor(min((top - self.min) / self.step, MAX_MULTIPLIERS)) + 1
+        while n > 1 and round(self.min + (n - 1) * self.step, 10) > top:
+            n -= 1
+        while n <= MAX_MULTIPLIERS and round(self.min + n * self.step, 10) <= top:
+            n += 1
+        return n
 
     def values(self) -> list[float]:
-        out = []
-        i = 0
-        while True:
-            m = round(self.min + i * self.step, 10)
-            if m > self.max + 1e-9:
-                break
-            out.append(m)
-            i += 1
-        return out
+        """min, min + step, ... up to max, each rounded to 10 decimals."""
+        return [round(self.min + i * self.step, 10) for i in range(self._count())]
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (Dataset, FoldAssignment, csv_text, read_columns, stratified_folds,
-                   write_files_atomically)
+from .data import Dataset, csv_text, read_columns, stratified_folds, write_files_atomically
 from .jsondoc import read_array, read_json, read_key
 from .learners import LearnerSpec, fit_arrays, predict_scores
 from .parallel import parallel_map
@@ -60,16 +59,18 @@ def pr_auc(labels: np.ndarray, scores: np.ndarray) -> float:
 
 
 class FoldSplits:
-    """Each fold's training split and held-out rows of one dataset, built on first use.
+    """One dataset's grid folds: each fold's training split and held-out rows, built on first use.
 
-    All cells of a grid share one fold assignment, so a grid builds each
-    training `Dataset` once, and for SMOTE cells its neighbour order once,
-    and hands them to every cell.
+    The fold assignment of a grid on `s` with `k` folds and master seed
+    `seed` is derived here and nowhere else, so every cell scored on it, a
+    grid cell or an assessment's static cell, is paired fold for fold. A grid
+    builds each training `Dataset` once, and for SMOTE cells its neighbour
+    order once, and hands them to every cell.
     """
 
-    def __init__(self, s: Dataset, folds: FoldAssignment):
+    def __init__(self, s: Dataset, k: int, seed: int):
         self.s = s
-        self.folds = folds
+        self.folds = stratified_folds(s, k, derive_seed(seed, s.id, "folds"))
         self._train: dict[int, Dataset] = {}
         self._order: dict[int, np.ndarray] = {}
 
@@ -91,32 +92,24 @@ class FoldSplits:
         return self._order[j]
 
 
-def _check_feasible_on_splits(spec: ResamplingSpec, splits: FoldSplits) -> None:
-    for j in range(splits.folds.k):
+def cv_quality(splits: FoldSplits, learner: LearnerSpec, spec: ResamplingSpec,
+               seed: int) -> np.ndarray:
+    """One PR-AUC per fold: resample the training split, fit, score the held-out fold.
+
+    Raises CellInfeasible when the spec cannot be applied to every training
+    split; callers building grids record that as a skipped cell.
+    """
+    k = splits.folds.k
+    for j in range(k):
         train = splits.train(j)
         reason = feasible(spec, train.n_major, train.n_minor)
         if reason is not None:
             raise CellInfeasible(f"fold {j}: {reason}")
-
-
-def cv_quality(s: Dataset, learner: LearnerSpec, spec: ResamplingSpec,
-               folds: FoldAssignment, seed: int,
-               splits: FoldSplits | None = None) -> np.ndarray:
-    """One PR-AUC per fold: resample the training split, fit, score the held-out fold.
-
-    Raises CellInfeasible when the spec cannot be applied to every training
-    split; callers building grids record that as a skipped cell. A grid
-    passes its `FoldSplits` of (s, folds) so cells share the splits.
-    """
-    if splits is None:
-        splits = FoldSplits(s, folds)
-    _check_feasible_on_splits(spec, splits)
-    scores = np.empty(folds.k)
-    for j in range(folds.k):
+    scores = np.empty(k)
+    for j in range(k):
         fold_seed = derive_seed(seed, "fold", j)
-        train = splits.train(j)
         order = splits.neighbor_order(j) if spec.smote_k is not None else None
-        resampled = resample(train, spec, fold_seed, neighbor_order=order)
+        resampled = resample(splits.train(j), spec, fold_seed, neighbor_order=order)
         model = fit_arrays(learner, resampled.features, resampled.labels)
         x_test, y_test = splits.test(j)
         scores[j] = pr_auc(y_test, predict_scores(model, x_test))
@@ -157,19 +150,13 @@ def cell_seed(master_seed: int, dataset_id: str, method: str, mult_index: int) -
     return derive_seed(master_seed, dataset_id, method, mult_index)
 
 
-def grid_folds(s: Dataset, grid: QualityGrid) -> FoldAssignment:
-    """The fold assignment every cell of `grid` on `s` is evaluated with."""
-    return stratified_folds(s, grid.k, derive_seed(grid.seed, s.id, "folds"))
-
-
 def _grid_cell_task(context, task):
     """Fold scores of one grid cell, or the reason it is skipped."""
     splits, learner, master_seed = context
     method, multiplier, mult_index = task
-    seed = cell_seed(master_seed, splits.s.id, method, mult_index)
     try:
-        return cv_quality(splits.s, learner, ResamplingSpec(method, multiplier), splits.folds,
-                          seed, splits=splits)
+        return cv_quality(splits, learner, ResamplingSpec(method, multiplier),
+                          cell_seed(master_seed, splits.s.id, method, mult_index))
     except CellInfeasible as exc:
         return exc.reason
 
@@ -200,7 +187,7 @@ def quality_grid(s: Dataset, learner: LearnerSpec, methods: list[str],
             tasks.append((method, m, i))
     results = dict(precomputed or {})
     pending = [t for t in tasks if t[:2] not in results]
-    context = (FoldSplits(s, grid_folds(s, grid)), learner, seed)
+    context = (FoldSplits(s, k, seed), learner, seed)
     results.update(zip([t[:2] for t in pending],
                        parallel_map(_grid_cell_task, pending, workers, context)))
 

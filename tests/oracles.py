@@ -8,7 +8,10 @@ The tree, L1-logreg, SMOTE-neighbor, kNN-score, meta-feature and CSV-ingest
 references are earlier versions of the production code, kept verbatim so
 that faster rewrites are checked bit for bit; so are the recommender's
 decision rule and the meta-target rule, written once per case, so that the
-shorter forms are checked answer for answer.
+shorter forms are checked answer for answer; and so are recommendation
+accuracy, one pool per asked-for cell, and the multiplier grid, listed by
+walking it, so that the library's one pool per dataset and counted grid are
+checked bit for bit.
 """
 
 import csv
@@ -577,3 +580,40 @@ def binarize_targets(qv: QualityVariables, alpha: float,
             y_r[method] = int(min(cv.q_pval for _, cv in present) < alpha)
             z_r[method] = min(present, key=lambda item: (item[1].q_pval, item[0]))[0]
     return MetaTargets(alpha=alpha, y_rm=y_rm, y_r=y_r, z_r=z_r)
+
+
+# --- RA with the pool rebuilt per asked-for cell, and the multiplier grid
+# listed by walking it (the library builds each dataset's RA pool once and
+# counts the grid's values before listing them)
+
+
+def recommendation_accuracy(grid, key: tuple[str, float],
+                            extra_cells: dict[tuple[str, float], float] | None = None) -> float:
+    """Min-max-normalized mean quality of the cell `key` (`BASELINE_KEY` for
+    no resampling).
+
+    The pool is every evaluated grid cell (baseline included) plus any
+    `extra_cells` means, such as cells evaluated off the grid. Returns 1.0
+    when the pool has no spread.
+    """
+    pool = {cell: float(v.mean()) for cell, v in grid.cells.items()}
+    if extra_cells:
+        pool.update(extra_cells)
+    if key not in pool:
+        raise ValueError(f"cell {key} not in grid or extra cells")
+    lo = min(pool.values())
+    hi = max(pool.values())
+    if hi == lo:
+        return 1.0
+    return (pool[key] - lo) / (hi - lo)
+
+
+def walk_multipliers(low: float, high: float, step: float):
+    """The multiplier grid's values in order, walked until one exceeds `high`."""
+    i = 0
+    while True:
+        m = round(low + i * step, 10)
+        if m > high + 1e-9:
+            break
+        yield m
+        i += 1

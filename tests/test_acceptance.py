@@ -6,7 +6,6 @@ runs the full 60-dataset pipeline once per session; set
 RESAMPLEREC_TEST_WORKERS to control its parallelism (default: the CPU count).
 """
 
-import functools
 import json
 import os
 import time
@@ -17,11 +16,10 @@ import pytest
 
 import resamplerec.assessment as assessment
 import resamplerec.evaluation as evaluation
-from resamplerec.assessment import assess_bank, format_ara_table, recommendation_accuracy
+from resamplerec.assessment import assess_bank, format_ara_table, recommendation_accuracies
 from resamplerec.cli import main as cli_main
-from resamplerec.data import (Dataset, MixtureConfig, generate_mixture,
-                              imbalance_ratio, stratified_folds)
-from resamplerec.evaluation import pr_auc, quality_grid
+from resamplerec.data import MixtureConfig, generate_mixture, imbalance_ratio
+from resamplerec.evaluation import FoldSplits, pr_auc, quality_grid
 from resamplerec.learners import DEFAULT_LEARNERS, fit_count
 from resamplerec.parallel import parallel_map
 from resamplerec.qualityvars import binarize_targets, compute_quality_variables
@@ -149,7 +147,7 @@ class TestCriterion5Protocol:
     def test_folds_never_resampled(self, monkeypatch):
         with criterion(5, "protocol: test folds never resampled"):
             s = make_dataset(120, 30, seed=5)
-            folds = stratified_folds(s, 5, seed=2)
+            splits = FoldSplits(s, 5, seed=2)
             eval_counts = []
             real_pr_auc = evaluation.pr_auc
 
@@ -158,9 +156,9 @@ class TestCriterion5Protocol:
                 return real_pr_auc(labels, scores)
 
             monkeypatch.setattr(evaluation, "pr_auc", spy)
-            evaluation.cv_quality(s, TREE, ResamplingSpec("smote3", 3.0), folds, seed=4)
+            evaluation.cv_quality(splits, TREE, ResamplingSpec("smote3", 3.0), seed=4)
             for j in range(5):
-                mask = folds.test_mask(j)
+                mask = splits.folds.test_mask(j)
                 assert eval_counts[j] == (int((s.labels[mask] == 0).sum()),
                                           int((s.labels[mask] == 1).sum()))
 
@@ -208,9 +206,10 @@ def desk_run():
                              epsilon=0.75, workers=WORKERS)
     # the random-cell baseline, normalised on the pool assess_bank used for
     # every other strategy: grid cells plus the static cells
-    random_cell_ra = [recommendation_accuracy(grid, random_cell(grid, DESK_SEED),
-                                              extra_cells=dict(cells.values()))
-                      for grid, cells in zip(grids, static_cells)]
+    random_cell_ra = []
+    for grid, cells in zip(grids, static_cells):
+        accuracies = recommendation_accuracies(grid, dict(cells.values()))
+        random_cell_ra.append(accuracies[random_cell(grid, DESK_SEED)])
     meta = build_meta_dataset(bank, epsilon=0.75)
     model_a1 = train(meta, PRESETS["rs1-dtree"])
     return {"datasets": datasets, "grids": grids, "report": report,
@@ -230,7 +229,7 @@ def test_criterion_6_desk_scale_direction(desk_run):
         # sanity on the harness itself: random-cell RA is on-grid and bounded
         for _, grid in zip(desk_run["datasets"], desk_run["grids"]):
             key = random_cell(grid, seed=DESK_SEED)
-            assert 0.0 <= recommendation_accuracy(grid, key) <= 1.0
+            assert 0.0 <= recommendation_accuracies(grid, {})[key] <= 1.0
 
 
 def test_criterion_7_recommend_speed(desk_run):

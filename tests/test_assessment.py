@@ -5,18 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resamplerec.assessment import (ALL_STATIC_STRATEGIES, StaticStrategy, apply_static,
-                                    assess_bank, ecdf, ecdf_svg, evaluate_cell_on_demand,
-                                    format_ara_table, recommendation_accuracy, write_report)
-from resamplerec.data import MixtureConfig, generate_mixture, imbalance_ratio
-from resamplerec.evaluation import (BASELINE_KEY, FoldSplits, QualityGrid, grid_folds,
-                                   quality_grid)
+from resamplerec.assessment import (STATIC_STRATEGIES, _static_cells_task, assess_bank, ecdf,
+                                    format_ara_table, recommendation_accuracies, write_report)
+from resamplerec.data import MixtureConfig, generate_mixture
+from resamplerec.evaluation import (BASELINE_KEY, FoldSplits, QualityGrid, cv_quality,
+                                    quality_grid)
 from resamplerec.learners import LearnerSpec
 from resamplerec.recommender import PRESETS, Recommendation
 from resamplerec.resampling import ResamplingSpec
+from resamplerec.rng import derive_seed
 
 from conftest import make_dataset, random_cell
-from oracles import ecdf_share_below
+from oracles import ecdf_share_below, recommendation_accuracy
 
 TREE = LearnerSpec("decision_tree", max_depth=3, min_leaf=2)
 
@@ -36,57 +36,96 @@ class TestRecommendationAccuracy:
                                      ("rus", 2.0): 0.5})
 
     def test_max_cell_scores_one(self):
-        assert recommendation_accuracy(self.grid, ("ros", 2.0)) == 1.0
+        assert recommendation_accuracies(self.grid, {})[("ros", 2.0)] == 1.0
 
     def test_min_cell_scores_zero(self):
-        assert recommendation_accuracy(self.grid, BASELINE_KEY) == 0.0
+        assert recommendation_accuracies(self.grid, {})[BASELINE_KEY] == 0.0
 
     def test_midpoint(self):
-        assert recommendation_accuracy(self.grid, ("rus", 2.0)) == pytest.approx(0.5)
+        assert recommendation_accuracies(self.grid, {})[("rus", 2.0)] == pytest.approx(0.5)
 
     def test_degenerate_pool_scores_one(self):
         grid = grid_with_means({("none", 1.0): 0.5, ("ros", 2.0): 0.5})
-        assert recommendation_accuracy(grid, ("ros", 2.0)) == 1.0
+        assert recommendation_accuracies(grid, {}) == {BASELINE_KEY: 1.0, ("ros", 2.0): 1.0}
 
     def test_extra_cells_join_pool(self):
         # an on-demand cell better than every grid cell drags the max up
-        ra = recommendation_accuracy(self.grid, ("ros", 2.0), extra_cells={("smote5", 3.7): 0.8})
-        assert ra == pytest.approx((0.6 - 0.4) / (0.8 - 0.4))
+        ra = recommendation_accuracies(self.grid, {("smote5", 3.7): 0.8})
+        assert ra[("ros", 2.0)] == pytest.approx((0.6 - 0.4) / (0.8 - 0.4))
+        assert ra[("smote5", 3.7)] == 1.0
 
     def test_off_grid_cell_without_extra_cells_rejected(self):
-        with pytest.raises(ValueError, match="not in grid or extra cells"):
-            recommendation_accuracy(self.grid, ("ros", 9.75))
+        """An off-grid cell has an RA only when the extra cells hold it."""
+        assert ("ros", 9.75) not in recommendation_accuracies(self.grid, {})
 
     def test_off_grid_evaluated_on_demand(self):
-        s = make_dataset(60, 20, seed=1)
+        s = make_dataset(60, 20, seed=1)  # IR 3, off the grid
         grid = quality_grid(s, TREE, ["ros"], [1.5, 2.0], k=4, seed=5)
-        scores = evaluate_cell_on_demand(s, grid, TREE, ResamplingSpec("ros", 1.75),
-                                         FoldSplits(s, grid_folds(s, grid)))
-        ra = recommendation_accuracy(grid, ("ros", 1.75), extra_cells={("ros", 1.75): scores.mean()})
-        assert 0.0 <= ra <= 1.0
+        cells = _static_cells_task(TREE, (s, grid))
+        key, _ = cells["ros-eqs"]
+        assert key == ("ros", 3.0) and key not in grid.cells
+        assert 0.0 <= recommendation_accuracies(grid, dict(cells.values()))[key] <= 1.0
+
+    @given(st.dictionaries(st.tuples(st.sampled_from(["ros", "rus", "smote5"]),
+                                     st.sampled_from([1.5, 2.0, 3.7])),
+                           st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0),
+                           max_size=6),
+           st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0),
+           st.dictionaries(st.tuples(st.sampled_from(["none", "ros", "smote5"]),
+                                     st.sampled_from([1.0, 2.0, 3.7])),
+                           st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0),
+                           max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_cell_oracle(self, cells, baseline, extra):
+        """Every cell's RA in the one pool equals the RA computed with its own
+        pool, bit for bit: tied means, pools with no spread and extra cells
+        that replace a grid cell's mean included."""
+        grid = grid_with_means({BASELINE_KEY: baseline, **cells})
+        extra = {(method, 1.0 if method == "none" else m): v for (method, m), v in extra.items()}
+        accuracies = recommendation_accuracies(grid, extra)
+        assert set(accuracies) == set(grid.cells) | set(extra)
+        for key, ra in accuracies.items():
+            assert ra == recommendation_accuracy(grid, key, extra)
 
 
-class TestApplyStatic:
+class TestStaticCells:
+    """`_static_cells_task`: each static strategy's cell, scored on the grid's folds."""
+
+    @staticmethod
+    def cells_of(s):
+        grid = quality_grid(s, TREE, ["ros"], [1.5], k=4, seed=5)
+        return grid, _static_cells_task(TREE, (s, grid))
+
     def test_no_resample(self):
-        rec = apply_static(StaticStrategy.NO_RESAMPLE, make_dataset(40, 10))
-        assert rec.spec.method == "none" and rec.spec.multiplier == 1.0
+        grid, cells = self.cells_of(make_dataset(40, 10))
+        assert list(cells) == list(STATIC_STRATEGIES)
+        assert cells["no-resample"] == (BASELINE_KEY, float(grid.baseline.mean()))
 
     def test_eqs_uses_exact_ir(self):
-        s = make_dataset(80, 20)
-        rec = apply_static(StaticStrategy.ROS_EQS, s)
-        assert (rec.spec.method, rec.spec.multiplier) == ("ros", 4.0)
-        rec = apply_static(StaticStrategy.SMOTE5_EQS, s)
-        assert (rec.spec.method, rec.spec.multiplier) == ("smote5", 4.0)
+        s = make_dataset(80, 20)  # 60/15 rows in every training split: RUS is not capped
+        grid, cells = self.cells_of(s)
+        splits = FoldSplits(s, grid.k, grid.seed)
+        for strategy, method in (("ros-eqs", "ros"), ("rus-eqs", "rus"),
+                                 ("smote5-eqs", "smote5")):
+            seed = derive_seed(grid.seed, s.id, method, "on-demand", repr(4.0))
+            mean = float(cv_quality(splits, TREE, ResamplingSpec(method, 4.0), seed).mean())
+            assert cells[strategy] == ((method, 4.0), mean)
 
     def test_balanced_dataset_degenerates_to_identity(self):
-        s = make_dataset(20, 20)
-        for strategy in (StaticStrategy.ROS_EQS, StaticStrategy.RUS_EQS,
-                         StaticStrategy.SMOTE5_EQS):
-            assert apply_static(strategy, s).spec.multiplier == 1.0
+        _, cells = self.cells_of(make_dataset(20, 20))
+        for strategy, method in STATIC_STRATEGIES.items():
+            assert cells[strategy][0] == (method, 1.0)
 
     def test_off_grid_multiplier_allowed(self):
-        s = make_dataset(55, 20)  # IR = 2.75, not a grid value
-        assert apply_static(StaticStrategy.RUS_EQS, s).spec.multiplier == 2.75
+        _, cells = self.cells_of(make_dataset(55, 20))  # IR = 2.75, not a grid value
+        assert cells["ros-eqs"][0] == ("ros", 2.75)
+        # training splits of 41/15 and 42/15 rows: RUS is capped at the smaller IR
+        assert cells["rus-eqs"][0] == ("rus", 41 / 15)
+
+    def test_infeasible_cell_scores_as_baseline(self):
+        grid, cells = self.cells_of(make_dataset(30, 6))  # 4 or 5 minors per training split
+        assert cells["smote5-eqs"] == (BASELINE_KEY, float(grid.baseline.mean()))
+        assert cells["ros-eqs"][0] == ("ros", 5.0)
 
 
 class TestEcdf:
@@ -137,7 +176,7 @@ class TestAssessBank:
         cfgs = [("rec1", PRESETS["rs1-dtree"]), ("rec2", PRESETS["rs2-dtree"])]
         report = assess_bank(assess_fixture, cfgs, k_prime=2, seed=9, learner=TREE, epsilon=0.75)
         ids = [s.id for s, _ in assess_fixture]
-        strategies = ["rec1", "rec2"] + [st.value for st in ALL_STATIC_STRATEGIES]
+        strategies = ["rec1", "rec2"] + list(STATIC_STRATEGIES)
         assert set(report.ara.keys()) == set(strategies)
         for name in strategies:
             per_ds = [report.ra[(i, name)] for i in ids]
@@ -187,7 +226,7 @@ class TestAssessBank:
         ras = []
         for s, grid in assess_fixture:
             best = max(grid.cells, key=lambda key: grid.cells[key].mean())
-            ras.append(recommendation_accuracy(grid, best))
+            ras.append(recommendation_accuracies(grid, {})[best])
         assert float(np.mean(ras)) == 1.0
 
     def test_random_cell_recommendation_on_grid(self, assess_fixture):

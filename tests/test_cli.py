@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import os
 import shutil
@@ -16,8 +17,11 @@ from hypothesis import strategies as st
 
 from resamplerec import pipeline
 from resamplerec.cli import build_parser, main
-from resamplerec.config import MultiplierGrid, RunConfig, config_from_dict, load_config
+from resamplerec.config import (ConfigError, MultiplierGrid, RunConfig, config_from_dict,
+                                load_config)
 from resamplerec.learners import LearnerSpec
+
+from oracles import walk_multipliers
 
 
 def tiny_config(tmp_path: Path, **extra) -> Path:
@@ -38,6 +42,18 @@ def tiny_config(tmp_path: Path, **extra) -> Path:
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+@st.composite
+def multiplier_grid_bounds(draw) -> tuple[float, float, float]:
+    """(min, max, step) of a valid grid, with spans and steps near the value
+    cap and near the 10 decimals the values are rounded to."""
+    low = draw(st.sampled_from([1.0, 1.25, 1.5]) | st.floats(1.0, 50.0))
+    span = draw(st.sampled_from([0.0, 1e-10, 1.0, 8.75, 999.0, 1000.0])
+                | st.floats(0.0, 1e4))
+    step = draw(st.sampled_from([4e-11, 1e-10, 0.25, 1.0]) | st.floats(1e-12, 100.0)
+                | st.integers(990, 1010).map(lambda n: span / n if span / n > 0 else 1.0))
+    return low, low + span, step
 
 
 def read_tree(root: Path) -> dict[str, bytes]:
@@ -70,6 +86,24 @@ class TestConfig:
     def test_invalid_grid_rejected(self):
         with pytest.raises(ValueError):
             MultiplierGrid(min=0.5, max=2.0, step=0.25)
+
+    @given(multiplier_grid_bounds())
+    @example((1.25, 1e12, 0.25))  # about 4e12 values
+    @example((1.5, 1.5000000001, 4e-11))  # 1.5 twice at 10 decimals
+    @example((1.0, 1000.0, 1.0))  # exactly the cap
+    @example((1.0, 1.0, 1e-300))  # 1.0 at every step for about 1e291 steps
+    @settings(max_examples=300, deadline=None)
+    def test_grid_that_loads_lists_the_walked_values(self, bounds):
+        """A grid loads exactly when walking it gives at most 1000 distinct
+        values, and then it lists those values."""
+        walked = list(itertools.islice(walk_multipliers(*bounds), 1001))
+        try:
+            values = MultiplierGrid(*bounds).values()
+        except ConfigError as exc:
+            assert str(exc).startswith("config key 'multipliers' must list ")
+            assert len(walked) > 1000 or len(set(walked)) < len(walked)
+        else:
+            assert values == walked and len(set(values)) == len(values)
 
     def test_preset_resolution(self, tmp_path):
         cfg = load_config(tiny_config(tmp_path))
@@ -262,6 +296,12 @@ class TestPipelineCommands:
         ({"presets": {"a2": "rs9-nothing"}},
          'config key \'presets.a2\' must be one of rs2-dtree, rs2-knn, rs2-logreg, '
          'not "rs9-nothing"'),
+        ({"multipliers": {"min": 1.25, "max": 1e12, "step": 0.25}},
+         "config key 'multipliers' must list at most 1000 values, "
+         "got min 1.25, max 1000000000000.0, step 0.25"),
+        ({"multipliers": {"min": 1.5, "max": 1.5000000001, "step": 4e-11}},
+         "config key 'multipliers' must list distinct values at 10 decimals, "
+         "got min 1.5, max 1.5000000001, step 4e-11"),
     ], ids=["top", "mixture", "multipliers", "multipliers-missing", "learner",
             "minor-cov-scale", "learner-type", "document-type", "range-length", "int-type",
             "bool-is-not-int", "learner-field-type", "multiplier-type", "range-item-type",
@@ -269,7 +309,7 @@ class TestPipelineCommands:
             "workers-range", "alpha-range", "epsilon-range", "approach", "methods-empty",
             "multiplier-range", "mixture-range", "infinite-multiplier", "nan-epsilon",
             "huge-alpha", "infinite-mean", "preset-approach", "preset-of-the-other-approach",
-            "unknown-preset"])
+            "unknown-preset", "multiplier-count", "multiplier-repeats"])
     def test_config_key_error(self, tmp_path, capsys, extra, message):
         if isinstance(extra, dict):
             cfg_path = tiny_config(tmp_path, **extra)
@@ -598,6 +638,59 @@ def grid_input_changes(draw) -> tuple[dict, int | None, str]:
                                 unique=True).filter(lambda ms: ms != ["ros", "rus"]))
         return {"methods": methods}, None, named.format("methods")
     return {"multipliers": draw(_multiplier_grids())}, None, named.format("multipliers")
+
+
+_CRASH_CONFIG = {"count": 3, "methods": ["ros"],
+                 "multipliers": {"min": 1.5, "max": 2.0, "step": 0.5}, "k": 3, "k_prime": 2,
+                 "mixture": {"dim_range": [2, 2], "size_range": [40, 40],
+                             "minor_fraction_range": [0.2, 0.3]}}
+
+
+class TestCrashAnywhere:
+    def test_a_failed_move_anywhere_resumes_to_the_same_tree(self, tmp_path, monkeypatch,
+                                                             capsys):
+        """Every file is moved into place by one `os.replace`. For each n, make
+        the n-th move of the six commands fail: each command then succeeds or
+        prints one error line, the first failure is the move's, and rerunning
+        the six commands gives the `out/` tree of an uninterrupted run, byte
+        for byte."""
+        cfg_path = tiny_config(tmp_path, **_CRASH_CONFIG)
+        out = tmp_path / "out"
+        real_replace = os.replace
+        moves = []
+        fail_at = None
+
+        def replace(src, dst):
+            moves.append(dst)
+            if len(moves) == fail_at:
+                raise OSError("disk gone")
+            real_replace(src, dst)
+
+        def run_all() -> list[str]:
+            """The error line of each failed command."""
+            errors = []
+            for command in ("gen", "grid", "meta", "train", "assess", "report"):
+                code = main([command, "--config", str(cfg_path)])
+                err = capsys.readouterr().err
+                assert (code, err) == (0, "") or (code == 1 and err.startswith("error E_")
+                                                  and err.count("\n") == 1), (command, err)
+                errors += [err] if code else []
+            return errors
+
+        monkeypatch.setattr(os, "replace", replace)
+        assert run_all() == []
+        whole = read_tree(out)
+        n_moves = len(moves)
+        assert n_moves == 29
+        for n in range(1, n_moves + 1):
+            shutil.rmtree(out)
+            moves.clear()
+            fail_at = n
+            errors = run_all()
+            assert errors and errors[0] == "error E_FAILED: disk gone\n", n
+            fail_at = None
+            assert run_all() == []
+            assert read_tree(out) == whole, n
 
 
 class TestGridTrust:

@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 
 import resamplerec.evaluation as evaluation
 from resamplerec.config import MultiplierGrid
-from resamplerec.data import stratified_folds
-from resamplerec.evaluation import (CellInfeasible, GridFileError, cell_seed, cv_quality,
-                                    load_grid, pr_auc, quality_grid, save_grid)
-from resamplerec.learners import DEFAULT_LEARNERS, LearnerSpec
+from resamplerec.evaluation import (CellInfeasible, FoldSplits, GridFileError, cell_seed,
+                                    cv_quality, load_grid, pr_auc, quality_grid, save_grid)
+from resamplerec.learners import LearnerSpec
 from resamplerec.resampling import ResamplingSpec
 from resamplerec.rng import derive_seed
 
@@ -75,22 +74,20 @@ class TestPrAuc:
 
 class TestCvQuality:
     def test_deterministic(self, tiny_imbalanced):
-        folds = stratified_folds(tiny_imbalanced, 5, seed=3)
         spec = ResamplingSpec("ros", 2.0)
-        a = cv_quality(tiny_imbalanced, TREE, spec, folds, seed=11)
-        b = cv_quality(tiny_imbalanced, TREE, spec, folds, seed=11)
+        a = cv_quality(FoldSplits(tiny_imbalanced, 5, seed=3), TREE, spec, seed=11)
+        b = cv_quality(FoldSplits(tiny_imbalanced, 5, seed=3), TREE, spec, seed=11)
         assert np.array_equal(a, b)
 
     def test_vector_length_is_k(self):
         s = make_dataset(120, 40, seed=2)
-        folds = stratified_folds(s, 20, seed=1)
-        scores = cv_quality(s, TREE, ResamplingSpec("none"), folds, seed=5)
+        scores = cv_quality(FoldSplits(s, 20, seed=1), TREE, ResamplingSpec("none"), seed=5)
         assert scores.shape == (20,)
         assert np.all((scores > 0.0) & (scores <= 1.0))
 
     def test_test_folds_never_resampled(self, tiny_imbalanced, monkeypatch):
         """The labels scored per fold must be the original fold labels."""
-        folds = stratified_folds(tiny_imbalanced, 5, seed=3)
+        splits = FoldSplits(tiny_imbalanced, 5, seed=3)
         seen_eval_counts = []
         seen_train_counts = []
         real_pr_auc = evaluation.pr_auc
@@ -106,9 +103,9 @@ class TestCvQuality:
 
         monkeypatch.setattr(evaluation, "pr_auc", spy_pr_auc)
         monkeypatch.setattr(evaluation, "fit_arrays", spy_fit)
-        cv_quality(tiny_imbalanced, TREE, ResamplingSpec("ros", 2.0), folds, seed=7)
+        cv_quality(splits, TREE, ResamplingSpec("ros", 2.0), seed=7)
         for j in range(5):
-            mask = folds.test_mask(j)
+            mask = splits.folds.test_mask(j)
             original = (int((tiny_imbalanced.labels[mask] == 0).sum()),
                         int((tiny_imbalanced.labels[mask] == 1).sum()))
             assert seen_eval_counts[j] == original
@@ -118,9 +115,8 @@ class TestCvQuality:
 
     def test_infeasible_raises_cell_signal(self):
         s = make_dataset(40, 20, seed=3)  # IR = 2
-        folds = stratified_folds(s, 4, seed=1)
         with pytest.raises(CellInfeasible):
-            cv_quality(s, TREE, ResamplingSpec("rus", 3.0), folds, seed=2)
+            cv_quality(FoldSplits(s, 4, seed=1), TREE, ResamplingSpec("rus", 3.0), seed=2)
 
 
 class TestQualityGrid:
@@ -160,7 +156,7 @@ class TestQualityGrid:
 
         monkeypatch.setattr(evaluation, "stratified_folds", spy)
         quality_grid(s, TREE, ["ros", "rus"], [1.5, 2.0], k=4, seed=9)
-        assert len(calls) == 1
+        assert calls == [derive_seed(9, s.id, "folds")]
 
     def test_parallel_matches_sequential(self):
         s = make_dataset(60, 20, seed=6)
@@ -193,16 +189,15 @@ class TestQualityGrid:
     @settings(max_examples=6, deadline=None)
     def test_shared_splits_match_per_cell_cv_quality(self, n_minor, seed):
         """Grid cells reuse each fold's split and neighbor order; they equal a
-        standalone cv_quality per cell, skips included, at any worker count."""
+        cv_quality on fresh splits per cell, skips included, at any worker count."""
         s = make_dataset(30, n_minor, seed=seed % 50)
         methods, multipliers = ["ros", "smote1", "smote7"], [1.5, 3.0]
         grids = [quality_grid(s, LOGREG, methods, multipliers, k=4, seed=seed, workers=w)
                  for w in (1, 2)]
-        folds = stratified_folds(s, 4, derive_seed(seed, s.id, "folds"))
         for method, m in grids[0].cell_keys():
             index = multipliers.index(m) if method != "none" else -1
             try:
-                expected = cv_quality(s, LOGREG, ResamplingSpec(method, m), folds,
+                expected = cv_quality(FoldSplits(s, 4, seed), LOGREG, ResamplingSpec(method, m),
                                       cell_seed(seed, s.id, method, index)).tobytes()
             except CellInfeasible as exc:
                 expected = exc.reason

@@ -13,10 +13,9 @@ from resamplerec.evaluation import quality_grid
 from resamplerec.learners import (LearnerSpec, constant_model, fit_arrays, fit_count,
                                   model_to_dict)
 from resamplerec.qualityvars import binarize_targets, format_multiplier
-from resamplerec.recommender import (PRESETS, MetaRecord, RecommenderModel,
-                                     build_meta_dataset, load_recommender, recommend,
-                                     recommender_from_dict, recommender_to_dict,
-                                     save_recommender, snap_to_grid, train,
+from resamplerec.recommender import (PRESETS, RecommenderModel, build_meta_dataset,
+                                     load_recommender, recommend, recommender_from_dict,
+                                     recommender_to_dict, save_recommender, snap_to_grid, train,
                                      train_approach1, train_approach2)
 
 import oracles
