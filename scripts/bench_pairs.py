@@ -10,8 +10,12 @@ pair; run the two of a pair back to back, alternating which goes first, so
 that the host's slow and fast spells fall on both sides.
 
 For every workload and metric the summary gives each side's median and
-quartiles over its runs, the change's median relative to the parent's, and
-in how many pairs the change was better. It also gives the verdict of
+quartiles over its runs, the change's median relative to the parent's, in
+how many pairs the change was better (lower), and `gain_holds`: whether a
+gain may be claimed. It holds when at least ten pairs ran, the change was
+better in at least nine tenths of them (ties count for neither side), and
+the change's median is below the parent's by more than the parent's
+interquartile range. It also gives the verdict of
 `perfbench/same_outputs.py` on every pair, the failed ops of each side, the
 environment the runs reported (`nproc` included) and their load averages.
 Written as JSON to `--out`, or printed.
@@ -43,6 +47,13 @@ def quartiles(values: list[float]) -> dict:
     return {"q1": q1, "median": median, "q3": q3}
 
 
+def gain_holds(parent: dict, change: dict, wins: int, pairs: int) -> bool:
+    """A claimed gain stands: ten or more pairs, the change better in nine
+    tenths of them, and a median drop wider than the parent's IQR."""
+    return (pairs >= 10 and 10 * wins >= 9 * pairs
+            and parent["median"] - change["median"] > parent["q3"] - parent["q1"])
+
+
 def same_outputs(parent: Path, change: Path) -> str:
     done = subprocess.run([sys.executable, str(SAME_OUTPUTS), str(parent), str(change)],
                           capture_output=True, text=True, check=False)
@@ -62,13 +73,15 @@ def summarise(parent_runs: dict, change_runs: dict) -> dict:
             values = [(p["detail"][name]["value"], c["detail"][name]["value"])
                       for (_, p), (_, c) in docs]
             parent, change = quartiles([p for p, _ in values]), quartiles([c for _, c in values])
+            wins = sum(c < p for p, c in values)  # lower is better
             metrics[name] = {
                 "unit": first["unit"],
                 "parent": parent,
                 "change": change,
                 "median_change": change["median"] / parent["median"] - 1.0,
-                "change_wins": sum(c < p for p, c in values),  # lower is better
+                "change_wins": wins,
                 "pairs": len(values),
+                "gain_holds": gain_holds(parent, change, wins, len(values)),
             }
         workloads[workload] = {
             "pairs": len(seeds),

@@ -13,6 +13,7 @@ import io
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,15 @@ def round_half_up(x: float) -> int:
 
 @dataclass(frozen=True)
 class Dataset:
+    """Rows of features with 0/1 labels, both frozen.
+
+    `Dataset(...)` validates its arrays and keeps read-only copies of them:
+    ingestion and generation build through it. A fold's training split and a
+    resampler's output are derived from a validated dataset and built by
+    `Dataset._derived`, which keeps its arrays without checking or copying
+    them again.
+    """
+
     id: str
     features: np.ndarray  # (n, d) float64
     labels: np.ndarray    # (n,) int64 in {0, 1}
@@ -53,6 +63,20 @@ class Dataset:
         self.features.setflags(write=False)
         self.labels.setflags(write=False)
 
+    @classmethod
+    def _derived(cls, id: str, features: np.ndarray, labels: np.ndarray) -> Dataset:
+        """A dataset of rows taken or made from validated datasets, not checked again.
+
+        The caller vouches that `features` is a finite float64 matrix, that
+        `labels` is its int64 0/1 vector with both classes present, and that
+        no one else holds either array; both are frozen here.
+        """
+        s = cls.__new__(cls)
+        object.__setattr__(s, "id", id)
+        object.__setattr__(s, "features", _frozen(features))
+        object.__setattr__(s, "labels", _frozen(labels))
+        return s
+
     @property
     def n(self) -> int:
         return self.features.shape[0]
@@ -61,13 +85,29 @@ class Dataset:
     def dim(self) -> int:
         return self.features.shape[1]
 
+    # found on first use and kept: every cell of a grid reads them from one training split
+    @cached_property
+    def major_rows(self) -> np.ndarray:
+        """Indices of the label-0 rows, ascending."""
+        return _frozen(np.flatnonzero(self.labels == 0))
+
+    @cached_property
+    def minor_rows(self) -> np.ndarray:
+        """Indices of the label-1 rows, ascending."""
+        return _frozen(np.flatnonzero(self.labels == 1))
+
     @property
     def n_major(self) -> int:
-        return int(np.sum(self.labels == 0))
+        return self.major_rows.size
 
     @property
     def n_minor(self) -> int:
-        return int(np.sum(self.labels == 1))
+        return self.minor_rows.size
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def imbalance_ratio(s: Dataset) -> float:
@@ -101,8 +141,7 @@ def stratified_folds(s: Dataset, k: int, seed: int) -> FoldAssignment:
         raise ValueError("minor class too small for k folds")
     rng = derive_rng(seed, "stratified-folds", k)
     fold_index = np.empty(s.n, dtype=np.int64)
-    for label in (0, 1):
-        members = np.flatnonzero(s.labels == label)
+    for members in (s.major_rows, s.minor_rows):
         perm = rng.permutation(members)
         for j, chunk in enumerate(np.array_split(perm, k)):
             fold_index[chunk] = j

@@ -64,7 +64,8 @@ class FoldSplits:
     The fold assignment of a grid on `s` with `k` folds and master seed
     `seed` is derived here and nowhere else, so every cell scored on it, a
     grid cell or an assessment's static cell, is paired fold for fold. A grid
-    builds each training `Dataset` once, and for SMOTE cells its neighbour
+    builds each training `Dataset` (a derived one: its rows come from the
+    validated `s`), each held-out block, and for SMOTE cells each neighbour
     order once, and hands them to every cell.
     """
 
@@ -72,19 +73,25 @@ class FoldSplits:
         self.s = s
         self.folds = stratified_folds(s, k, derive_seed(seed, s.id, "folds"))
         self._train: dict[int, Dataset] = {}
+        self._test: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._order: dict[int, np.ndarray] = {}
 
     def train(self, j: int) -> Dataset:
         if j not in self._train:
             keep = ~self.folds.test_mask(j)
-            self._train[j] = Dataset(id=f"{self.s.id}#train{j}",
-                                     features=self.s.features[keep], labels=self.s.labels[keep])
+            self._train[j] = Dataset._derived(f"{self.s.id}#train{j}", self.s.features[keep],
+                                              self.s.labels[keep])
         return self._train[j]
 
     def test(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """(features, labels) of held-out fold j."""
-        mask = self.folds.test_mask(j)
-        return self.s.features[mask], self.s.labels[mask]
+        """(features, labels) of held-out fold j, read-only."""
+        if j not in self._test:
+            mask = self.folds.test_mask(j)
+            block = (self.s.features[mask], self.s.labels[mask])
+            for a in block:
+                a.setflags(write=False)
+            self._test[j] = block
+        return self._test[j]
 
     def neighbor_order(self, j: int) -> np.ndarray:
         if j not in self._order:
@@ -150,15 +157,22 @@ def cell_seed(master_seed: int, dataset_id: str, method: str, mult_index: int) -
     return derive_seed(master_seed, dataset_id, method, mult_index)
 
 
-def _grid_cell_task(context, task):
-    """Fold scores of one grid cell, or the reason it is skipped."""
+# pool tasks per worker for one grid: enough that the workers finish close together, few
+# enough that sending each task and its result costs little next to the fits it runs
+_RUNS_PER_WORKER = 8
+
+
+def _grid_cell_task(context, run):
+    """For each grid cell of a run, its fold scores or the reason it is skipped."""
     splits, learner, master_seed = context
-    method, multiplier, mult_index = task
-    try:
-        return cv_quality(splits, learner, ResamplingSpec(method, multiplier),
-                          cell_seed(master_seed, splits.s.id, method, mult_index))
-    except CellInfeasible as exc:
-        return exc.reason
+    out = []
+    for method, multiplier, mult_index in run:
+        try:
+            out.append(cv_quality(splits, learner, ResamplingSpec(method, multiplier),
+                                  cell_seed(master_seed, splits.s.id, method, mult_index)))
+        except CellInfeasible as exc:
+            out.append(exc.reason)
+    return out
 
 
 def quality_grid(s: Dataset, learner: LearnerSpec, methods: list[str],
@@ -169,8 +183,10 @@ def quality_grid(s: Dataset, learner: LearnerSpec, methods: list[str],
 
     All cells share one fold assignment. Each cell derives its own RNG
     stream, so results are identical for any worker count or evaluation
-    order. `precomputed` entries (cached fold vectors, or skip-reason
-    strings) are trusted and not rerun.
+    order. The pending cells go to `parallel_map` as a few strided runs per
+    worker, each run one task, so cheap and costly methods mix in every run.
+    `precomputed` entries (cached fold vectors, or skip-reason strings) are
+    trusted and not rerun.
     """
     if not multipliers:
         raise ValueError("multiplier list must be non-empty")
@@ -187,9 +203,11 @@ def quality_grid(s: Dataset, learner: LearnerSpec, methods: list[str],
             tasks.append((method, m, i))
     results = dict(precomputed or {})
     pending = [t for t in tasks if t[:2] not in results]
+    n_runs = min(len(pending), _RUNS_PER_WORKER * max(workers, 1))
+    runs = [pending[i::n_runs] for i in range(n_runs)]
     context = (FoldSplits(s, k, seed), learner, seed)
-    results.update(zip([t[:2] for t in pending],
-                       parallel_map(_grid_cell_task, pending, workers, context)))
+    for run, values in zip(runs, parallel_map(_grid_cell_task, runs, workers, context)):
+        results.update(zip([t[:2] for t in run], values))
 
     for method, m, _ in tasks:
         value = results[(method, m)]

@@ -74,11 +74,10 @@ def random_oversample(s: Dataset, m: float, seed: int) -> Dataset:
     if n_add == 0:
         return s
     rng = derive_rng(seed, "ros")
-    minor_idx = np.flatnonzero(s.labels == 1)
-    picks = minor_idx[rng.integers(0, minor_idx.size, size=n_add)]
+    picks = s.minor_rows[rng.integers(0, s.n_minor, size=n_add)]
     x = np.vstack([s.features, s.features[picks]])
     y = np.concatenate([s.labels, np.ones(n_add, dtype=np.int64)])
-    return Dataset(id=s.id, features=x, labels=y)
+    return Dataset._derived(s.id, x, y)
 
 
 def random_undersample(s: Dataset, m: float, seed: int) -> Dataset:
@@ -94,11 +93,10 @@ def random_undersample(s: Dataset, m: float, seed: int) -> Dataset:
     if n_drop == 0:
         return s
     rng = derive_rng(seed, "rus")
-    major_idx = np.flatnonzero(s.labels == 0)
-    drop = rng.choice(major_idx, size=n_drop, replace=False)
+    drop = rng.choice(s.major_rows, size=n_drop, replace=False)
     keep = np.ones(s.n, dtype=bool)
     keep[drop] = False
-    return Dataset(id=s.id, features=s.features[keep], labels=s.labels[keep])
+    return Dataset._derived(s.id, s.features[keep], s.labels[keep])
 
 
 def smote_neighbor_order(s: Dataset) -> np.ndarray:
@@ -109,7 +107,7 @@ def smote_neighbor_order(s: Dataset) -> np.ndarray:
     index and row i itself comes last. `smote` with k neighbors uses the
     first k columns, so one order serves every k.
     """
-    minors = s.features[s.labels == 1]
+    minors = s.features[s.minor_rows]
     diff = minors[:, None, :] - minors[None, :, :]
     dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
     np.fill_diagonal(dist, np.inf)
@@ -125,12 +123,13 @@ def smote(s: Dataset, m: float, k: int, seed: int,
     the minor class and x_j uniform over x_i's k nearest minor neighbors
     (Euclidean, self excluded, distance ties broken by lower index).
     `neighbor_order` is `smote_neighbor_order(s)`, computed here when omitted.
+    New points that overflow to a non-finite value raise a ValueError.
     """
     if m < 1.0:
         raise ValueError("multiplier must be >= 1")
     if k < 1:
         raise ValueError("k must be >= 1")
-    minor_idx = np.flatnonzero(s.labels == 1)
+    minor_idx = s.minor_rows
     n_minor = minor_idx.size
     if n_minor < k + 1:
         raise ValueError("not enough minor points for k neighbors")
@@ -150,9 +149,11 @@ def smote(s: Dataset, m: float, k: int, seed: int,
     a = minors[base]
     b = minors[neighbors[base, pick]]
     synth = a + u[:, None] * (b - a)
+    if not np.isfinite(synth).all():  # the one check a derived dataset cannot skip
+        raise ValueError("features contain non-finite values")
     x = np.vstack([s.features, synth])
     y = np.concatenate([s.labels, np.ones(n_add, dtype=np.int64)])
-    return Dataset(id=s.id, features=x, labels=y)
+    return Dataset._derived(s.id, x, y)
 
 
 def resample(s: Dataset, spec: ResamplingSpec, seed: int,

@@ -27,6 +27,18 @@ def make_dataset(n_major: int, n_minor: int, dim: int = 2, seed: int = 0,
                    labels=np.array([0] * n_major + [1] * n_minor))
 
 
+def assert_as_validated(s: Dataset) -> None:
+    """`s`, which may skip the validating copy, is what `Dataset(...)` makes
+    of its arrays, bit for bit; its arrays and class rows are read-only."""
+    again = Dataset(id=s.id, features=s.features, labels=s.labels)
+    for got, want in ((s.features, again.features), (s.labels, again.labels)):
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    assert np.array_equal(s.minor_rows, np.flatnonzero(s.labels == 1))
+    assert np.array_equal(s.major_rows, np.flatnonzero(s.labels == 0))
+    for a in (s.features, s.labels, s.minor_rows, s.major_rows):
+        assert not a.flags.writeable
+
+
 def random_cell(grid: QualityGrid, seed: int) -> tuple[str, float]:
     """The random-cell baseline: a uniform draw over the evaluated cells,
     no-resampling included."""

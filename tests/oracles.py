@@ -11,7 +11,10 @@ decision rule and the meta-target rule, written once per case, so that the
 shorter forms are checked answer for answer; and so are recommendation
 accuracy, one pool per asked-for cell, and the multiplier grid, listed by
 walking it, so that the library's one pool per dataset and counted grid are
-checked bit for bit.
+checked bit for bit; and so are the resamplers, fold splits, `cv_quality`
+and static cells that validate every derived dataset and recount its
+classes, so that the grid's trusted derived datasets, cached class rows and
+runs of cells are checked bit for bit.
 """
 
 import csv
@@ -22,14 +25,17 @@ import numpy as np
 from scipy.integrate import quad
 
 from resamplerec import metafeatures
-from resamplerec.data import Dataset
-from resamplerec.learners import predict_score
+from resamplerec.data import Dataset, FoldAssignment, round_half_up
+from resamplerec.evaluation import BASELINE_KEY, CellInfeasible, pr_auc
+from resamplerec.learners import fit_arrays, predict_score, predict_scores
 from resamplerec.learners.tree import TreeNode, _norm_weights
 from resamplerec.metafeatures import (_MOMENT_NAMES, MIN_TEST_SAMPLE, MetaFeatures,
                                       _abs_cov_eigs, slog)
 from resamplerec.qualityvars import MetaTargets, QualityVariables, format_multiplier
 from resamplerec.recommender import Recommendation, RecommenderModel, snap_to_grid
-from resamplerec.resampling import ResamplingSpec, feasible
+from resamplerec.resampling import (_IR_TOL, METHOD_NONE, METHOD_ROS, METHOD_RUS,
+                                    ResamplingSpec, feasible)
+from resamplerec.rng import derive_rng, derive_seed
 from resamplerec.stats import normal_two_sided_pvalue
 
 _GAIN_TOL = 1e-12
@@ -617,3 +623,175 @@ def walk_multipliers(low: float, high: float, step: float):
             break
         yield m
         i += 1
+
+
+# --- resampling and cell scoring with every derived dataset validated: each
+# resampler output and training split is a checked copy made by `Dataset(...)`,
+# class rows are found again on every call, a held-out block is sliced on
+# every use, and each cell is scored on fresh fold splits
+
+
+def _ir(s: Dataset) -> float:
+    return int(np.sum(s.labels == 0)) / int(np.sum(s.labels == 1))
+
+
+def stratified_folds(s: Dataset, k: int, seed: int) -> FoldAssignment:
+    if k < 2:
+        raise ValueError("k must be >= 2")
+    if int(np.sum(s.labels == 1)) < k:
+        raise ValueError("minor class too small for k folds")
+    rng = derive_rng(seed, "stratified-folds", k)
+    fold_index = np.empty(s.n, dtype=np.int64)
+    for label in (0, 1):
+        members = np.flatnonzero(s.labels == label)
+        perm = rng.permutation(members)
+        for j, chunk in enumerate(np.array_split(perm, k)):
+            fold_index[chunk] = j
+    return FoldAssignment(fold_index=fold_index, k=k)
+
+
+def random_oversample(s: Dataset, m: float, seed: int) -> Dataset:
+    if m < 1.0:
+        raise ValueError("multiplier must be >= 1")
+    n_add = round_half_up((m - 1.0) * int(np.sum(s.labels == 1)))
+    if n_add == 0:
+        return s
+    rng = derive_rng(seed, "ros")
+    minor_idx = np.flatnonzero(s.labels == 1)
+    picks = minor_idx[rng.integers(0, minor_idx.size, size=n_add)]
+    x = np.vstack([s.features, s.features[picks]])
+    y = np.concatenate([s.labels, np.ones(n_add, dtype=np.int64)])
+    return Dataset(id=s.id, features=x, labels=y)
+
+
+def random_undersample(s: Dataset, m: float, seed: int) -> Dataset:
+    if m < 1.0:
+        raise ValueError("multiplier must be >= 1")
+    n_major = int(np.sum(s.labels == 0))
+    ir = _ir(s)
+    if m > ir * (1.0 + _IR_TOL):
+        raise ValueError(f"rus multiplier {m:g} exceeds IR {ir:g}")
+    n_drop = round_half_up((m - 1.0) / m * n_major)
+    if n_major - n_drop < 1:
+        raise ValueError("undersampling would empty the major class")
+    if n_drop == 0:
+        return s
+    rng = derive_rng(seed, "rus")
+    major_idx = np.flatnonzero(s.labels == 0)
+    drop = rng.choice(major_idx, size=n_drop, replace=False)
+    keep = np.ones(s.n, dtype=bool)
+    keep[drop] = False
+    return Dataset(id=s.id, features=s.features[keep], labels=s.labels[keep])
+
+
+def smote_neighbor_order(s: Dataset) -> np.ndarray:
+    minors = s.features[s.labels == 1]
+    diff = minors[:, None, :] - minors[None, :, :]
+    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    np.fill_diagonal(dist, np.inf)
+    return np.argsort(dist, axis=1, kind="stable")
+
+
+def smote(s: Dataset, m: float, k: int, seed: int,
+          neighbor_order: np.ndarray | None = None) -> Dataset:
+    if m < 1.0:
+        raise ValueError("multiplier must be >= 1")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    minor_idx = np.flatnonzero(s.labels == 1)
+    n_minor = minor_idx.size
+    if n_minor < k + 1:
+        raise ValueError("not enough minor points for k neighbors")
+    n_add = round_half_up((m - 1.0) * n_minor)
+    if n_add == 0:
+        return s
+    if neighbor_order is None:
+        neighbor_order = smote_neighbor_order(s)
+    elif neighbor_order.shape != (n_minor, n_minor):
+        raise ValueError("neighbor order does not match the minor class")
+    rng = derive_rng(seed, "smote")
+    minors = s.features[minor_idx]
+    neighbors = neighbor_order[:, :k]
+    base = rng.integers(0, n_minor, size=n_add)
+    pick = rng.integers(0, k, size=n_add)
+    u = rng.uniform(0.0, 1.0, size=n_add)
+    a = minors[base]
+    b = minors[neighbors[base, pick]]
+    synth = a + u[:, None] * (b - a)
+    x = np.vstack([s.features, synth])
+    y = np.concatenate([s.labels, np.ones(n_add, dtype=np.int64)])
+    return Dataset(id=s.id, features=x, labels=y)
+
+
+def resample(s: Dataset, spec: ResamplingSpec, seed: int,
+             neighbor_order: np.ndarray | None = None) -> Dataset:
+    if spec.method == METHOD_NONE:
+        return s
+    if spec.method == METHOD_ROS:
+        return random_oversample(s, spec.multiplier, seed)
+    if spec.method == METHOD_RUS:
+        return random_undersample(s, spec.multiplier, seed)
+    return smote(s, spec.multiplier, spec.smote_k, seed, neighbor_order)
+
+
+class FoldSplits:
+    def __init__(self, s: Dataset, k: int, seed: int):
+        self.s = s
+        self.folds = stratified_folds(s, k, derive_seed(seed, s.id, "folds"))
+        self._train: dict[int, Dataset] = {}
+        self._order: dict[int, np.ndarray] = {}
+
+    def train(self, j: int) -> Dataset:
+        if j not in self._train:
+            keep = ~self.folds.test_mask(j)
+            self._train[j] = Dataset(id=f"{self.s.id}#train{j}",
+                                     features=self.s.features[keep], labels=self.s.labels[keep])
+        return self._train[j]
+
+    def test(self, j: int) -> tuple[np.ndarray, np.ndarray]:
+        mask = self.folds.test_mask(j)
+        return self.s.features[mask], self.s.labels[mask]
+
+    def neighbor_order(self, j: int) -> np.ndarray:
+        if j not in self._order:
+            self._order[j] = smote_neighbor_order(self.train(j))
+        return self._order[j]
+
+
+def cv_quality(s: Dataset, k: int, grid_seed: int, learner, spec: ResamplingSpec,
+               seed: int) -> np.ndarray:
+    """One cell's fold scores on fresh fold splits of `s`."""
+    splits = FoldSplits(s, k, grid_seed)
+    for j in range(k):
+        train = splits.train(j)
+        reason = feasible(spec, int(np.sum(train.labels == 0)), int(np.sum(train.labels == 1)))
+        if reason is not None:
+            raise CellInfeasible(f"fold {j}: {reason}")
+    scores = np.empty(k)
+    for j in range(k):
+        fold_seed = derive_seed(seed, "fold", j)
+        order = splits.neighbor_order(j) if spec.smote_k is not None else None
+        resampled = resample(splits.train(j), spec, fold_seed, neighbor_order=order)
+        model = fit_arrays(learner, resampled.features, resampled.labels)
+        x_test, y_test = splits.test(j)
+        scores[j] = pr_auc(y_test, predict_scores(model, x_test))
+    return scores
+
+
+def static_cells(learner, s: Dataset, grid, strategies: dict[str, str]) -> dict:
+    """Each static strategy's (cell, mean) on the grid's folds, one fresh split set per cell."""
+    splits = FoldSplits(s, grid.k, grid.seed)
+    rus_cap = min(_ir(splits.train(j)) for j in range(grid.k))
+    out = {}
+    for strategy, method in strategies.items():
+        out[strategy] = (BASELINE_KEY, float(grid.baseline.mean()))
+        if method == "none":
+            continue
+        m = min(_ir(s), rus_cap) if method == "rus" else _ir(s)
+        seed = derive_seed(grid.seed, s.id, method, "on-demand", repr(m))
+        try:
+            scores = cv_quality(s, grid.k, grid.seed, learner, ResamplingSpec(method, m), seed)
+        except CellInfeasible:
+            continue
+        out[strategy] = ((method, m), float(scores.mean()))
+    return out

@@ -839,6 +839,23 @@ class TestBrokenInputs:
                      "--data", str(query)]) == 1
         assert one_error_line(capsys) == "error E_FAILED: not binary: 0 distinct labels\n"
 
+    def test_grid_refuses_smote_rows_that_overflow(self, tmp_path, capsys):
+        """Minority rows near -1.7e308 beside one near +1.7e308: SMOTE's
+        segments between them overflow, and the non-finite rows end `grid` in
+        one error line, although derived datasets are not validated again."""
+        from resamplerec.data import Dataset, write_csv
+
+        rng = np.random.default_rng(0)
+        minors = np.column_stack([-1.7e308 + rng.uniform(0.0, 1e306, 12), rng.normal(size=12)])
+        minors[0, 0] = 1.7e308
+        write_csv(Dataset(id="huge", features=np.vstack([rng.normal(size=(40, 2)), minors]),
+                          labels=np.array([0] * 40 + [1] * 12)), tmp_path / "csv" / "huge.csv")
+        cfg_path = tiny_config(tmp_path, csv_dir=str(tmp_path / "csv"), methods=["smote3"],
+                               multipliers={"min": 1.5, "max": 2.0, "step": 0.5})
+        with pytest.warns(RuntimeWarning, match="overflow"):  # numpy's, kept off stderr here
+            assert main(["grid", "--config", str(cfg_path)]) == 1
+        assert one_error_line(capsys) == "error E_FAILED: features contain non-finite values\n"
+
     @pytest.mark.parametrize("approach, problem", [
         ("a1", "feature column 0: variance "), ("a2", "meta-features must be finite")])
     def test_recommend_refuses_an_overflowing_column_without_a_warning(

@@ -7,19 +7,23 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 import resamplerec.evaluation as evaluation
+from resamplerec.assessment import STATIC_STRATEGIES, _static_cells_task
 from resamplerec.config import MultiplierGrid
+from resamplerec.data import Dataset, imbalance_ratio
 from resamplerec.evaluation import (CellInfeasible, FoldSplits, GridFileError, cell_seed,
                                     cv_quality, load_grid, pr_auc, quality_grid, save_grid)
 from resamplerec.learners import LearnerSpec
 from resamplerec.resampling import ResamplingSpec
 from resamplerec.rng import derive_seed
 
-from conftest import make_dataset
+from conftest import assert_as_validated, make_dataset
 from oracles import pr_auc_step_curve
 
 TREE = LearnerSpec("decision_tree", max_depth=3, min_leaf=2)
 LOGREG = LearnerSpec("logreg_l1", l1_strength=0.05, max_iter=50)
+KNN = LearnerSpec("knn", k=3)
 
 
 class TestPrAuc:
@@ -113,6 +117,18 @@ class TestCvQuality:
         for c0, c1 in seen_train_counts:
             assert c1 == 2 * 16  # 16 original minors per training split, doubled
 
+    @given(st.integers(2, 6), st.integers(0, 2**16))
+    @settings(max_examples=20, deadline=None)
+    def test_splits_are_frozen_valid_and_built_once(self, k, seed):
+        """Training splits skip the validating copy but are what `Dataset(...)`
+        would make of them; held-out blocks are read-only and sliced once."""
+        splits = FoldSplits(make_dataset(30, 12, seed=seed % 50), k, seed)
+        for j in range(k):
+            assert_as_validated(splits.train(j))
+            x, y = splits.test(j)
+            assert not x.flags.writeable and not y.flags.writeable
+            assert splits.test(j)[0] is x and splits.train(j) is splits.train(j)
+
     def test_infeasible_raises_cell_signal(self):
         s = make_dataset(40, 20, seed=3)  # IR = 2
         with pytest.raises(CellInfeasible):
@@ -184,26 +200,65 @@ class TestQualityGrid:
         assert built and len(built) == len(set(built))
         assert {line.split()[1] for line in built} == {f"{s.id}#train{j}" for j in range(4)}
 
-    @given(st.integers(4, 12), st.integers(0, 2**16))
-    @example(8, 1)  # 6 minors per training split: every smote7 cell is skipped
-    @settings(max_examples=6, deadline=None)
-    def test_shared_splits_match_per_cell_cv_quality(self, n_minor, seed):
-        """Grid cells reuse each fold's split and neighbor order; they equal a
-        cv_quality on fresh splits per cell, skips included, at any worker count."""
+    @pytest.mark.parametrize("cached", [0, 22])
+    def test_cells_reach_workers_in_a_few_runs(self, tmp_path, monkeypatch, cached):
+        """A one-dataset grid at workers=2 sends its pending cells as at most 8
+        runs per worker, never more runs than cells, and scores them as at
+        workers=1."""
+        log = tmp_path / "runs.log"
+        real = evaluation._grid_cell_task
+
+        def logged(context, run):  # forked workers inherit the patch and append to one file
+            with log.open("a") as fh:
+                fh.write(f"{os.getpid()} {len(run)}\n")
+            return real(context, run)
+
+        s = make_dataset(40, 12, seed=6)
+        args = (s, TREE, ["ros", "rus", "smote3"], [1.25, 1.5, 1.75, 2.0, 2.5, 3.0, 3.25, 3.5])
+        serial = quality_grid(*args, k=4, seed=3)
+        precomputed = dict(list({**serial.cells, **serial.skips}.items())[:cached])
+        monkeypatch.setattr(evaluation, "_grid_cell_task", logged)
+        pooled = quality_grid(*args, k=4, seed=3, workers=2, precomputed=precomputed)
+        runs = [line.split() for line in log.read_text().splitlines()]
+        pending = len(serial.cell_keys()) - cached  # 25 cells
+        assert len(runs) <= min(8 * 2, pending)
+        assert sum(int(size) for _, size in runs) == pending
+        assert len({pid for pid, _ in runs}) <= 2 and str(os.getpid()) not in runs[0]
+        assert [(key, v.tobytes()) for key, v in pooled.cells.items()] == \
+            [(key, v.tobytes()) for key, v in serial.cells.items()]
+        assert pooled.skips == serial.skips
+
+    @given(n_minor=st.integers(5, 12), n_dup=st.integers(0, 3), k=st.integers(2, 5),
+           learner=st.sampled_from([TREE, KNN, LOGREG]), seed=st.integers(0, 2**16))
+    @example(n_minor=8, n_dup=0, k=4, learner=LOGREG, seed=1)  # every smote7 cell is skipped
+    @example(n_minor=10, n_dup=2, k=5, learner=KNN, seed=3)  # rus at IR 2.5 on some folds only
+    @settings(max_examples=10, deadline=None)
+    def test_shared_splits_match_per_cell_cv_quality(self, n_minor, n_dup, k, learner, seed):
+        """Grid cells (at workers 1 and 2) and static cells equal those of the
+        validated path: checked copies of every derived dataset, classes
+        recounted, fresh fold splits per cell. Multipliers include 1.01 (no row
+        added or dropped) and the dataset's own IR (RUS at its boundary), and
+        duplicated minority rows tie SMOTE's neighbour distances."""
         s = make_dataset(30, n_minor, seed=seed % 50)
-        methods, multipliers = ["ros", "smote1", "smote7"], [1.5, 3.0]
-        grids = [quality_grid(s, LOGREG, methods, multipliers, k=4, seed=seed, workers=w)
+        dup = s.minor_rows[:n_dup]
+        s = Dataset(id=s.id, features=np.vstack([s.features, s.features[dup]]),
+                    labels=np.concatenate([s.labels, s.labels[dup]]))
+        methods = ["ros", "rus", "smote1", "smote3", "smote5", "smote7"]
+        multipliers = sorted({1.01, 1.5, imbalance_ratio(s), 3.0})
+        grids = [quality_grid(s, learner, methods, multipliers, k=k, seed=seed, workers=w)
                  for w in (1, 2)]
         for method, m in grids[0].cell_keys():
             index = multipliers.index(m) if method != "none" else -1
             try:
-                expected = cv_quality(FoldSplits(s, 4, seed), LOGREG, ResamplingSpec(method, m),
-                                      cell_seed(seed, s.id, method, index)).tobytes()
+                expected = oracles.cv_quality(s, k, seed, learner, ResamplingSpec(method, m),
+                                              cell_seed(seed, s.id, method, index)).tobytes()
             except CellInfeasible as exc:
                 expected = exc.reason
             for g in grids:
                 got = g.skips.get((method, m)) or g.cells[(method, m)].tobytes()
                 assert got == expected
+        assert _static_cells_task(learner, (s, grids[0])) == \
+            oracles.static_cells(learner, s, grids[0], STATIC_STRATEGIES)
 
     def test_precomputed_cells_reused(self):
         s = make_dataset(60, 20, seed=6)

@@ -2,7 +2,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -12,7 +12,7 @@ from resamplerec.resampling import (ResamplingSpec, feasible, random_oversample,
                                     smote_neighbor_order)
 
 import oracles
-from conftest import make_dataset
+from conftest import assert_as_validated, make_dataset
 from oracles import point_on_some_smote_segment
 
 
@@ -191,6 +191,16 @@ class TestResampleContract:
         a = resample(s, ResamplingSpec("rus", 3.0), seed=1)
         b = resample(s, ResamplingSpec("rus", 3.0), seed=2)
         assert not np.array_equal(a.features, b.features)
+
+    @given(tied_datasets(), st.sampled_from(["ros", "rus", "smote1", "smote3"]),
+           st.floats(1.0, 4.0), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_outputs_are_frozen_valid_datasets(self, s, method, m, seed):
+        """A resampler builds its output without the validating copy; the
+        output is still what `Dataset(...)` would make of it."""
+        spec = ResamplingSpec(method, m)
+        assume(feasible(spec, s.n_major, s.n_minor) is None)
+        assert_as_validated(resample(s, spec, seed))
 
     @given(st.integers(0, 500))
     @settings(max_examples=60, deadline=None)
