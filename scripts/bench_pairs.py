@@ -15,7 +15,13 @@ how many pairs the change was better (lower), and `gain_holds`: whether a
 gain may be claimed. It holds when at least ten pairs ran, the change was
 better in at least nine tenths of them (ties count for neither side), and
 the change's median is below the parent's by more than the parent's
-interquartile range. It also gives the verdict of
+interquartile range. For each end-to-end metric of `BENCHMARK.json` (read
+for its bounds only) it also gives `regression`: "worse" when the change's
+median exceeds the parent's by more than the metric's bound times the
+parent's median; else "unresolved" when the parent's interquartile range
+exceeds the bound times its median, unless every change run beat every
+parent run; else "none". Each metric keeps its runs' values in seed order.
+It also gives the verdict of
 `perfbench/same_outputs.py` on every pair, the failed ops of each side, the
 environment the runs reported (`nproc` included) and their load averages.
 Written as JSON to `--out`, or printed.
@@ -30,6 +36,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SAME_OUTPUTS = ROOT / "perfbench" / "same_outputs.py"
+BENCHMARK = ROOT / "BENCHMARK.json"
 RUN_FIELDS = ("seed", "loadavg_at_start", "git_commit")
 
 
@@ -54,13 +61,30 @@ def gain_holds(parent: dict, change: dict, wins: int, pairs: int) -> bool:
             and parent["median"] - change["median"] > parent["q3"] - parent["q1"])
 
 
+def end_to_end_bounds() -> dict[str, float]:
+    doc = json.loads(BENCHMARK.read_text(encoding="utf-8"))
+    return {metric["name"]: metric["bound"] for metric in doc["end_to_end"]}
+
+
+def regression(parent: dict, change: dict, bound: float, runs: dict) -> str:
+    """Whether the change made a lower-is-better metric worse than its bound
+    allows: "worse", "unresolved" (the parent's runs spread too widely to
+    tell, and the two sides' runs overlap) or "none"."""
+    if change["median"] - parent["median"] > bound * parent["median"]:
+        return "worse"
+    if (parent["q3"] - parent["q1"] > bound * parent["median"]
+            and not max(runs["change"]) < min(runs["parent"])):
+        return "unresolved"
+    return "none"
+
+
 def same_outputs(parent: Path, change: Path) -> str:
     done = subprocess.run([sys.executable, str(SAME_OUTPUTS), str(parent), str(change)],
                           capture_output=True, text=True, check=False)
     return (done.stdout or done.stderr).strip()
 
 
-def summarise(parent_runs: dict, change_runs: dict) -> dict:
+def summarise(parent_runs: dict, change_runs: dict, bounds: dict[str, float]) -> dict:
     pairs = sorted(set(parent_runs) & set(change_runs))
     workloads = {}
     for workload in sorted({w for w, _ in pairs}):
@@ -72,17 +96,21 @@ def summarise(parent_runs: dict, change_runs: dict) -> dict:
                 continue
             values = [(p["detail"][name]["value"], c["detail"][name]["value"])
                       for (_, p), (_, c) in docs]
-            parent, change = quartiles([p for p, _ in values]), quartiles([c for _, c in values])
+            runs = {"parent": [p for p, _ in values], "change": [c for _, c in values]}
+            parent, change = quartiles(runs["parent"]), quartiles(runs["change"])
             wins = sum(c < p for p, c in values)  # lower is better
             metrics[name] = {
                 "unit": first["unit"],
                 "parent": parent,
                 "change": change,
+                "runs": runs,
                 "median_change": change["median"] / parent["median"] - 1.0,
                 "change_wins": wins,
                 "pairs": len(values),
                 "gain_holds": gain_holds(parent, change, wins, len(values)),
             }
+            if name in bounds:
+                metrics[name]["regression"] = regression(parent, change, bounds[name], runs)
         workloads[workload] = {
             "pairs": len(seeds),
             "seeds": seeds,
@@ -109,7 +137,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("change", type=Path, help="the change's results directory")
     parser.add_argument("--out", type=Path, help="write the summary here")
     args = parser.parse_args(argv)
-    summary = summarise(load_runs(args.parent), load_runs(args.change))
+    summary = summarise(load_runs(args.parent), load_runs(args.change), end_to_end_bounds())
     if not summary["workloads"]:
         print("no workload and seed was run on both sides", file=sys.stderr)
         return 1

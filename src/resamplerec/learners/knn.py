@@ -40,7 +40,8 @@ def _squared_distances(train_x: np.ndarray, query: np.ndarray) -> np.ndarray:
         half -= half % 8
         return pairwise(lo, half) + pairwise(lo + half, count - half)
 
-    return pairwise(0, train_x.shape[1])
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is an infinite distance
+        return pairwise(0, train_x.shape[1])
 
 
 def knn_scores(train_x: np.ndarray, train_y: np.ndarray, query: np.ndarray, k: int) -> np.ndarray:

@@ -65,28 +65,31 @@ def fit_logreg_l1(x: np.ndarray, y: np.ndarray, *, l1_strength: float = 1.0,
     f_prev = f_smooth + l1_strength * float(np.abs(coef).sum())
     if history is not None:
         history.append(f_prev)
-    for _ in range(max_iter):
-        g_coef, g_int = _grad_from_logit(x, y, z)
-        while True:
-            new_coef = _soft_threshold(coef - step * g_coef, step * l1_strength)
-            new_int = intercept - step * g_int
-            dc = new_coef - coef
-            di = new_int - intercept
-            quad = f_smooth + float(g_coef @ dc) + g_int * di \
-                + (float(dc @ dc) + di * di) / (2.0 * step)
-            new_z = x @ new_coef + new_int if new_coef.any() else new_int
-            new_smooth = _loss_from_logit(new_z, y)
-            if new_smooth <= quad + 1e-15:
+    # rows near the float maximum overflow the products; the line search
+    # accepts no candidate whose loss is NaN, and errstate changes no value
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(max_iter):
+            g_coef, g_int = _grad_from_logit(x, y, z)
+            while True:
+                new_coef = _soft_threshold(coef - step * g_coef, step * l1_strength)
+                new_int = intercept - step * g_int
+                dc = new_coef - coef
+                di = new_int - intercept
+                quad = f_smooth + float(g_coef @ dc) + g_int * di \
+                    + (float(dc @ dc) + di * di) / (2.0 * step)
+                new_z = x @ new_coef + new_int if new_coef.any() else new_int
+                new_smooth = _loss_from_logit(new_z, y)
+                if new_smooth <= quad + 1e-15:
+                    break
+                step *= 0.5
+                if step < 1e-12:
+                    return coef, intercept
+            coef, intercept, z, f_smooth = new_coef, new_int, new_z, new_smooth
+            f_new = f_smooth + l1_strength * float(np.abs(coef).sum())
+            if history is not None:
+                history.append(f_new)
+            if f_prev - f_new < tol:
                 break
-            step *= 0.5
-            if step < 1e-12:
-                return coef, intercept
-        coef, intercept, z, f_smooth = new_coef, new_int, new_z, new_smooth
-        f_new = f_smooth + l1_strength * float(np.abs(coef).sum())
-        if history is not None:
-            history.append(f_new)
-        if f_prev - f_new < tol:
-            break
-        f_prev = f_new
-        step *= 1.5  # allow the step to recover between iterations
+            f_prev = f_new
+            step *= 1.5  # allow the step to recover between iterations
     return coef, intercept

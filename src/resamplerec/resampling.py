@@ -108,8 +108,9 @@ def smote_neighbor_order(s: Dataset) -> np.ndarray:
     first k columns, so one order serves every k.
     """
     minors = s.features[s.minor_rows]
-    diff = minors[:, None, :] - minors[None, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow ranks as infinitely far
+        diff = minors[:, None, :] - minors[None, :, :]
+        dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
     np.fill_diagonal(dist, np.inf)
     # stable sort keeps lower indices first among equal distances
     return np.argsort(dist, axis=1, kind="stable")
@@ -148,7 +149,8 @@ def smote(s: Dataset, m: float, k: int, seed: int,
     u = rng.uniform(0.0, 1.0, size=n_add)
     a = minors[base]
     b = minors[neighbors[base, pick]]
-    synth = a + u[:, None] * (b - a)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked on the next line
+        synth = a + u[:, None] * (b - a)
     if not np.isfinite(synth).all():  # the one check a derived dataset cannot skip
         raise ValueError("features contain non-finite values")
     x = np.vstack([s.features, synth])

@@ -4,17 +4,17 @@ These deliberately take different routes than the production code: the
 PR-AUC oracle walks the explicit precision/recall step curve over all
 thresholds, the t-tail oracle integrates the density numerically, and the
 SMOTE oracle re-derives neighbor sets with plain sorted() instead of numpy.
-The tree, L1-logreg, SMOTE-neighbor, kNN-score, meta-feature and CSV-ingest
-references are earlier versions of the production code, kept verbatim so
-that faster rewrites are checked bit for bit; so are the recommender's
-decision rule and the meta-target rule, written once per case, so that the
-shorter forms are checked answer for answer; and so are recommendation
-accuracy, one pool per asked-for cell, and the multiplier grid, listed by
-walking it, so that the library's one pool per dataset and counted grid are
-checked bit for bit; and so are the resamplers, fold splits, `cv_quality`
-and static cells that validate every derived dataset and recount its
-classes, so that the grid's trusted derived datasets, cached class rows and
-runs of cells are checked bit for bit.
+The tree, tree-prediction, L1-logreg, SMOTE-neighbor, kNN-score,
+meta-feature and CSV-ingest references are earlier versions of the
+production code, kept verbatim so that faster rewrites are checked bit for
+bit; so are the recommender's decision rule and the meta-target rule,
+written once per case, so that the shorter forms are checked answer for
+answer; and so are recommendation accuracy, one pool per asked-for cell, and
+the multiplier grid, listed by walking it, so that the library's one pool
+per dataset and counted grid are checked bit for bit; and so are the
+resamplers, fold splits, `cv_quality` and static cells that validate every
+derived dataset and recount its classes, so that the grid's trusted derived
+datasets, cached class rows and runs of cells are checked bit for bit.
 """
 
 import csv
@@ -222,6 +222,24 @@ def _minor_fraction(y, w):
 
 def _weighted_mean(y, w):
     return float((w * y).sum() / w.sum())
+
+
+# --- tree prediction by one masked pass per node, before rows were walked
+
+
+def tree_predict(node: TreeNode, x: np.ndarray) -> np.ndarray:
+    """Evaluate leaf values for a batch of rows."""
+    out = np.empty(x.shape[0])
+    stack = [(node, np.arange(x.shape[0]))]
+    while stack:
+        nd, idx = stack.pop()
+        if nd.is_leaf:
+            out[idx] = nd.value
+            continue
+        mask = x[idx, nd.feature] <= nd.threshold
+        stack.append((nd.left, idx[mask]))
+        stack.append((nd.right, idx[~mask]))
+    return out
 
 
 # --- SMOTE neighbors as computed inline in smote() before the order was shared

@@ -1,14 +1,18 @@
 """Every committed benchmark summary (`BENCH_*.json`, written by
 scripts/bench_pairs.py) rests on clean runs: no op failed on either side,
 and both sides of every pair wrote the same outputs. A summary's gain
-verdicts agree with its own pair counts and quartiles."""
+verdicts agree with its own pair counts and quartiles, and its regression
+verdicts with its runs and the bounds of BENCHMARK.json."""
 
 import json
 from pathlib import Path
 
 import pytest
 
-BENCH_FILES = sorted(Path(__file__).resolve().parents[1].glob("BENCH_*.json"))
+ROOT = Path(__file__).resolve().parents[1]
+BENCH_FILES = sorted(ROOT.glob("BENCH_*.json"))
+BOUNDS = {metric["name"]: metric["bound"] for metric in
+          json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]}
 
 
 def test_a_summary_is_committed():
@@ -47,3 +51,33 @@ def test_gain_verdicts_follow_the_pairs_and_quartiles(path):
             expected = (m["pairs"] >= 10 and 10 * m["change_wins"] >= 9 * m["pairs"]
                         and parent["median"] - change["median"] > parent["q3"] - parent["q1"])
             assert m["gain_holds"] is expected, (name, metric)
+
+
+def test_a_summary_carries_regression_verdicts():
+    """Summaries written since `regression` was added carry one per
+    end-to-end metric."""
+    assert any(set(BOUNDS) <= {name for name, metric in summary["metrics"].items()
+                               if "regression" in metric}
+               for path in BENCH_FILES
+               for summary in json.loads(path.read_text(encoding="utf-8"))["workloads"].values())
+
+
+@pytest.mark.parametrize("path", BENCH_FILES, ids=lambda path: path.name)
+def test_regression_verdicts_follow_the_runs_and_bounds(path):
+    """"worse" when the change's median is above the parent's by more than
+    the bound times the parent's median; else "unresolved" when the parent's
+    IQR is wider than the bound times its median and the sides' runs
+    overlap; else "none"."""
+    for name, summary in json.loads(path.read_text(encoding="utf-8"))["workloads"].items():
+        for metric, m in summary["metrics"].items():
+            if "regression" not in m:  # written before the verdict existed, or not end to end
+                continue
+            parent, change, runs, bound = m["parent"], m["change"], m["runs"], BOUNDS[metric]
+            if change["median"] - parent["median"] > bound * parent["median"]:
+                expected = "worse"
+            elif (parent["q3"] - parent["q1"] > bound * parent["median"]
+                  and max(runs["change"]) >= min(runs["parent"])):
+                expected = "unresolved"
+            else:
+                expected = "none"
+            assert m["regression"] == expected, (name, metric)

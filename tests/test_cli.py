@@ -842,7 +842,8 @@ class TestBrokenInputs:
     def test_grid_refuses_smote_rows_that_overflow(self, tmp_path, capsys):
         """Minority rows near -1.7e308 beside one near +1.7e308: SMOTE's
         segments between them overflow, and the non-finite rows end `grid` in
-        one error line, although derived datasets are not validated again."""
+        one error line, although derived datasets are not validated again.
+        No numpy warning comes with it (pytest would turn one into an error)."""
         from resamplerec.data import Dataset, write_csv
 
         rng = np.random.default_rng(0)
@@ -852,9 +853,38 @@ class TestBrokenInputs:
                           labels=np.array([0] * 40 + [1] * 12)), tmp_path / "csv" / "huge.csv")
         cfg_path = tiny_config(tmp_path, csv_dir=str(tmp_path / "csv"), methods=["smote3"],
                                multipliers={"min": 1.5, "max": 2.0, "step": 0.5})
-        with pytest.warns(RuntimeWarning, match="overflow"):  # numpy's, kept off stderr here
-            assert main(["grid", "--config", str(cfg_path)]) == 1
+        assert main(["grid", "--config", str(cfg_path)]) == 1
         assert one_error_line(capsys) == "error E_FAILED: features contain non-finite values\n"
+
+    @pytest.mark.parametrize("methods", [["ros", "rus"], ["smote1"]], ids=["ros-rus", "smote1"])
+    @pytest.mark.parametrize("learner", [{"kind": "decision_tree", "max_depth": 3, "min_leaf": 2},
+                                         {"kind": "knn", "k": 3}, {"kind": "logreg_l1"}],
+                             ids=lambda learner: learner["kind"])
+    def test_grid_on_near_overflow_rows_prints_no_warning(self, tmp_path, learner, methods):
+        """Minority rows at +-1.7e308 overflow SMOTE's distances and new rows,
+        kNN's distances and logreg's products. `grid` answers, or refuses
+        SMOTE's non-finite rows in one error line; numpy prints nothing. A
+        subprocess shows what reaches stderr: in-process, pytest would turn
+        the first warning into an error."""
+        from resamplerec.data import Dataset, write_csv
+
+        rng = np.random.default_rng(0)
+        minors = rng.choice([-1.7e308, 1.7e308], size=(10, 2))
+        write_csv(Dataset(id="huge", features=np.vstack([rng.normal(size=(40, 2)), minors]),
+                          labels=np.array([0] * 40 + [1] * 10)), tmp_path / "csv" / "huge.csv")
+        cfg_path = tiny_config(tmp_path, csv_dir=str(tmp_path / "csv"), learner=learner,
+                               methods=methods, k=3)
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "resamplerec.cli", "grid", "--config", str(cfg_path)],
+            env=dict(os.environ, PYTHONPATH=str(src), PYTHONWARNINGS="default"),
+            capture_output=True, text=True, timeout=300)
+        if proc.returncode == 0:
+            assert proc.stderr == ""
+        else:
+            assert proc.returncode == 1
+            assert proc.stderr.startswith("error E_FAILED: ") and proc.stderr.count("\n") == 1, \
+                proc.stderr
 
     @pytest.mark.parametrize("approach, problem", [
         ("a1", "feature column 0: variance "), ("a2", "meta-features must be finite")])

@@ -224,6 +224,95 @@ def test_class_zero_rows_of_tiny_weight_still_match_oracle():
                          oracles.classification_tree(x, y, **kw))
 
 
+@st.composite
+def unweighted_tree_problems(draw):
+    """Unweighted fits of up to 300 rows, so nodes cross the 128-element
+    block of numpy's pairwise sum, with rounded (tied) values, +-0.0,
+    duplicated rows and single-class inputs."""
+    n = draw(st.integers(2, 300) | st.integers(129, 300))
+    d = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = np.round(rng.normal(size=(n, d)), draw(st.sampled_from([0, 1, 3])))
+    x[rng.random((n, d)) < draw(st.sampled_from([0.0, 0.2]))] = -0.0
+    if draw(st.booleans()):
+        x[rng.integers(0, n, n // 3)] = x[rng.integers(0, n, n // 3)]
+    labels = draw(st.sampled_from(["mixed"] * 4 + ["zeros", "ones"]))
+    if labels == "mixed":
+        y = (rng.random(n) < draw(st.sampled_from([0.05, 0.2, 0.5]))).astype(np.int64)
+    else:
+        y = np.full(n, int(labels == "ones"), dtype=np.int64)
+    return x, y, dict(max_depth=draw(st.sampled_from([None, None, 0, 1, 3, 8])),
+                      min_leaf=draw(st.sampled_from([1, 2, 5]) | st.integers(1, 40)))
+
+
+class TestUnweightedTrees:
+    """Unweighted classification fits take node sums from one per-fit
+    vector of 1/n instead of per-node gathers; they grow the oracle's trees
+    and the trees of the weighted path given equal weights."""
+
+    @given(unweighted_tree_problems())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_oracle(self, problem):
+        x, y, kw = problem
+        assert same_tree(build_classification_tree(x, y, **kw),
+                         oracles.classification_tree(x, y, **kw))
+
+    @given(unweighted_tree_problems())
+    @settings(max_examples=120, deadline=None)
+    def test_no_weights_and_equal_weights_grow_the_same_tree(self, problem):
+        x, y, kw = problem
+        assert same_tree(build_classification_tree(x, y, **kw),
+                         build_classification_tree(x, y, **kw, sample_weight=np.ones(len(y))))
+
+
+def predict_queries(tree: TreeNode, x: np.ndarray, rows: int, rng) -> np.ndarray:
+    """`rows` rows drawn from x, with values set to the tree's thresholds
+    and to +-0.0."""
+    q = x[rng.integers(0, len(x), rows)]
+    stack = [tree]
+    while stack and rows:
+        node = stack.pop()
+        if not node.is_leaf:
+            q[rng.integers(0, rows, 2), node.feature] = node.threshold
+            stack += [node.left, node.right]
+    q[rng.random(q.shape) < 0.1] = 0.0
+    q[rng.random(q.shape) < 0.1] = -0.0
+    return q
+
+
+class TestTreePredict:
+    """Walking each row from the root gives the bytes of one masked pass
+    per node, the reference kept in tests/oracles.py."""
+
+    @given(unweighted_tree_problems(), st.sampled_from([0, 1, 20]) | st.integers(0, 300),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_oracle(self, problem, rows, seed):
+        x, y, kw = problem
+        tree = build_classification_tree(x, y, **kw)
+        q = predict_queries(tree, x, rows, np.random.default_rng(seed))
+        got, want = tree_predict(tree, q), oracles.tree_predict(tree, q)
+        assert got.dtype == want.dtype and got.shape == want.shape == (rows,)
+        assert got.tobytes() == want.tobytes()
+
+    @given(unweighted_tree_problems(), st.sampled_from([0, 1, 20]) | st.integers(0, 300),
+           st.integers(1, 5), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_boosted_scores_match_oracle(self, problem, rows, rounds, seed):
+        x, y, kw = problem
+        rng = np.random.default_rng(seed)
+        kw = dict(max_depth=kw["max_depth"], min_leaf=kw["min_leaf"], n_estimators=rounds)
+        stages = fit_boosted_classifier(x, y, **kw)
+        q = predict_queries(stages[0].tree, x, rows, rng)
+        got = learners.boost.boosted_classifier_scores(stages, q)
+        with mock.patch.object(learners.boost, "tree_predict", oracles.tree_predict):
+            assert got.tobytes() == learners.boost.boosted_classifier_scores(stages, q).tobytes()
+        stages = fit_boosted_regressor(x, np.round(rng.normal(size=len(y)), 1), **kw)
+        got = learners.boost.boosted_regressor_predict(stages, q)
+        with mock.patch.object(learners.boost, "tree_predict", oracles.tree_predict):
+            assert got.tobytes() == learners.boost.boosted_regressor_predict(stages, q).tobytes()
+
+
 class TestKNN:
     def test_score_is_neighbor_fraction(self):
         x = np.array([[0.0], [0.1], [0.2], [0.3], [0.4], [10.0]])
