@@ -8,7 +8,7 @@ assessment that compares them against static strategies.
 
 from .data import (Dataset, FoldAssignment, MixtureConfig, generate_mixture,
                    imbalance_ratio, ingest_csv, stratified_folds, write_csv)
-from .evaluation import QualityGrid, cv_quality, pr_auc, quality_grid
+from .evaluation import GridDef, QualityGrid, cv_quality, pr_auc, quality_grid
 from .learners import LearnerSpec, predict_score
 from .metafeatures import MetaFeatures, compute_meta_features, slog
 from .qualityvars import binarize_targets, compute_quality_variables

@@ -56,7 +56,7 @@ def _static_cells_task(learner, item):
     the baseline cell.
     """
     s, grid = item
-    splits = FoldSplits(s, grid.k, grid.seed)
+    splits = FoldSplits(s, grid.k, grid.definition.seed)
     rus_cap = min(splits.train(j).n_major / splits.train(j).n_minor for j in range(grid.k))
     out: dict[str, tuple[tuple[str, float], float]] = {}
     for strategy, method in STATIC_STRATEGIES.items():
@@ -64,7 +64,7 @@ def _static_cells_task(learner, item):
         if method == "none":
             continue
         m = min(imbalance_ratio(s), rus_cap) if method == "rus" else imbalance_ratio(s)
-        seed = derive_seed(grid.seed, s.id, method, "on-demand", repr(m))
+        seed = derive_seed(grid.definition.seed, s.id, method, "on-demand", repr(m))
         try:
             scores = cv_quality(splits, learner, ResamplingSpec(method, m), seed)
         except CellInfeasible:

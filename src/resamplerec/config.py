@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .data import MixtureConfig
+from .evaluation import GridDef
 from .jsondoc import read_array, read_json, read_object
 from .learners import DEFAULT_LEARNERS, SPEC_FIELD_TYPES, LearnerSpec
 from .recommender import DEFAULT_PRESETS, PRESETS
@@ -100,6 +101,7 @@ class RunConfig:
     presets: dict = field(default_factory=dict)  # approach -> preset name
     use_windowed_pval_for_targets: bool = False
     workers: int = 1
+    grid: GridDef = field(init=False, repr=False, compare=False)  # built from the keys above
 
     def __post_init__(self):
         for key, low in _MINIMUMS.items():
@@ -111,11 +113,24 @@ class RunConfig:
         if self.epsilon <= 0:
             raise ConfigError(f"config key 'epsilon' must be positive, "
                               f"got {json.dumps(self.epsilon)}")
-        if not self.methods:
-            raise ConfigError("config key 'methods' must be non-empty")
         for i, a in enumerate(self.approaches):
             if a not in ("a1", "a2"):
                 raise ConfigError(f"unknown approach {a!r} in 'approaches[{i}]'")
+        object.__setattr__(self, "grid", self._grid_definition())
+
+    def _grid_definition(self) -> GridDef:
+        """The grid definition, the one reader of `methods`, `multipliers` and `k`."""
+        for i, method in enumerate(self.methods):
+            try:
+                ResamplingSpec(method)
+            except ValueError:
+                raise ConfigError(f"unknown resampling method {method!r} in 'methods[{i}]'")
+        if len(set(self.methods)) < len(self.methods):
+            raise ConfigError("config key 'methods' must name each method once")
+        grid = GridDef.of(self.learner, self.methods, self.multipliers.values(), self.k, self.seed)
+        if not grid.methods:  # "none" is the baseline, which every grid scores
+            raise ConfigError("config key 'methods' must name a method other than 'none'")
+        return grid
 
     def preset_for(self, approach: str) -> str:
         name = self.presets.get(approach) or DEFAULT_PRESETS.get((approach, self.learner.kind))
@@ -125,9 +140,6 @@ class RunConfig:
 
     def out_dir(self) -> Path:
         return Path(self.out)
-
-    def multiplier_values(self) -> list[float]:
-        return self.multipliers.values()
 
 
 def _mixture_from_dict(d: dict) -> MixtureConfig:
@@ -164,11 +176,6 @@ def config_from_dict(doc: dict) -> RunConfig:
     for name in ("methods", "approaches"):
         if name in doc:
             kwargs[name] = tuple(read_array(doc, name, "a string", "config", ConfigError))
-    for i, method in enumerate(kwargs.get("methods", ())):
-        try:
-            ResamplingSpec(method)
-        except ValueError:
-            raise ConfigError(f"unknown resampling method {method!r} in 'methods[{i}]'")
     if "multipliers" in doc:
         m = read_object(doc["multipliers"], _MULTIPLIER_KEYS, "config", ConfigError,
                         required=_MULTIPLIER_KEYS, prefix="multipliers.")
@@ -184,11 +191,10 @@ def config_from_dict(doc: dict) -> RunConfig:
                 raise ConfigError(f"config key 'presets.{approach}' must be one of "
                                   f"{', '.join(names)}, not {json.dumps(name)}")
         kwargs["presets"] = dict(presets)
-    cfg = RunConfig(**kwargs)
-    # the generator seed follows the master seed unless set explicitly
-    if "mixture" not in doc or "seed" not in doc.get("mixture", {}):
-        cfg = replace(cfg, mixture=replace(cfg.mixture, seed=cfg.seed))
-    return cfg
+    if "seed" not in doc.get("mixture", {}):  # the generator seed follows the master seed
+        kwargs["mixture"] = replace(kwargs.get("mixture", MixtureConfig()),
+                                    seed=kwargs.get("seed", RunConfig.seed))
+    return RunConfig(**kwargs)
 
 
 def load_config(path: str | Path | None, overrides: dict | None = None) -> RunConfig:

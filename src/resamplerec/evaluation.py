@@ -4,6 +4,9 @@ The protocol rule that everything downstream depends on: resampling is
 applied to the training split only, never to the held-out fold. All cells
 of one grid share a single fold assignment so per-fold scores are paired
 across cells.
+
+A grid's definition is one value, `GridDef`: the config builds it once
+(`config.RunConfig.grid`), a grid holds it, and its `.meta.json` stores it.
 """
 
 from __future__ import annotations
@@ -123,16 +126,38 @@ def cv_quality(splits: FoldSplits, learner: LearnerSpec, spec: ResamplingSpec,
     return scores
 
 
+@dataclass(frozen=True)
+class GridDef:
+    """What a grid's `.meta.json` stores and two grids are compared by: learner token,
+    methods but "none" (the baseline every grid scores), multipliers, `k`, `seed`.
+    One built by `of` also holds, uncompared, the learner spec and methods as given."""
+
+    learner: str
+    k: int
+    methods: tuple[str, ...]
+    multipliers: tuple[float, ...]
+    seed: int
+    learner_spec: LearnerSpec | None = field(default=None, compare=False)
+    given_methods: tuple[str, ...] = field(default=(), compare=False)
+
+    @classmethod
+    def of(cls, learner: LearnerSpec, methods, multipliers, k: int, seed: int) -> GridDef:
+        """`learner`'s grid over `methods` x `multipliers`, `k` folds, master seed `seed`."""
+        return cls(learner.token(), k, tuple(m for m in methods if m != "none"),
+                   tuple(float(m) for m in multipliers), seed, learner, tuple(methods))
+
+    def to_dict(self) -> dict:
+        """The compared fields, in the order a mismatch names them; multipliers by repr."""
+        return {"learner": self.learner, "k": self.k, "methods": list(self.methods),
+                "multipliers": [repr(m) for m in self.multipliers], "seed": self.seed}
+
+
 @dataclass
 class QualityGrid:
-    """Per-(method, multiplier) fold-score vectors for one dataset and learner."""
+    """Per-(method, multiplier) fold-score vectors for one dataset and grid definition."""
 
     dataset_id: str
-    learner_id: str
-    k: int
-    seed: int
-    methods: list[str]
-    multipliers: list[float]
+    definition: GridDef
     cells: dict[tuple[str, float], np.ndarray] = field(default_factory=dict)
     skips: dict[tuple[str, float], str] = field(default_factory=dict)
 
@@ -141,16 +166,17 @@ class QualityGrid:
             raise ValueError("grid must contain the no-resampling cell")
 
     @property
+    def k(self) -> int:
+        return self.definition.k
+
+    @property
     def baseline(self) -> np.ndarray:
         return self.cells[BASELINE_KEY]
 
     def cell_keys(self) -> list[tuple[str, float]]:
         """Canonical cell order: baseline first, then methods x multipliers."""
-        keys = [BASELINE_KEY]
-        for method in self.methods:
-            for m in self.multipliers:
-                keys.append((method, float(m)))
-        return keys
+        d = self.definition
+        return [BASELINE_KEY] + [(method, m) for method in d.methods for m in d.multipliers]
 
 
 def cell_seed(master_seed: int, dataset_id: str, method: str, mult_index: int) -> int:
@@ -175,11 +201,10 @@ def _grid_cell_task(context, run):
     return out
 
 
-def quality_grid(s: Dataset, learner: LearnerSpec, methods: list[str],
-                 multipliers: list[float], k: int, seed: int,
-                 workers: int = 1,
-                 precomputed: dict[tuple[str, float], np.ndarray | str] | None = None) -> QualityGrid:
-    """Evaluate every (method, multiplier) cell plus the no-resampling cell.
+def quality_grid(s: Dataset, definition: GridDef, workers: int = 1,
+                 precomputed: dict[tuple[str, float], np.ndarray | str] | None = None
+                 ) -> QualityGrid:
+    """Evaluate every (method, multiplier) cell of `definition` plus the no-resampling cell.
 
     All cells share one fold assignment. Each cell derives its own RNG
     stream, so results are identical for any worker count or evaluation
@@ -188,24 +213,15 @@ def quality_grid(s: Dataset, learner: LearnerSpec, methods: list[str],
     `precomputed` entries (cached fold vectors, or skip-reason strings) are
     trusted and not rerun.
     """
-    if not multipliers:
-        raise ValueError("multiplier list must be non-empty")
-    methods = [m for m in methods if m != "none"]
-    if not methods:
-        raise ValueError("method list must be non-empty")
-    multipliers = [float(m) for m in multipliers]
-    grid = QualityGrid(dataset_id=s.id, learner_id=learner.token(), k=k, seed=seed,
-                       methods=list(methods), multipliers=multipliers)
-
-    tasks = [("none", 1.0, -1)]
-    for method in methods:
-        for i, m in enumerate(multipliers):
-            tasks.append((method, m, i))
+    grid = QualityGrid(s.id, definition)
+    tasks = [("none", 1.0, -1)] + [(method, m, i) for method in definition.methods
+                                   for i, m in enumerate(definition.multipliers)]
     results = dict(precomputed or {})
     pending = [t for t in tasks if t[:2] not in results]
     n_runs = min(len(pending), _RUNS_PER_WORKER * max(workers, 1))
     runs = [pending[i::n_runs] for i in range(n_runs)]
-    context = (FoldSplits(s, k, seed), learner, seed)
+    context = (FoldSplits(s, definition.k, definition.seed), definition.learner_spec,
+               definition.seed)
     for run, values in zip(runs, parallel_map(_grid_cell_task, runs, workers, context)):
         results.update(zip([t[:2] for t in run], values))
 
@@ -225,19 +241,12 @@ def save_grid(grid: QualityGrid, csv_path: str | Path) -> None:
     """
     csv_path = Path(csv_path)
     csv_path.parent.mkdir(parents=True, exist_ok=True)
-    scores = [[grid.dataset_id, grid.learner_id, method, repr(float(m)), j, repr(float(score))]
+    scores = [[grid.dataset_id, grid.definition.learner, method, repr(m), j, repr(float(score))]
               for method, m in grid.cell_keys() if (method, m) in grid.cells
               for j, score in enumerate(grid.cells[(method, m)])]
-    skips = [[grid.dataset_id, grid.learner_id, key[0], repr(float(key[1])), grid.skips[key]]
+    skips = [[grid.dataset_id, grid.definition.learner, key[0], repr(key[1]), grid.skips[key]]
              for key in grid.cell_keys() if key in grid.skips]
-    meta = {
-        "dataset_id": grid.dataset_id,
-        "learner": grid.learner_id,
-        "k": grid.k,
-        "seed": grid.seed,
-        "methods": grid.methods,
-        "multipliers": [repr(float(m)) for m in grid.multipliers],
-    }
+    meta = {"dataset_id": grid.dataset_id, **grid.definition.to_dict()}
     write_files_atomically({
         csv_path: csv_text(["dataset_id", "learner", "method", "multiplier", "fold", "score"],
                             scores),
@@ -272,14 +281,13 @@ def load_grid(csv_path: str | Path) -> QualityGrid:
     meta_path = _meta_path(csv_path)
     meta = read_json(meta_path, "grid meta", GridFileError)
     where = f"grid meta {meta_path}"
-    grid = QualityGrid(
-        dataset_id=read_key(meta, "dataset_id", "a string", where, GridFileError),
-        learner_id=read_key(meta, "learner", "a string", where, GridFileError),
+    grid = QualityGrid(read_key(meta, "dataset_id", "a string", where, GridFileError), GridDef(
+        learner=read_key(meta, "learner", "a string", where, GridFileError),
         k=read_key(meta, "k", "an integer", where, GridFileError, low=2),
         seed=read_key(meta, "seed", "an integer", where, GridFileError),
-        methods=list(read_array(meta, "methods", "a string", where, GridFileError)),
-        multipliers=[float(m) for m in read_array(meta, "multipliers", "a float string",
-                                                  where, GridFileError)])
+        methods=tuple(read_array(meta, "methods", "a string", where, GridFileError)),
+        multipliers=tuple(float(m) for m in read_array(meta, "multipliers", "a float string",
+                                                       where, GridFileError))))
     try:
         ds_ids, learners, methods, mults, folds, scores = read_columns(
             csv_path, ("dataset_id", "learner", "method", "multiplier", "fold", "score"))
@@ -293,7 +301,7 @@ def load_grid(csv_path: str | Path) -> QualityGrid:
     except (OSError, ValueError, OverflowError) as exc:
         raise GridFileError(f"cannot read grid {csv_path}: {exc}") from exc
 
-    if set(zip(ds_ids, learners)) - {(grid.dataset_id, grid.learner_id)}:
+    if set(zip(ds_ids, learners)) - {(grid.dataset_id, grid.definition.learner)}:
         raise GridFileError(f"grid {csv_path}: a row names another dataset or learner")
     defined = grid.cell_keys()
     index = {key: i for i, key in enumerate(defined)}

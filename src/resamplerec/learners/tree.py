@@ -1,7 +1,8 @@
 """CART trees (Gini classification, squared-error regression) with sample weights.
 
 Splits are axis-aligned thresholds at midpoints between consecutive distinct
-feature values. A split is accepted only if it reduces the weighted impurity
+feature values (at the lower value where the midpoint rounds onto the upper
+one or overflows). A split is accepted only if it reduces the weighted impurity
 by more than _GAIN_TOL; ties go to the lower feature index, then the lower
 threshold, so fitting is fully deterministic.
 
@@ -127,7 +128,9 @@ def _best_split(xs, wl, wys, w_total, s, min_leaf, squares=None):
             return None
         i = int(np.argmax(gains[f]))
     i += min_leaf - 1
-    return f, float((xs[f, i] + xs[f, i + 1]) / 2.0)
+    a, b = float(xs[f, i]), float(xs[f, i + 1])
+    t = (a + b) / 2.0  # b between adjacent doubles, inf past the float maximum
+    return f, (t if a <= t < b else a)
 
 
 def build_classification_tree(x: np.ndarray, y: np.ndarray, *, max_depth: int | None,
@@ -185,9 +188,7 @@ def _grow_unit_gini_tree(x, y, max_depth, min_leaf):
         return node
 
     order, xs = _presort(x)
-    # a midpoint that overflows to inf sends every row left: 0/0 in the empty child
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return grow(order, xs, ones[order[0]], None, 0)
+    return grow(order, xs, ones[order[0]], None, 0)
 
 
 def _grow_tree(x, y, sample_weight, max_depth, min_leaf, regression):

@@ -15,8 +15,9 @@ compute it from the datasets and their grids (`build_meta_dataset`).
 One rule decides whether a saved grid is the config's grid, for `grid`
 (which resumes from it) and for `meta`, `train` and `assess` (which read
 it): `_trusted_grid`. The grid's `.cache.json` marker, written after the
-grid files, holds a content hash of the dataset file's bytes, the full
-learner spec, methods, multipliers, `k` and `seed`. A grid without its
+grid files, holds a content hash of the dataset file's bytes and of the
+config's grid definition (`cfg.grid`, the one source of the learner,
+methods, multipliers, `k` and `seed`). A grid without its
 marker is no grid: `grid` computes it afresh and the other commands stop
 with E_MISSING_INPUT. A marker that is unreadable or holds no hash is
 E_GRID_CORRUPT, and a hash that differs from the config's is
@@ -136,19 +137,11 @@ def load_bank(cfg: RunConfig) -> list[Dataset]:
             for ds_id, path in _bank_files(cfg)]
 
 
-def _grid_def_doc(cfg: RunConfig) -> dict:
-    return {
-        "learner": cfg.learner.to_dict(),
-        "methods": list(cfg.methods),
-        "multipliers": [repr(m) for m in cfg.multiplier_values()],
-        "k": cfg.k,
-        "seed": cfg.seed,
-    }
-
-
 def _grid_input_hash(cfg: RunConfig, dataset_csv_bytes: bytes) -> str:
-    return _hash_bytes(dataset_csv_bytes,
-                       json.dumps(_grid_def_doc(cfg), sort_keys=True).encode())
+    # with the full learner spec and the methods as configured, "none" included
+    doc = {**cfg.grid.to_dict(), "learner": cfg.grid.learner_spec.to_dict(),
+           "methods": list(cfg.grid.given_methods)}
+    return _hash_bytes(dataset_csv_bytes, json.dumps(doc, sort_keys=True).encode())
 
 
 def _grid_paths(cfg: RunConfig, dataset_id: str) -> tuple[Path, Path]:
@@ -172,11 +165,7 @@ def _trusted_grid(cfg: RunConfig, dataset_id: str, input_hash: str) -> QualityGr
                           "a string", f"grid marker {cache_path}", GridFileError)
     grid = load_grid(csv_path)
     if saved_hash != input_hash:
-        want = {"learner": cfg.learner.token(), "k": cfg.k,
-                "methods": [m for m in cfg.methods if m != "none"],
-                "multipliers": cfg.multiplier_values(), "seed": cfg.seed}
-        have = {"learner": grid.learner_id, "k": grid.k, "methods": grid.methods,
-                "multipliers": grid.multipliers, "seed": grid.seed}
+        want, have = cfg.grid.to_dict(), grid.definition.to_dict()
         differ = [name for name in want if want[name] != have[name]]
         cause = (f"was computed with another {', '.join(differ)} than the config" if differ
                  else "was computed before the dataset file or a learner setting changed")
@@ -193,8 +182,7 @@ def _grid_pool_task(context, s: Dataset) -> tuple[str, int, int]:
     old = _trusted_grid(cfg, s.id, input_hash)
     precomputed = {**old.cells, **old.skips} if old else {}
     cached = len(precomputed)
-    grid = quality_grid(s, cfg.learner, list(cfg.methods), cfg.multiplier_values(),
-                        cfg.k, cfg.seed, workers=workers, precomputed=precomputed)
+    grid = quality_grid(s, cfg.grid, workers=workers, precomputed=precomputed)
     save_grid(grid, csv_path)
     # the cache marker goes last: a grid is resumed only when all its files are whole
     write_files_atomically({cache_path: json.dumps({"input_hash": input_hash}, sort_keys=True)})
@@ -236,6 +224,13 @@ def _meta_records(cfg: RunConfig) -> list[MetaRecord]:
     return build_meta_dataset(list(zip(bank, load_grids(cfg, bank))), cfg.epsilon)
 
 
+def _meta_sidecar(cfg: RunConfig) -> dict:
+    """`meta.meta.json`: target settings, and the grid definition as configured but its seed."""
+    grid = {**cfg.grid.to_dict(), "methods": list(cfg.grid.given_methods)}
+    return {"epsilon": cfg.epsilon, "alpha": cfg.alpha,
+            **{key: value for key, value in grid.items() if key != "seed"}}
+
+
 def cmd_meta(cfg: RunConfig) -> None:
     """Export the meta-dataset (one wide CSV row per dataset)."""
     records = _meta_records(cfg)
@@ -244,18 +239,11 @@ def cmd_meta(cfg: RunConfig) -> None:
              **quality_row(rec.qv, binarize_targets(rec.qv, cfg.alpha,
                                                     cfg.use_windowed_pval_for_targets))}
             for rec in records]
-    sidecar = {
-        "epsilon": cfg.epsilon,
-        "alpha": cfg.alpha,
-        "methods": list(cfg.methods),
-        "multipliers": [repr(m) for m in cfg.multiplier_values()],
-        "k": cfg.k,
-        "learner": cfg.learner.token(),
-    }
     meta_path = cfg.out_dir() / "meta.csv"
     # every grid has the config's definition, so every row has the same columns
     write_files_atomically({meta_path: csv_text(list(rows[0]), [list(r.values()) for r in rows]),
-                            cfg.out_dir() / "meta.meta.json": json.dumps(sidecar, sort_keys=True)})
+                            cfg.out_dir() / "meta.meta.json": json.dumps(_meta_sidecar(cfg),
+                                                                         sort_keys=True)})
     print(f"meta: wrote {len(records)} meta-examples to {meta_path}")
 
 

@@ -76,8 +76,8 @@ def compute_quality_variables(grid: QualityGrid, epsilon: float) -> QualityVaria
     baseline = grid.baseline
     q0_mean = float(baseline.mean())
 
-    keys = [(method, float(m)) for method in grid.methods for m in grid.multipliers
-            if (method, float(m)) in grid.cells]
+    methods, multipliers = grid.definition.methods, grid.definition.multipliers
+    keys = [(method, m) for method in methods for m in multipliers if (method, m) in grid.cells]
     scores = np.array([grid.cells[key] for key in keys], dtype=np.float64)
     scores = scores.reshape(len(keys), baseline.shape[0])
     means = dict(zip(keys, scores.mean(axis=1).tolist()))
@@ -85,8 +85,8 @@ def compute_quality_variables(grid: QualityGrid, epsilon: float) -> QualityVaria
 
     cells: dict[tuple[str, float], CellVars] = {}
     per_method: dict[str, MethodVars] = {}
-    for method in grid.methods:
-        present = [float(m) for m in grid.multipliers if (method, float(m)) in means]
+    for method in methods:
+        present = [m for m in multipliers if (method, m) in means]
         if not present:
             continue  # every multiplier skipped: method omitted
         m_arr = np.array(present)
@@ -106,8 +106,7 @@ def compute_quality_variables(grid: QualityGrid, epsilon: float) -> QualityVaria
             q_pval_at_star=cells[(method, m_star)].q_pval,
         )
     return QualityVariables(
-        q0_mean=q0_mean, epsilon=epsilon, methods=tuple(grid.methods),
-        multipliers=tuple(float(m) for m in grid.multipliers),
+        q0_mean=q0_mean, epsilon=epsilon, methods=methods, multipliers=multipliers,
         cells=cells, per_method=per_method)
 
 

@@ -41,17 +41,13 @@ class MetaRecord:
 
 def build_meta_dataset(records: list[tuple[Dataset, QualityGrid]],
                        epsilon: float) -> list[MetaRecord]:
-    """One MetaRecord per (dataset, grid) pair; grids must share R, M and k."""
-    if not records:
-        return []
-    ref = records[0][1]
+    """One MetaRecord per (dataset, grid) pair; grids must share one definition."""
     out = []
     for dataset, grid in records:
         if grid.dataset_id != dataset.id:
             raise ValueError(f"grid {grid.dataset_id} does not match dataset {dataset.id}")
-        if (grid.methods, [float(m) for m in grid.multipliers], grid.k) != \
-                (ref.methods, [float(m) for m in ref.multipliers], ref.k):
-            raise ValueError("inconsistent grid shapes across records")
+        if grid.definition != records[0][1].definition:
+            raise ValueError("inconsistent grid definitions across records")
         out.append(MetaRecord(dataset_id=dataset.id,
                               features=compute_meta_features(dataset),
                               qv=compute_quality_variables(grid, epsilon)))

@@ -15,11 +15,16 @@ per dataset and counted grid are checked bit for bit; and so are the
 resamplers, fold splits, `cv_quality` and static cells that validate every
 derived dataset and recount its classes, so that the grid's trusted derived
 datasets, cached class rows and runs of cells are checked bit for bit.
+So are the grid-definition documents as each was written out by hand from
+the config (the grid marker's hashed document, a grid's `.meta.json` and
+`meta.meta.json`), so that the one `GridDef` they come from now is checked
+byte for byte.
 """
 
 import csv
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.integrate import quad
@@ -798,7 +803,7 @@ def cv_quality(s: Dataset, k: int, grid_seed: int, learner, spec: ResamplingSpec
 
 def static_cells(learner, s: Dataset, grid, strategies: dict[str, str]) -> dict:
     """Each static strategy's (cell, mean) on the grid's folds, one fresh split set per cell."""
-    splits = FoldSplits(s, grid.k, grid.seed)
+    splits = FoldSplits(s, grid.k, grid.definition.seed)
     rus_cap = min(_ir(splits.train(j)) for j in range(grid.k))
     out = {}
     for strategy, method in strategies.items():
@@ -806,10 +811,57 @@ def static_cells(learner, s: Dataset, grid, strategies: dict[str, str]) -> dict:
         if method == "none":
             continue
         m = min(_ir(s), rus_cap) if method == "rus" else _ir(s)
-        seed = derive_seed(grid.seed, s.id, method, "on-demand", repr(m))
+        seed = derive_seed(grid.definition.seed, s.id, method, "on-demand", repr(m))
         try:
-            scores = cv_quality(s, grid.k, grid.seed, learner, ResamplingSpec(method, m), seed)
+            scores = cv_quality(s, grid.k, grid.definition.seed, learner,
+                                ResamplingSpec(method, m), seed)
         except CellInfeasible:
             continue
         out[strategy] = ((method, m), float(scores.mean()))
     return out
+
+
+# --- the grid-definition documents, each written out by hand from the config
+# (the library derives all three from `cfg.grid`); `cfg.multiplier_values()`,
+# since removed, was `cfg.multipliers.values()`
+
+
+def grid_def_doc(cfg) -> dict:
+    """The document the grid marker's hash covers, besides the dataset file."""
+    return {
+        "learner": cfg.learner.to_dict(),
+        "methods": list(cfg.methods),
+        "multipliers": [repr(m) for m in cfg.multipliers.values()],
+        "k": cfg.k,
+        "seed": cfg.seed,
+    }
+
+
+def grid_meta_doc(cfg, dataset_id: str) -> dict:
+    """A grid's `.meta.json`: the fields `quality_grid` gave a grid computed on
+    the config, as `save_grid` wrote them."""
+    grid = SimpleNamespace(dataset_id=dataset_id, learner_id=cfg.learner.token(), k=cfg.k,
+                           seed=cfg.seed, methods=[m for m in cfg.methods if m != "none"],
+                           multipliers=[float(m) for m in cfg.multipliers.values()])
+    meta = {
+        "dataset_id": grid.dataset_id,
+        "learner": grid.learner_id,
+        "k": grid.k,
+        "seed": grid.seed,
+        "methods": grid.methods,
+        "multipliers": [repr(float(m)) for m in grid.multipliers],
+    }
+    return meta
+
+
+def meta_sidecar(cfg) -> dict:
+    """`meta.meta.json`, as `cmd_meta` wrote it."""
+    sidecar = {
+        "epsilon": cfg.epsilon,
+        "alpha": cfg.alpha,
+        "methods": list(cfg.methods),
+        "multipliers": [repr(m) for m in cfg.multipliers.values()],
+        "k": cfg.k,
+        "learner": cfg.learner.token(),
+    }
+    return sidecar

@@ -19,7 +19,7 @@ import resamplerec.evaluation as evaluation
 from resamplerec.assessment import assess_bank, format_ara_table, recommendation_accuracies
 from resamplerec.cli import main as cli_main
 from resamplerec.data import MixtureConfig, generate_mixture, imbalance_ratio
-from resamplerec.evaluation import FoldSplits, pr_auc, quality_grid
+from resamplerec.evaluation import FoldSplits, GridDef, pr_auc, quality_grid
 from resamplerec.learners import DEFAULT_LEARNERS, fit_count
 from resamplerec.parallel import parallel_map
 from resamplerec.qualityvars import binarize_targets, compute_quality_variables
@@ -181,7 +181,7 @@ class TestCriterion5Protocol:
 
 
 def _desk_grid(context, s):
-    return quality_grid(s, TREE, DESK_METHODS, DESK_MULTS, k=10, seed=DESK_SEED)
+    return quality_grid(s, GridDef.of(TREE, DESK_METHODS, DESK_MULTS, k=10, seed=DESK_SEED))
 
 
 @pytest.fixture(scope="session")
@@ -237,7 +237,7 @@ def test_criterion_7_recommend_speed(desk_run):
         held_out = desk_run["held_out"]
         model = desk_run["model_a1"]
         t0 = time.perf_counter()
-        quality_grid(held_out, TREE, DESK_METHODS, DESK_MULTS, k=10, seed=DESK_SEED)
+        quality_grid(held_out, GridDef.of(TREE, DESK_METHODS, DESK_MULTS, k=10, seed=DESK_SEED))
         grid_time = time.perf_counter() - t0
         t0 = time.perf_counter()
         recommend(model, held_out)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from resamplerec.assessment import (STATIC_STRATEGIES, _static_cells_task, assess_bank, ecdf,
                                     format_ara_table, recommendation_accuracies, write_report)
 from resamplerec.data import MixtureConfig, generate_mixture
-from resamplerec.evaluation import (BASELINE_KEY, FoldSplits, QualityGrid, cv_quality,
+from resamplerec.evaluation import (BASELINE_KEY, FoldSplits, GridDef, QualityGrid, cv_quality,
                                     quality_grid)
 from resamplerec.learners import LearnerSpec
 from resamplerec.recommender import PRESETS, Recommendation
@@ -24,10 +24,9 @@ TREE = LearnerSpec("decision_tree", max_depth=3, min_leaf=2)
 def grid_with_means(means: dict, k: int = 4) -> QualityGrid:
     """Constant fold vectors, so cell means are exact."""
     cells = {key: np.full(k, value) for key, value in means.items()}
-    methods = sorted({key[0] for key in means if key[0] != "none"})
-    multipliers = sorted({key[1] for key in means if key[0] != "none"})
-    return QualityGrid(dataset_id="fixed", learner_id="synthetic", k=k, seed=0,
-                       methods=methods, multipliers=multipliers, cells=cells)
+    methods = tuple(sorted({key[0] for key in means if key[0] != "none"}))
+    multipliers = tuple(sorted({key[1] for key in means if key[0] != "none"}))
+    return QualityGrid("fixed", GridDef("synthetic", k, methods, multipliers, 0), cells)
 
 
 class TestRecommendationAccuracy:
@@ -60,7 +59,7 @@ class TestRecommendationAccuracy:
 
     def test_off_grid_evaluated_on_demand(self):
         s = make_dataset(60, 20, seed=1)  # IR 3, off the grid
-        grid = quality_grid(s, TREE, ["ros"], [1.5, 2.0], k=4, seed=5)
+        grid = quality_grid(s, GridDef.of(TREE, ["ros"], [1.5, 2.0], k=4, seed=5))
         cells = _static_cells_task(TREE, (s, grid))
         key, _ = cells["ros-eqs"]
         assert key == ("ros", 3.0) and key not in grid.cells
@@ -93,7 +92,7 @@ class TestStaticCells:
 
     @staticmethod
     def cells_of(s):
-        grid = quality_grid(s, TREE, ["ros"], [1.5], k=4, seed=5)
+        grid = quality_grid(s, GridDef.of(TREE, ["ros"], [1.5], k=4, seed=5))
         return grid, _static_cells_task(TREE, (s, grid))
 
     def test_no_resample(self):
@@ -104,10 +103,10 @@ class TestStaticCells:
     def test_eqs_uses_exact_ir(self):
         s = make_dataset(80, 20)  # 60/15 rows in every training split: RUS is not capped
         grid, cells = self.cells_of(s)
-        splits = FoldSplits(s, grid.k, grid.seed)
+        splits = FoldSplits(s, grid.k, grid.definition.seed)
         for strategy, method in (("ros-eqs", "ros"), ("rus-eqs", "rus"),
                                  ("smote5-eqs", "smote5")):
-            seed = derive_seed(grid.seed, s.id, method, "on-demand", repr(4.0))
+            seed = derive_seed(grid.definition.seed, s.id, method, "on-demand", repr(4.0))
             mean = float(cv_quality(splits, TREE, ResamplingSpec(method, 4.0), seed).mean())
             assert cells[strategy] == ((method, 4.0), mean)
 
@@ -166,8 +165,8 @@ def assess_fixture():
     cfg = MixtureConfig(dim_range=(3, 5), size_range=(80, 140),
                         minor_fraction_range=(0.12, 0.3), seed=55)
     datasets = [generate_mixture(cfg, i) for i in range(8)]
-    grids = [quality_grid(s, TREE, ["ros", "rus", "smote3"], [1.5, 2.0, 2.5], k=5, seed=21)
-             for s in datasets]
+    definition = GridDef.of(TREE, ["ros", "rus", "smote3"], [1.5, 2.0, 2.5], k=5, seed=21)
+    grids = [quality_grid(s, definition) for s in datasets]
     return list(zip(datasets, grids))
 
 
@@ -208,7 +207,7 @@ class TestAssessBank:
         bank = []
         for i in range(3):
             s = make_dataset(41, 10, seed=i, dataset_id=f"d{i}")
-            bank.append((s, quality_grid(s, TREE, ["rus"], [2.0, 4.0], k=4, seed=6)))
+            bank.append((s, quality_grid(s, GridDef.of(TREE, ["rus"], [2.0, 4.0], k=4, seed=6))))
             assert ("rus", 4.0) in bank[-1][1].skips
         pick = Recommendation(ResamplingSpec("rus", 4.0), "a1")
         monkeypatch.setattr(assessment, "recommend", lambda model, s: pick)

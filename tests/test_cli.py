@@ -66,7 +66,7 @@ class TestConfig:
         cfg = RunConfig()
         assert cfg.k == 20 and cfg.k_prime == 10
         assert cfg.alpha == 0.05 and cfg.epsilon == 0.75
-        assert len(cfg.multiplier_values()) == 36
+        assert len(cfg.grid.multipliers) == 36
         assert cfg.methods == ("ros", "rus", "smote1", "smote3", "smote5", "smote7")
 
     def test_paper_scale_count_supported(self):
@@ -277,7 +277,7 @@ class TestPipelineCommands:
         ({"alpha": 2}, "config key 'alpha' must be in (0, 1), got 2"),
         ({"epsilon": -1}, "config key 'epsilon' must be positive, got -1"),
         ({"approaches": ["a1", "a3"]}, "unknown approach 'a3' in 'approaches[1]'"),
-        ({"methods": []}, "config key 'methods' must be non-empty"),
+        ({"methods": []}, "config key 'methods' must name a method other than 'none'"),
         ({"multipliers": {"min": 0.5, "max": 2.5, "step": 0.5}},
          "config key 'multipliers' must have 1 <= min <= max and step > 0, "
          "got min 0.5, max 2.5, step 0.5"),
@@ -302,6 +302,8 @@ class TestPipelineCommands:
         ({"multipliers": {"min": 1.5, "max": 1.5000000001, "step": 4e-11}},
          "config key 'multipliers' must list distinct values at 10 decimals, "
          "got min 1.5, max 1.5000000001, step 4e-11"),
+        ({"methods": ["ros", "rus", "ros"]}, "config key 'methods' must name each method once"),
+        ({"methods": ["none"]}, "config key 'methods' must name a method other than 'none'"),
     ], ids=["top", "mixture", "multipliers", "multipliers-missing", "learner",
             "minor-cov-scale", "learner-type", "document-type", "range-length", "int-type",
             "bool-is-not-int", "learner-field-type", "multiplier-type", "range-item-type",
@@ -309,7 +311,8 @@ class TestPipelineCommands:
             "workers-range", "alpha-range", "epsilon-range", "approach", "methods-empty",
             "multiplier-range", "mixture-range", "infinite-multiplier", "nan-epsilon",
             "huge-alpha", "infinite-mean", "preset-approach", "preset-of-the-other-approach",
-            "unknown-preset", "multiplier-count", "multiplier-repeats"])
+            "unknown-preset", "multiplier-count", "multiplier-repeats", "methods-repeated",
+            "methods-only-none"])
     def test_config_key_error(self, tmp_path, capsys, extra, message):
         if isinstance(extra, dict):
             cfg_path = tiny_config(tmp_path, **extra)
@@ -856,22 +859,33 @@ class TestBrokenInputs:
         assert main(["grid", "--config", str(cfg_path)]) == 1
         assert one_error_line(capsys) == "error E_FAILED: features contain non-finite values\n"
 
-    @pytest.mark.parametrize("methods", [["ros", "rus"], ["smote1"]], ids=["ros-rus", "smote1"])
-    @pytest.mark.parametrize("learner", [{"kind": "decision_tree", "max_depth": 3, "min_leaf": 2},
-                                         {"kind": "knn", "k": 3}, {"kind": "logreg_l1"}],
-                             ids=lambda learner: learner["kind"])
-    def test_grid_on_near_overflow_rows_prints_no_warning(self, tmp_path, learner, methods):
+    @pytest.mark.parametrize("learner, methods, split_past_max", [
+        *[(learner, methods, False)
+          for learner in ({"kind": "decision_tree", "max_depth": 3, "min_leaf": 2},
+                          {"kind": "knn", "k": 3}, {"kind": "logreg_l1"})
+          for methods in (["ros", "rus"], ["smote1"])],
+        ({"kind": "decision_tree"}, ["ros", "rus", "smote1"], True),
+    ], ids=[f"{kind}-{methods}" for kind in ("decision_tree", "knn", "logreg_l1")
+            for methods in ("ros-rus", "smote1")] + ["default-tree-split-past-max"])
+    def test_grid_on_near_overflow_rows_prints_no_warning(self, tmp_path, learner, methods,
+                                                          split_past_max):
         """Minority rows at +-1.7e308 overflow SMOTE's distances and new rows,
-        kNN's distances and logreg's products. `grid` answers, or refuses
-        SMOTE's non-finite rows in one error line; numpy prints nothing. A
-        subprocess shows what reaches stderr: in-process, pytest would turn
-        the first warning into an error."""
+        kNN's distances and logreg's products; majority rows at 1.6e308 beside
+        minority rows at 1.7e308 put a tree split's midpoint past the float
+        maximum (an unbounded tree once recursed without end). `grid` answers,
+        or refuses SMOTE's non-finite rows in one error line; numpy prints
+        nothing. A subprocess shows what reaches stderr: in-process, pytest
+        would turn the first warning into an error."""
         from resamplerec.data import Dataset, write_csv
 
         rng = np.random.default_rng(0)
-        minors = rng.choice([-1.7e308, 1.7e308], size=(10, 2))
-        write_csv(Dataset(id="huge", features=np.vstack([rng.normal(size=(40, 2)), minors]),
-                          labels=np.array([0] * 40 + [1] * 10)), tmp_path / "csv" / "huge.csv")
+        if split_past_max:
+            features = np.column_stack([[1.6e308] * 40 + [1.7e308] * 10, rng.normal(size=50)])
+        else:
+            minors = rng.choice([-1.7e308, 1.7e308], size=(10, 2))
+            features = np.vstack([rng.normal(size=(40, 2)), minors])
+        write_csv(Dataset(id="huge", features=features, labels=np.array([0] * 40 + [1] * 10)),
+                  tmp_path / "csv" / "huge.csv")
         cfg_path = tiny_config(tmp_path, csv_dir=str(tmp_path / "csv"), learner=learner,
                                methods=methods, k=3)
         src = Path(__file__).resolve().parents[1] / "src"

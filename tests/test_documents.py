@@ -9,6 +9,10 @@ deletes a required key, or replaces a value with a value of a JSON type
 that the key does not take. The command must fail with exactly one line:
 no traceback, and no value that is silently truncated (4.7 or 4.0 for an
 integer).
+
+The documents a grid's definition is written into (the grid marker's hash,
+a grid's `.meta.json`, `meta.meta.json`) keep the bytes they had when each
+was written out by hand, and one function builds that definition.
 """
 
 import ast
@@ -19,11 +23,17 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from typing import NamedTuple
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from resamplerec import pipeline
 from resamplerec.cli import main
+from resamplerec.config import DEFAULT_METHODS, config_from_dict
+from resamplerec.evaluation import QualityGrid, load_grid, save_grid
+from resamplerec.learners import DEFAULT_LEARNERS
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -465,3 +475,82 @@ def test_json_is_parsed_in_one_function():
     """`jsondoc.read_json` is the one place under `src/` that parses JSON."""
     parsers = [use for path in sorted((ROOT / "src").rglob("*.py")) for use in json_parsers(path)]
     assert parsers == [("jsondoc.py", "read_json")]
+
+
+@st.composite
+def grid_configs(draw) -> dict:
+    """The grid-definition keys of a config: any learner kind with fields off
+    its defaults, methods in any order with or without "none", multipliers
+    whose steps round at 10 decimals, `k` and `seed`."""
+    learner = draw(st.fixed_dictionaries(
+        {"kind": st.sampled_from(sorted(DEFAULT_LEARNERS))},
+        optional={"max_depth": st.none() | st.integers(1, 12), "min_leaf": st.integers(1, 9),
+                  "k": st.integers(1, 15), "l1_strength": st.floats(0.0, 10.0),
+                  "max_iter": st.integers(1, 900), "tol": st.floats(1e-9, 1e-2),
+                  "n_estimators": st.integers(1, 50), "learning_rate": st.floats(0.01, 2.0)}))
+    methods = draw(st.lists(st.sampled_from(DEFAULT_METHODS), min_size=1, unique=True))
+    if draw(st.booleans()):
+        methods.insert(draw(st.integers(0, len(methods))), "none")
+    low = draw(st.sampled_from([1.0, 1.1, 1.25, 4 / 3]))
+    step = draw(st.sampled_from([0.1, 0.25, 0.3, 1 / 3, 0.7]))
+    multipliers = {"min": low, "max": low + step * draw(st.integers(0, 30)), "step": step}
+    return {"learner": learner, "methods": methods, "multipliers": multipliers,
+            "k": draw(st.integers(2, 12)), "seed": draw(st.integers(0, 2**40))}
+
+
+@given(grid_configs(), st.sampled_from(["synth-5-0", "d", "my data"]))
+@settings(max_examples=60, deadline=None)
+def test_grid_definition_documents_are_the_hand_written_ones(doc, dataset_id):
+    """The marker's hash, a grid's `.meta.json` and `meta.meta.json` are byte for
+    byte those written out by hand from the config, and a grid read back has
+    the config's definition."""
+    cfg = config_from_dict(doc)
+    data = dataset_id.encode()
+    assert pipeline._grid_input_hash(cfg, data) == pipeline._hash_bytes(
+        data, json.dumps(oracles.grid_def_doc(cfg), sort_keys=True).encode())
+    assert json.dumps(pipeline._meta_sidecar(cfg), sort_keys=True) == \
+        json.dumps(oracles.meta_sidecar(cfg), sort_keys=True)
+    grid = QualityGrid(dataset_id, cfg.grid)
+    grid.cells = {key: np.full(cfg.grid.k, 0.5) for key in grid.cell_keys()}
+    with tempfile.TemporaryDirectory() as tmp:
+        save_grid(grid, Path(tmp) / "g.csv")
+        assert (Path(tmp) / "g.meta.json").read_text() == \
+            json.dumps(oracles.grid_meta_doc(cfg, dataset_id), sort_keys=True)
+        assert load_grid(Path(tmp) / "g.csv").definition == cfg.grid
+
+
+GRID_KEYS = ("methods", "multipliers", "multiplier_values", "k")
+
+
+def config_grid_reads(path: Path) -> set[str]:
+    """The function (`Class.function` in a class) of each read of a config's
+    `methods`, `multipliers`, `multiplier_values` or `k`: an attribute of a
+    name `cfg`, of a parameter annotated `RunConfig`, or of `self` in
+    `RunConfig`."""
+    found = set()
+
+    def visit(node, function: str, configs: set) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name, {"self"} if child.name == "RunConfig" else set())
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                annotated = {arg.arg for arg in child.args.args + child.args.kwonlyargs
+                             if "RunConfig" in ast.unparse(arg.annotation or ast.Constant(""))}
+                name = child.name if function == "<module>" else f"{function}.{child.name}"
+                visit(child, name, configs | annotated | {"cfg"})
+                continue
+            if isinstance(child, ast.Attribute) and child.attr in GRID_KEYS \
+                    and isinstance(child.value, ast.Name) and child.value.id in configs | {"cfg"}:
+                found.add(f"{path.name}:{function}")
+            visit(child, function, configs)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>", set())
+    return found
+
+
+def test_the_grid_definition_is_built_in_one_function():
+    """Only the grid definition's constructor reads a config's grid keys under
+    `src/`; every other use goes through the definition (`cfg.grid`)."""
+    reads = set().union(*(config_grid_reads(path) for path in sorted((ROOT / "src").rglob("*.py"))))
+    assert reads == {"config.py:RunConfig._grid_definition"}

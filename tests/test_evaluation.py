@@ -12,8 +12,9 @@ import resamplerec.evaluation as evaluation
 from resamplerec.assessment import STATIC_STRATEGIES, _static_cells_task
 from resamplerec.config import MultiplierGrid
 from resamplerec.data import Dataset, imbalance_ratio
-from resamplerec.evaluation import (CellInfeasible, FoldSplits, GridFileError, cell_seed,
-                                    cv_quality, load_grid, pr_auc, quality_grid, save_grid)
+from resamplerec.evaluation import (CellInfeasible, FoldSplits, GridDef, GridFileError,
+                                    cell_seed, cv_quality, load_grid, pr_auc, quality_grid,
+                                    save_grid)
 from resamplerec.learners import LearnerSpec
 from resamplerec.resampling import ResamplingSpec
 from resamplerec.rng import derive_seed
@@ -145,20 +146,20 @@ class TestQualityGrid:
 
     def test_rus_cells_skipped_above_ir(self):
         s = make_dataset(40, 20, seed=4)  # IR = 2
-        g = quality_grid(s, TREE, ["rus"], [1.5, 2.5], k=4, seed=9)
+        g = quality_grid(s, GridDef.of(TREE, ["rus"], [1.5, 2.5], k=4, seed=9))
         assert ("rus", 1.5) in g.cells
         assert ("rus", 2.5) in g.skips
         assert "exceeds IR" in g.skips[("rus", 2.5)]
 
     def test_baseline_always_present(self):
         s = make_dataset(40, 20, seed=4)
-        g = quality_grid(s, TREE, ["ros"], [2.0], k=4, seed=9)
+        g = quality_grid(s, GridDef.of(TREE, ["ros"], [2.0], k=4, seed=9))
         assert ("none", 1.0) in g.cells
 
     def test_baseline_independent_of_multiplier_list(self):
         s = make_dataset(60, 20, seed=5)
-        a = quality_grid(s, TREE, ["ros"], [1.5], k=4, seed=9)
-        b = quality_grid(s, TREE, ["ros", "rus"], [1.5, 2.0], k=4, seed=9)
+        a = quality_grid(s, GridDef.of(TREE, ["ros"], [1.5], k=4, seed=9))
+        b = quality_grid(s, GridDef.of(TREE, ["ros", "rus"], [1.5, 2.0], k=4, seed=9))
         assert np.array_equal(a.baseline, b.baseline)
 
     def test_folds_shared_across_cells(self, monkeypatch):
@@ -171,13 +172,14 @@ class TestQualityGrid:
             return real(ds, k, seed)
 
         monkeypatch.setattr(evaluation, "stratified_folds", spy)
-        quality_grid(s, TREE, ["ros", "rus"], [1.5, 2.0], k=4, seed=9)
+        quality_grid(s, GridDef.of(TREE, ["ros", "rus"], [1.5, 2.0], k=4, seed=9))
         assert calls == [derive_seed(9, s.id, "folds")]
 
     def test_parallel_matches_sequential(self):
         s = make_dataset(60, 20, seed=6)
-        seq = quality_grid(s, TREE, ["ros", "smote3"], [1.5, 2.0], k=4, seed=3)
-        par = quality_grid(s, TREE, ["ros", "smote3"], [1.5, 2.0], k=4, seed=3, workers=2)
+        seq = quality_grid(s, GridDef.of(TREE, ["ros", "smote3"], [1.5, 2.0], k=4, seed=3))
+        par = quality_grid(s, GridDef.of(TREE, ["ros", "smote3"], [1.5, 2.0], k=4, seed=3),
+                           workers=2)
         assert seq.cells.keys() == par.cells.keys()
         for key in seq.cells:
             assert np.array_equal(seq.cells[key], par.cells[key])
@@ -195,7 +197,8 @@ class TestQualityGrid:
 
         monkeypatch.setattr(evaluation, "smote_neighbor_order", logged)
         s = make_dataset(60, 20, seed=6)
-        quality_grid(s, TREE, ["smote1", "smote3"], [1.5, 2.0, 2.5], k=4, seed=3, workers=2)
+        quality_grid(s, GridDef.of(TREE, ["smote1", "smote3"], [1.5, 2.0, 2.5], k=4, seed=3),
+                     workers=2)
         built = log.read_text().splitlines()
         assert built and len(built) == len(set(built))
         assert {line.split()[1] for line in built} == {f"{s.id}#train{j}" for j in range(4)}
@@ -214,11 +217,12 @@ class TestQualityGrid:
             return real(context, run)
 
         s = make_dataset(40, 12, seed=6)
-        args = (s, TREE, ["ros", "rus", "smote3"], [1.25, 1.5, 1.75, 2.0, 2.5, 3.0, 3.25, 3.5])
-        serial = quality_grid(*args, k=4, seed=3)
+        definition = GridDef.of(TREE, ["ros", "rus", "smote3"],
+                                [1.25, 1.5, 1.75, 2.0, 2.5, 3.0, 3.25, 3.5], k=4, seed=3)
+        serial = quality_grid(s, definition)
         precomputed = dict(list({**serial.cells, **serial.skips}.items())[:cached])
         monkeypatch.setattr(evaluation, "_grid_cell_task", logged)
-        pooled = quality_grid(*args, k=4, seed=3, workers=2, precomputed=precomputed)
+        pooled = quality_grid(s, definition, workers=2, precomputed=precomputed)
         runs = [line.split() for line in log.read_text().splitlines()]
         pending = len(serial.cell_keys()) - cached  # 25 cells
         assert len(runs) <= min(8 * 2, pending)
@@ -245,8 +249,8 @@ class TestQualityGrid:
                     labels=np.concatenate([s.labels, s.labels[dup]]))
         methods = ["ros", "rus", "smote1", "smote3", "smote5", "smote7"]
         multipliers = sorted({1.01, 1.5, imbalance_ratio(s), 3.0})
-        grids = [quality_grid(s, learner, methods, multipliers, k=k, seed=seed, workers=w)
-                 for w in (1, 2)]
+        definition = GridDef.of(learner, methods, multipliers, k=k, seed=seed)
+        grids = [quality_grid(s, definition, workers=w) for w in (1, 2)]
         for method, m in grids[0].cell_keys():
             index = multipliers.index(m) if method != "none" else -1
             try:
@@ -262,10 +266,11 @@ class TestQualityGrid:
 
     def test_precomputed_cells_reused(self):
         s = make_dataset(60, 20, seed=6)
-        full = quality_grid(s, TREE, ["ros"], [1.5, 2.0], k=4, seed=3)
+        full = quality_grid(s, GridDef.of(TREE, ["ros"], [1.5, 2.0], k=4, seed=3))
         fake = dict(full.cells)
         fake[("ros", 1.5)] = np.zeros(4)  # a wrong value proves it is not recomputed
-        resumed = quality_grid(s, TREE, ["ros"], [1.5, 2.0], k=4, seed=3, precomputed=fake)
+        resumed = quality_grid(s, GridDef.of(TREE, ["ros"], [1.5, 2.0], k=4, seed=3),
+                               precomputed=fake)
         assert np.array_equal(resumed.cells[("ros", 1.5)], np.zeros(4))
         assert np.array_equal(resumed.cells[("ros", 2.0)], full.cells[("ros", 2.0)])
 
@@ -273,8 +278,8 @@ class TestQualityGrid:
         """Cells and skips supplied as precomputed, any subset in any order, at
         workers 1 and 2, leave a grid equal to the uncached one, byte for byte."""
         s = make_dataset(30, 8, seed=11)  # IR 3.75: rus@4.0 and every smote7 cell skip
-        args = (s, TREE, ["ros", "rus", "smote7"], [1.5, 3.0, 4.0])
-        full = quality_grid(*args, k=4, seed=2)
+        definition = GridDef.of(TREE, ["ros", "rus", "smote7"], [1.5, 3.0, 4.0], k=4, seed=2)
+        full = quality_grid(s, definition)
         assert full.cells and full.skips
         known = {**full.cells, **full.skips}
 
@@ -282,7 +287,7 @@ class TestQualityGrid:
         @settings(max_examples=8, deadline=None)
         def check(order, data, workers):
             cached = {key: known[key] for key in order[:data.draw(st.integers(0, len(order)))]}
-            g = quality_grid(*args, k=4, seed=2, workers=workers, precomputed=cached)
+            g = quality_grid(s, definition, workers=workers, precomputed=cached)
             assert [(key, v.tobytes()) for key, v in g.cells.items()] == \
                 [(key, v.tobytes()) for key, v in full.cells.items()]
             assert list(g.skips.items()) == list(full.skips.items())
@@ -291,11 +296,10 @@ class TestQualityGrid:
 
     def test_save_load_bit_exact(self, tmp_path):
         s = make_dataset(44, 22, seed=7)
-        g = quality_grid(s, TREE, ["ros", "rus"], [1.5, 3.0], k=4, seed=13)
+        g = quality_grid(s, GridDef.of(TREE, ["ros", "rus"], [1.5, 3.0], k=4, seed=13))
         save_grid(g, tmp_path / "g.csv")
         back = load_grid(tmp_path / "g.csv")
-        assert back.dataset_id == g.dataset_id and back.k == g.k and back.seed == g.seed
-        assert back.methods == g.methods and back.multipliers == g.multipliers
+        assert back.dataset_id == g.dataset_id and back.definition == g.definition
         assert back.cells.keys() == g.cells.keys()
         for key in g.cells:
             assert np.array_equal(back.cells[key], g.cells[key])
@@ -303,7 +307,7 @@ class TestQualityGrid:
 
     def test_rows_and_columns_in_any_order_load_the_same_grid(self, tmp_path):
         s = make_dataset(40, 20, seed=4)  # IR = 2: ('rus', 2.5) is skipped
-        g = quality_grid(s, TREE, ["ros", "rus"], [1.5, 2.5], k=4, seed=9)
+        g = quality_grid(s, GridDef.of(TREE, ["ros", "rus"], [1.5, 2.5], k=4, seed=9))
         save_grid(g, tmp_path / "g.csv")
         header, *rows = list(csv.reader((tmp_path / "g.csv").read_text().splitlines()))
         order = np.random.default_rng(0).permutation(len(header))
@@ -337,7 +341,7 @@ class TestGridFile:
     @pytest.fixture
     def saved(self, tmp_path):
         s = make_dataset(40, 20, seed=4)  # IR = 2: ('rus', 2.5) is skipped
-        save_grid(quality_grid(s, TREE, ["ros", "rus"], [1.5, 2.5], k=4, seed=9),
+        save_grid(quality_grid(s, GridDef.of(TREE, ["ros", "rus"], [1.5, 2.5], k=4, seed=9)),
                   tmp_path / "g.csv")
         return tmp_path / "g.csv"
 

@@ -138,6 +138,24 @@ class TestDecisionTree:
         model = fit_arrays(LearnerSpec("decision_tree"), x, y)
         assert model.tree.is_leaf
 
+    @pytest.mark.parametrize("max_depth", [None, 4], ids=["unbounded", "depth-4"])
+    @pytest.mark.parametrize("a, b", [(1.0000000000000002, 1.0000000000000004),
+                                      (1.6e308, 1.7e308), (-1.7e308, -1.6e308)],
+                             ids=["adjacent-doubles", "past-float-max", "past-float-min"])
+    def test_threshold_lies_between_the_values_it_splits(self, a, b, max_depth):
+        """Where the midpoint of a and b rounds onto b or overflows, the split
+        is at a: finite, with the ten rows of each value in their own leaf."""
+        x = np.array([[a]] * 10 + [[b]] * 10)
+        y = np.array([0] * 10 + [1] * 10)
+        for tree in (build_classification_tree(x, y, max_depth=max_depth, min_leaf=1),
+                     build_classification_tree(x, y, max_depth=max_depth, min_leaf=1,
+                                               sample_weight=np.ones(20)),
+                     build_regression_tree(x, y.astype(float), max_depth=max_depth,
+                                           min_leaf=1)):
+            assert tree.threshold == a
+            assert tree.left.is_leaf and tree.right.is_leaf
+            assert (tree.left.n_samples, tree.right.n_samples) == (10, 10)
+
 
 @st.composite
 def tree_problems(draw, regression: bool):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resamplerec.evaluation import QualityGrid
+from resamplerec.evaluation import GridDef, QualityGrid
 from resamplerec.qualityvars import (binarize_targets, compute_quality_variables,
                                      paired_ttest_pvalues, quality_row)
 from resamplerec.stats import student_t_sf
@@ -26,9 +26,8 @@ def random_grid(seed: int, methods=("ros", "rus"), multipliers=(1.5, 2.0, 2.5, 3
                 skips[(method, m)] = "synthetic skip"
             else:
                 cells[(method, m)] = rng.uniform(0.2, 0.8, size=k)
-    return QualityGrid(dataset_id=f"rand-{seed}", learner_id="synthetic", k=k, seed=seed,
-                       methods=list(methods), multipliers=[float(m) for m in multipliers],
-                       cells=cells, skips=skips)
+    definition = GridDef("synthetic", k, tuple(methods), tuple(map(float, multipliers)), seed)
+    return QualityGrid(f"rand-{seed}", definition, cells, skips)
 
 
 def row_pvalue(resampled: np.ndarray, baseline: np.ndarray) -> float:
@@ -175,8 +174,7 @@ class TestBinarizeTargets:
         k = 6
         base = np.random.default_rng(0).uniform(0.3, 0.7, size=k)
         cells = {("none", 1.0): base, ("ros", 1.5): base.copy(), ("ros", 2.0): base.copy()}
-        g = QualityGrid(dataset_id="flat", learner_id="synthetic", k=k, seed=0,
-                        methods=["ros"], multipliers=[1.5, 2.0], cells=cells)
+        g = QualityGrid("flat", GridDef("synthetic", k, ("ros",), (1.5, 2.0), 0), cells)
         qv = compute_quality_variables(g, epsilon=0.75)
         targets = binarize_targets(qv, alpha=0.05)
         assert all(v == 0 for v in targets.y_rm.values())
@@ -232,9 +230,8 @@ class TestBinarizeTargets:
                     skips[(method, m)] = "synthetic skip"
                 else:
                     cells[(method, m)] = rng.integers(0, 4, size=k) / 4.0
-        g = QualityGrid(dataset_id="lattice", learner_id="synthetic", k=k, seed=0,
-                        methods=["ros", "rus", "smote5"], multipliers=multipliers,
-                        cells=cells, skips=skips)
+        g = QualityGrid("lattice", GridDef("synthetic", k, ("ros", "rus", "smote5"),
+                                           tuple(multipliers), 0), cells, skips)
         qv = compute_quality_variables(g, epsilon)
         assert binarize_targets(qv, alpha, windowed) == \
             oracles.binarize_targets(qv, alpha, windowed)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resamplerec.data import MixtureConfig, generate_mixture, imbalance_ratio
-from resamplerec.evaluation import quality_grid
+from resamplerec.evaluation import GridDef, QualityGrid, quality_grid
 from resamplerec.learners import (LearnerSpec, constant_model, fit_arrays, fit_count,
                                   model_to_dict)
 from resamplerec.qualityvars import binarize_targets, format_multiplier
@@ -31,7 +31,7 @@ def small_bank():
     cfg = MixtureConfig(dim_range=(3, 5), size_range=(70, 120),
                         minor_fraction_range=(0.1, 0.3), seed=77)
     datasets = [generate_mixture(cfg, i) for i in range(8)]
-    grids = [quality_grid(s, TREE, METHODS, MULTS, k=5, seed=3) for s in datasets]
+    grids = [quality_grid(s, GridDef.of(TREE, METHODS, MULTS, k=5, seed=3)) for s in datasets]
     return list(zip(datasets, grids))
 
 
@@ -53,7 +53,7 @@ class TestBuildMetaDataset:
 
     def test_inconsistent_grids_rejected(self, small_bank):
         s0, g0 = small_bank[0]
-        bad = quality_grid(s0, TREE, ["ros"], [2.0], k=5, seed=3)
+        bad = quality_grid(s0, GridDef.of(TREE, ["ros"], [2.0], k=5, seed=3))
         with pytest.raises(ValueError, match="inconsistent"):
             build_meta_dataset([small_bank[1], (s0, bad)], 0.75)
 
@@ -80,10 +80,8 @@ class TestTrainApproach1:
         rng = np.random.default_rng(0)
         for i in range(4):
             base = rng.uniform(0.4, 0.6, size=6)
-            from resamplerec.evaluation import QualityGrid
             cells = {("none", 1.0): base, ("ros", 2.0): base + 0.2}  # p-value 0 always
-            g = QualityGrid(dataset_id=f"d{i}", learner_id="synthetic", k=6, seed=1,
-                            methods=["ros"], multipliers=[2.0], cells=cells)
+            g = QualityGrid(f"d{i}", GridDef("synthetic", 6, ("ros",), (2.0,), 1), cells)
             records.append((make_dataset(30, 10, seed=i, dataset_id=f"d{i}"), g))
         meta = build_meta_dataset(records, 0.75)
         model = train_approach1(meta, PRESETS["rs1-dtree"])
@@ -111,10 +109,8 @@ class TestTrainApproach2:
         rng = np.random.default_rng(1)
         for i in range(4):
             base = rng.uniform(0.4, 0.6, size=6)
-            from resamplerec.evaluation import QualityGrid
             cells = {("none", 1.0): base, ("ros", 1.5): base - 0.2, ("ros", 4.0): base - 0.1}
-            g = QualityGrid(dataset_id=f"d{i}", learner_id="synthetic", k=6, seed=1,
-                            methods=["ros"], multipliers=[1.5, 4.0], cells=cells)
+            g = QualityGrid(f"d{i}", GridDef("synthetic", 6, ("ros",), (1.5, 4.0), 1), cells)
             records.append((make_dataset(30, 10, seed=i, dataset_id=f"d{i}"), g))
         meta = build_meta_dataset(records, 0.75)
         model = train_approach2(meta, PRESETS["rs2-dtree"])
