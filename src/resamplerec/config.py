@@ -9,7 +9,6 @@ reader, so a bad key is one ConfigError (E_CONFIG) naming its key path.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -57,29 +56,25 @@ class MultiplierGrid:
         if self.min < 1.0 or self.max < self.min or self.step <= 0:
             raise ConfigError("config key 'multipliers' must have 1 <= min <= max and step > 0, "
                               f"{where}")
-        if self._count() > MAX_MULTIPLIERS:
+        values = self.values()
+        if len(values) > MAX_MULTIPLIERS:
             raise ConfigError(f"config key 'multipliers' must list at most {MAX_MULTIPLIERS} "
                               f"values, {where}")
-        values = self.values()
         if len(set(values)) < len(values):
             raise ConfigError("config key 'multipliers' must list distinct values at 10 "
                               f"decimals, {where}")
 
-    def _count(self) -> int:
-        """How many values `values` lists (MAX_MULTIPLIERS + 1 stands for any more),
-        counted without listing them. The values rise with their index; rounding
-        to 10 decimals can move the last one across `max`."""
-        top = self.max + 1e-9
-        n = math.floor(min((top - self.min) / self.step, MAX_MULTIPLIERS)) + 1
-        while n > 1 and round(self.min + (n - 1) * self.step, 10) > top:
-            n -= 1
-        while n <= MAX_MULTIPLIERS and round(self.min + n * self.step, 10) <= top:
-            n += 1
-        return n
-
     def values(self) -> list[float]:
-        """min, min + step, ... up to max, each rounded to 10 decimals."""
-        return [round(self.min + i * self.step, 10) for i in range(self._count())]
+        """min, min + step, ... up to max, each rounded to 10 decimals; the list
+        stops at MAX_MULTIPLIERS + 1 values, past which a grid is refused."""
+        top = self.max + 1e-9
+        values = []
+        for i in range(MAX_MULTIPLIERS + 1):
+            m = round(self.min + i * self.step, 10)
+            if m > top:
+                break
+            values.append(m)
+        return values
 
 
 @dataclass(frozen=True)

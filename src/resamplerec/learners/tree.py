@@ -7,24 +7,21 @@ by more than _GAIN_TOL; ties go to the lower feature index, then the lower
 threshold, so fitting is fully deterministic.
 
 Each fit sorts every feature once, stably, so equal values keep row order
-(the presorting of SLIQ and SPRINT). A node holds its rows per feature, in
-that feature's sorted order; a split filters each line by the split mask,
-which keeps it sorted, so no node sorts again. One splitter scans all
-features at once from prefix sums along those lines, in the same summation
-order as a per-node sort would give, so the trees are bit-identical to the
-per-feature loop kept as the reference in tests/oracles.py.
-
-An unweighted classification fit (every row weighs 1/n) reads no weight
-per node: a node of m rows, k of them class 1 (counted on its feature-0
-line), weighs the sum of the first m entries of one per-fit vector of 1/n,
-and its class-1 weight is the sum of the first k, the same pairwise sums
-over equal doubles as a gather of its rows' weights would give. Its left
-prefix weights are the first m of that vector's running sums, shared by
-every feature line, and a node that is not searched (too deep, too few rows
-or one label) is never given lines of its own. Each child of a candidate
-split then weighs at least min_leaf/n > 0, so no gain is NaN and one argmax
-over all gains keeps the tie rule. Weighted fits (boosting) and regression
-trees gather each node's weights.
+(the presorting of SLIQ and SPRINT). One recursion grows every tree. A node
+is its parent's per-feature lines (rows and values in each feature's order)
+plus a split mask; filtering a line by the mask keeps it sorted, so no node
+sorts again, and a node builds its own lines only when it is searched. Its
+sums come from its feature-0 line. In an unweighted classification fit
+every row weighs 1/n, so a node of m rows, k of them class 1, weighs the
+pairwise sum of m entries of one vector of 1/n and k entries give its
+class-1 weight; every other fit gathers from the line's rows, sorted
+ascending. One splitter scans all features at once from prefix sums along
+the lines (left weights are the 1/n vector's running sums when no weights
+are given), in the same summation order as a per-node sort would give, so
+the trees are bit-identical to the per-feature loop kept as the reference
+in tests/oracles.py. Gains are NaN only for a zero-weight child (weighted
+fits) or sums past the float maximum (regression); such a gain drops its
+feature.
 
 `tree_predict` walks each row from the root in Python, about 1 us a row,
 where a masked pass per node costs a few us a node at any batch size. On
@@ -70,7 +67,7 @@ class TreeNode:
         }
 
 
-def _best_split(xs, wl, wys, w_total, s, min_leaf, squares=None):
+def _best_split(xs, wl, wys, w_total, s, min_leaf, squares, nan_gains):
     """Scan every feature at once for the split with the largest impurity decrease.
 
     Row g of `xs` and `wys` holds the node's feature-g values and w*y in
@@ -80,7 +77,8 @@ def _best_split(xs, wl, wys, w_total, s, min_leaf, squares=None):
     line gives the same running sums, one row for all features. `w_total` is
     the node's weight and `s` its class-1 weight (Gini) or, when `squares` =
     (sorted w*y^2, node w*y^2 sum) selects squared error, its w*y sum.
-    Returns (feature, threshold) or None.
+    `nan_gains` says whether the fit can give NaN gains. Returns (feature,
+    threshold) or None.
     """
     n = xs.shape[1]
     # a split after sorted position i (i in cand) leaves min_leaf rows per side
@@ -111,22 +109,15 @@ def _best_split(xs, wl, wys, w_total, s, min_leaf, squares=None):
         child = (s2l - sl ** 2 / wl) + ((s2 - s2l) - (s - sl) ** 2 / wr)
     gains = np.subtract(parent, child, out=child)
     gains[xs[:, cand] >= xs[:, min_leaf:n - min_leaf + 1]] = -np.inf  # no split between ties
-    if wl.ndim == 1:
-        # unit weights: each child weighs at least min_leaf/n > 0, so no gain
-        # is NaN, and the first maximum in row order is at the lowest feature,
-        # then the lowest threshold
-        f, i = divmod(int(gains.argmax()), gains.shape[1])
-        if not gains[f, i] > _GAIN_TOL:
-            return None
-    else:
-        # a NaN gain (zero-weight child) makes its feature's max NaN, which
-        # drops the feature; ties go to the lowest feature, then the lowest
-        # threshold
-        best = np.fmax(gains.max(axis=1), -np.inf)
-        f = int(np.argmax(best))
-        if not best[f] > _GAIN_TOL:
-            return None
-        i = int(np.argmax(gains[f]))
+    if nan_gains:
+        # a NaN gain (a zero-weight child, or sums past the float maximum)
+        # drops its whole feature
+        gains[np.isnan(gains).any(axis=1)] = -np.inf
+    # the first maximum in row order is at the lowest feature, then the
+    # lowest threshold
+    f, i = divmod(int(gains.argmax()), gains.shape[1])
+    if not gains[f, i] > _GAIN_TOL:
+        return None
     i += min_leaf - 1
     a, b = float(xs[f, i]), float(xs[f, i + 1])
     t = (a + b) / 2.0  # b between adjacent doubles, inf past the float maximum
@@ -136,8 +127,6 @@ def _best_split(xs, wl, wys, w_total, s, min_leaf, squares=None):
 def build_classification_tree(x: np.ndarray, y: np.ndarray, *, max_depth: int | None,
                               min_leaf: int, sample_weight: np.ndarray | None = None) -> TreeNode:
     count_fit()
-    if sample_weight is None:
-        return _grow_unit_gini_tree(x, y, max_depth, min_leaf)
     return _grow_tree(x, y, sample_weight, max_depth, min_leaf, regression=False)
 
 
@@ -152,86 +141,60 @@ def _presort(x):
     return order, np.take_along_axis(x.T, order, axis=1)
 
 
-def _grow_unit_gini_tree(x, y, max_depth, min_leaf):
+def _grow_tree(x, y, sample_weight, max_depth, min_leaf, regression):
     n, d = x.shape
-    unit = np.full(n, 1.0 / n)
-    prefix = np.add.accumulate(unit)
-    wy = unit * y.astype(np.float64)
+    w = _norm_weights(sample_weight, n)
+    y = y.astype(np.float64)
+    wy = w * y
+    wy2 = wy * y if regression else None
     ones = y == 1
+    prefix = np.add.accumulate(w) if sample_weight is None else None
+    # only weighted and regression fits can give NaN gains (and 0/0 sums)
+    nan_gains = sample_weight is not None or regression
 
-    def grow(order, xs, ones0, side, depth):
+    def grow(order, xs, side, depth):
         # the node's rows are the `side` entries of its parent's lines: rows
-        # and values per feature in that feature's order (order, xs) and the
-        # class-1 flags along feature 0 (ones0); a node's own lines are built
-        # only when it is searched
-        if side is not None:
-            ones0 = ones0[side[0]]
-        m = ones0.shape[0]
-        k = np.count_nonzero(ones0)
-        w_total = np.add.reduce(unit[:m])
-        s = np.add.reduce(unit[:k])
+        # and values per feature in that feature's order; its own lines are
+        # built only when it is searched
+        line = order[0] if side is None else order[0][side[0]]
+        m = line.shape[0]
+        if nan_gains:
+            rows = np.sort(line)  # ascending, the summation order of a gather
+            wn = w[rows]
+            w_total = wn.sum()
+            if regression:
+                k, s = None, wy[rows].sum()  # no labels, so never one label
+            else:
+                is_one = ones[rows]
+                k, s = np.count_nonzero(is_one), wn[is_one].sum()
+        else:
+            # every row weighs 1/n: pairwise sums of m and k equal doubles
+            k = np.count_nonzero(ones[line])
+            w_total, s = np.add.reduce(w[:m]), np.add.reduce(w[:k])
         node = TreeNode(value=float(s / w_total), n_samples=m)
         if max_depth is not None and depth >= max_depth:
             return node
         if m < 2 * min_leaf or k in (0, m):
-            return node  # too few rows, or one label: every split has zero gain
+            return node  # too few rows, or one label: every split has zero (or NaN) gain
         if side is not None:
             order, xs = order[side].reshape(d, -1), xs[side].reshape(d, -1)
-        found = _best_split(xs, prefix[:m], wy[order], w_total, float(s), min_leaf)
+        wl = prefix[:m] if prefix is not None else np.add.accumulate(w[order], axis=1)
+        squares = (wy2[order], float(wy2[rows].sum())) if regression else None
+        found = _best_split(xs, wl, wy[order], w_total, float(s), min_leaf, squares, nan_gains)
         if found is None:
             return node
         f, t = found
         left = (x[:, f] <= t)[order]  # filtering a sorted line keeps it sorted
         node.feature, node.threshold = f, t
-        node.left = grow(order, xs, ones0, left, depth + 1)
-        node.right = grow(order, xs, ones0, ~left, depth + 1)
+        node.left = grow(order, xs, left, depth + 1)
+        node.right = grow(order, xs, ~left, depth + 1)
         return node
 
-    order, xs = _presort(x)
-    return grow(order, xs, ones[order[0]], None, 0)
-
-
-def _grow_tree(x, y, sample_weight, max_depth, min_leaf, regression):
-    n = x.shape[0]
-    w = _norm_weights(sample_weight, n)
-    y = y.astype(np.float64)
-    wy = w * y
-    wy2 = wy * y if regression else None
-    d = x.shape[1]
-
-    def grow(rows, order, xs, depth):
-        # rows: the node's rows ascending; order/xs: its rows and values per feature
-        wn = w[rows]
-        w_total = wn.sum()
-        if regression:
-            s = wy[rows].sum()
-        else:
-            ones = y[rows] == 1
-            s = wn[ones].sum()
-        node = TreeNode(value=float(s / w_total), n_samples=rows.shape[0])
-        if max_depth is not None and depth >= max_depth:
-            return node
-        if rows.shape[0] < 2 * min_leaf:
-            return node
-        if not regression and np.count_nonzero(ones) in (0, rows.shape[0]):
-            return node  # one label: every split has zero (or NaN) gain
-        squares = (wy2[order], float(wy2[rows].sum())) if regression else None
-        found = _best_split(xs, np.add.accumulate(w[order], axis=1), wy[order], w_total,
-                            float(s), min_leaf, squares)
-        if found is None:
-            return node
-        f, t = found
-        goes_left = x[:, f] <= t
-        left = goes_left[order]  # filtering a sorted line keeps it sorted
-        node.feature, node.threshold = f, t
-        node.left = grow(rows[goes_left[rows]], order[left].reshape(d, -1),
-                         xs[left].reshape(d, -1), depth + 1)
-        node.right = grow(rows[~goes_left[rows]], order[~left].reshape(d, -1),
-                          xs[~left].reshape(d, -1), depth + 1)
-        return node
-
-    with np.errstate(divide="ignore", invalid="ignore"):  # zero-weight nodes give NaN
-        return grow(np.arange(n), *_presort(x), 0)
+    if nan_gains:
+        # zero-weight nodes and sums past the float maximum give NaN
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return grow(*_presort(x), None, 0)
+    return grow(*_presort(x), None, 0)
 
 
 def _norm_weights(sample_weight, n):

@@ -18,7 +18,7 @@ METHOD_NONE = "none"
 METHOD_ROS = "ros"
 METHOD_RUS = "rus"
 
-_SMOTE_RE = re.compile(r"^smote(\d+)$")
+_SMOTE_RE = re.compile(r"^smote([1-9][0-9]*)$")  # k >= 1, one spelling per k
 
 # float slack for m <= IR checks: IR values come from small-integer divisions
 _IR_TOL = 1e-9
@@ -41,8 +41,6 @@ class ResamplingSpec:
             object.__setattr__(self, "multiplier", 1.0)
         elif self.method not in (METHOD_ROS, METHOD_RUS) and self.smote_k is None:
             raise ValueError(f"unknown resampling method {self.method!r}")
-        if self.smote_k is not None and self.smote_k < 1:
-            raise ValueError("smote needs k >= 1 neighbors")
         object.__setattr__(self, "multiplier", float(self.multiplier))
 
     @property

@@ -10,11 +10,12 @@ production code, kept verbatim so that faster rewrites are checked bit for
 bit; so are the recommender's decision rule and the meta-target rule,
 written once per case, so that the shorter forms are checked answer for
 answer; and so are recommendation accuracy, one pool per asked-for cell, and
-the multiplier grid, listed by walking it, so that the library's one pool
-per dataset and counted grid are checked bit for bit; and so are the
-resamplers, fold splits, `cv_quality` and static cells that validate every
-derived dataset and recount its classes, so that the grid's trusted derived
-datasets, cached class rows and runs of cells are checked bit for bit.
+the multiplier grid, listed by walking it and counted without listing it, so
+that the library's one pool per dataset and bounded listing are checked bit
+for bit; and so are the resamplers, fold splits, `cv_quality` and static
+cells that validate every derived dataset and recount its classes, so that
+the grid's trusted derived datasets, cached class rows and runs of cells are
+checked bit for bit.
 So are the grid-definition documents as each was written out by hand from
 the config (the grid marker's hashed document, a grid's `.meta.json` and
 `meta.meta.json`), so that the one `GridDef` they come from now is checked
@@ -635,6 +636,19 @@ def recommendation_accuracy(grid, key: tuple[str, float],
     if hi == lo:
         return 1.0
     return (pool[key] - lo) / (hi - lo)
+
+
+def count_multipliers(low: float, high: float, step: float, cap: int) -> int:
+    """How many values the multiplier grid lists (cap + 1 stands for any
+    more), counted without listing them. The values rise with their index;
+    rounding to 10 decimals can move the last one across `high`."""
+    top = high + 1e-9
+    n = math.floor(min((top - low) / step, cap)) + 1
+    while n > 1 and round(low + (n - 1) * step, 10) > top:
+        n -= 1
+    while n <= cap and round(low + n * step, 10) <= top:
+        n += 1
+    return n
 
 
 def walk_multipliers(low: float, high: float, step: float):

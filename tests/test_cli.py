@@ -9,6 +9,7 @@ import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,11 +18,11 @@ from hypothesis import strategies as st
 
 from resamplerec import pipeline
 from resamplerec.cli import build_parser, main
-from resamplerec.config import (ConfigError, MultiplierGrid, RunConfig, config_from_dict,
-                                load_config)
+from resamplerec.config import (MAX_MULTIPLIERS, ConfigError, MultiplierGrid, RunConfig,
+                                config_from_dict, load_config)
 from resamplerec.learners import LearnerSpec
 
-from oracles import walk_multipliers
+from oracles import count_multipliers, walk_multipliers
 
 
 def tiny_config(tmp_path: Path, **extra) -> Path:
@@ -104,6 +105,19 @@ class TestConfig:
             assert len(walked) > 1000 or len(set(walked)) < len(walked)
         else:
             assert values == walked and len(set(values)) == len(values)
+
+    @given(multiplier_grid_bounds())
+    @example((1.25, 1e12, 0.25))
+    @example((1.0, 1000.0, 1.0))
+    @example((1.0, 1.0, 1e-300))
+    @settings(max_examples=300, deadline=None)
+    def test_listing_stops_where_the_count_formula_says(self, bounds):
+        """The bounded listing is as long as the closed-form count; both stop
+        at MAX_MULTIPLIERS + 1 for a longer grid."""
+        low, high, step = bounds
+        # `values` of any bounds, whether or not a grid of them would load
+        listed = MultiplierGrid.values(SimpleNamespace(min=low, max=high, step=step))
+        assert len(listed) == count_multipliers(low, high, step, MAX_MULTIPLIERS)
 
     def test_preset_resolution(self, tmp_path):
         cfg = load_config(tiny_config(tmp_path))
@@ -269,6 +283,8 @@ class TestPipelineCommands:
         ({"mixture": {"size_range": [60.5, 90]}},
          "config key 'mixture.size_range[0]' must be an integer, not 60.5"),
         ({"methods": ["ros", "smote0"]}, "unknown resampling method 'smote0' in 'methods[1]'"),
+        ({"methods": ["smote5", "smote05"]},
+         "unknown resampling method 'smote05' in 'methods[1]'"),
         ({"presets": {"a1": 1}}, "config key 'presets.a1' must be a string, not 1"),
         ({"count": -1}, "config key 'count' must be >= 1, got -1"),
         ({"k": 1}, "config key 'k' must be >= 2, got 1"),
@@ -307,12 +323,12 @@ class TestPipelineCommands:
     ], ids=["top", "mixture", "multipliers", "multipliers-missing", "learner",
             "minor-cov-scale", "learner-type", "document-type", "range-length", "int-type",
             "bool-is-not-int", "learner-field-type", "multiplier-type", "range-item-type",
-            "unknown-method", "preset-type", "count-range", "k-range", "k-prime-range",
-            "workers-range", "alpha-range", "epsilon-range", "approach", "methods-empty",
-            "multiplier-range", "mixture-range", "infinite-multiplier", "nan-epsilon",
-            "huge-alpha", "infinite-mean", "preset-approach", "preset-of-the-other-approach",
-            "unknown-preset", "multiplier-count", "multiplier-repeats", "methods-repeated",
-            "methods-only-none"])
+            "unknown-method", "smote-leading-zero", "preset-type", "count-range", "k-range",
+            "k-prime-range", "workers-range", "alpha-range", "epsilon-range", "approach",
+            "methods-empty", "multiplier-range", "mixture-range", "infinite-multiplier",
+            "nan-epsilon", "huge-alpha", "infinite-mean", "preset-approach",
+            "preset-of-the-other-approach", "unknown-preset", "multiplier-count",
+            "multiplier-repeats", "methods-repeated", "methods-only-none"])
     def test_config_key_error(self, tmp_path, capsys, extra, message):
         if isinstance(extra, dict):
             cfg_path = tiny_config(tmp_path, **extra)

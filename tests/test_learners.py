@@ -158,9 +158,11 @@ class TestDecisionTree:
 
 
 @st.composite
-def tree_problems(draw, regression: bool):
+def tree_problems(draw, regression: bool, huge_targets: bool = False):
     """Small fits with tied values, constant columns, zero weights and every
-    min_leaf / max_depth regime the splitter distinguishes."""
+    min_leaf / max_depth regime the splitter distinguishes. With
+    `huge_targets`, regression targets may reach +-1.5e308, where sums of
+    w*y^2 overflow and gains turn NaN."""
     n = draw(st.integers(2, 40))
     d = draw(st.integers(1, 4))
     values = st.floats(-3, 3, allow_nan=False).map(lambda v: round(v, 1))
@@ -169,6 +171,8 @@ def tree_problems(draw, regression: bool):
         x[:, draw(st.integers(0, d - 1))] = 0.5
     if regression:
         y = draw(hnp.arrays(np.float64, n, elements=values))
+        if huge_targets:
+            y *= draw(st.sampled_from([1.0, 1e154, 5e307]))
     else:
         y = draw(hnp.arrays(np.int64, n, elements=st.integers(0, 1)))
     w = None
@@ -201,12 +205,13 @@ class TestSplitterOracle:
         assert same_tree(build_classification_tree(x, y, **kw),
                          oracles.classification_tree(x, y, **kw))
 
-    @given(tree_problems(regression=True))
+    @given(tree_problems(regression=True, huge_targets=True))
     @settings(max_examples=150, deadline=None)
     def test_regression_tree_matches_oracle(self, problem):
         x, y, kw = problem
-        assert same_tree(build_regression_tree(x, y, **kw),
-                         oracles.regression_tree(x, y, **kw))
+        with np.errstate(all="ignore"):  # huge targets overflow to inf and NaN
+            assert same_tree(build_regression_tree(x, y, **kw),
+                             oracles.regression_tree(x, y, **kw))
 
     @given(tree_problems(regression=False), st.integers(1, 5))
     @settings(max_examples=60, deadline=None)
@@ -240,6 +245,20 @@ def test_class_zero_rows_of_tiny_weight_still_match_oracle():
         kw = dict(max_depth=None, min_leaf=min_leaf, sample_weight=w)
         assert same_tree(build_classification_tree(x, y, **kw),
                          oracles.classification_tree(x, y, **kw))
+
+
+def test_a_nan_gain_drops_its_feature_as_in_the_oracle():
+    """A zero-weight left child makes feature 0's first gain NaN (0/0). The
+    oracle then drops feature 0 and splits on feature 1; so must the
+    splitter, though feature 0's NaN comes first in the scan."""
+    x = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0], [3.0, 3.0]])
+    y = np.array([0, 0, 1, 1])
+    kw = dict(max_depth=1, min_leaf=1, sample_weight=np.array([0.0, 1.0, 1.0, 1.0]))
+    for build, oracle in ((build_classification_tree, oracles.classification_tree),
+                          (build_regression_tree, oracles.regression_tree)):
+        tree = build(x, y, **kw)
+        assert (tree.feature, tree.threshold) == (1, 0.5)
+        assert same_tree(tree, oracle(x, y, **kw))
 
 
 @st.composite

@@ -30,6 +30,8 @@ class TestSpec:
         with pytest.raises(ValueError):
             ResamplingSpec("smote0", 2.0)
         with pytest.raises(ValueError):
+            ResamplingSpec("smote05", 2.0)
+        with pytest.raises(ValueError):
             ResamplingSpec("bootstrap", 2.0)
 
     def test_smote_k_parsed(self):
