@@ -229,26 +229,36 @@ def generate_mixture(config: MixtureConfig, index: int = 0) -> Dataset:
 
 
 def ingest_csv(path: str | Path, label_column: str = "label", dataset_id: str | None = None) -> Dataset:
-    """Read a UTF-8 comma-separated file with a header row into a Dataset.
+    """`parse_csv` of a file, with its stem as the id unless `dataset_id` is given."""
+    path = Path(path)
+    if not path.is_file():
+        raise ValueError(f"no such file: {path}")
+    return parse_csv(path.read_bytes(), path, label_column, dataset_id or path.stem)
 
-    A leading byte-order mark (Excel's "CSV UTF-8") is skipped. The less
+
+def parse_csv(raw: bytes, path: Path, label_column: str, dataset_id: str) -> Dataset:
+    """The Dataset of a UTF-8 comma-separated file's bytes, with a header row;
+    `path` names the file in errors.
+
+    A leading byte-order mark (Excel's "CSV UTF-8") is skipped, and a byte
+    that does not decode is refused by its offset in the file. The less
     frequent label class is remapped to 1; on a tie the lexicographically
     larger raw label becomes 1.
 
     Two readers give one result. numpy's C reader (`np.loadtxt`) reads the
     data rows of a plain file, with a converter that keeps each raw label
     string. Any other file goes to the row-by-row `csv.reader`, which raises
-    every error: a file that does not decode as UTF-8, has a `"` or NUL
-    anywhere, a line longer than `csv.field_size_limit()`, no data row, no
-    label or no feature column, a row the C reader refuses, a width other
-    than the header's, or a non-finite value. Both parse numbers with
-    Python's correctly rounded `PyOS_string_to_double`, so their features
-    agree bit for bit.
+    every error: a file that has a `"` or NUL anywhere, a line longer than
+    `csv.field_size_limit()`, no data row, no label or no feature column, a
+    row the C reader refuses, a width other than the header's, or a
+    non-finite value. Both parse numbers with Python's correctly rounded
+    `PyOS_string_to_double`, so their features agree bit for bit.
     """
-    path = Path(path)
-    if not path.is_file():
-        raise ValueError(f"no such file: {path}")
-    x, codes, names = _read_plain_csv(path, label_column) or _read_csv_rows(path, label_column)
+    text = raw.decode("utf-8").removeprefix("\ufeff")
+    del raw  # freed here when the caller passed the bytes as a temporary
+    if not text:
+        raise ValueError(f"empty file: {path}")
+    x, codes, names = _read_plain_csv(text, label_column) or _read_csv_rows(text, label_column)
     if len(names) != 2:
         raise ValueError(f"not binary: {len(names)} distinct labels")
     counts = np.bincount(codes, minlength=2)
@@ -257,25 +267,24 @@ def ingest_csv(path: str | Path, label_column: str = "label", dataset_id: str | 
     else:
         minor = int(counts[1] < counts[0])
     y = (codes == minor).astype(np.int64)
-    return Dataset(id=dataset_id or path.stem, features=x, labels=y)
+    return Dataset(id=dataset_id, features=x, labels=y)
 
 
-def _read_plain_csv(path: Path, label_column: str
+def _read_plain_csv(text: str, label_column: str
                     ) -> tuple[np.ndarray, np.ndarray, list[str]] | None:
     """Features, label codes and the labels they index, read by `np.loadtxt`;
-    None for a file that `_read_csv_rows` must read (see `ingest_csv`)."""
-    try:
-        with path.open("r", encoding="utf-8-sig", newline="") as fh:
-            first, body = fh.readline(), fh.read()  # the header line as csv.reader reads it
-    except ValueError:  # undecodable: the row reader reports where
-        return None
-    lines = body.split("\n")
+    None for a file that `_read_csv_rows` must read (see `parse_csv`)."""
+    # the header line as csv.reader reads it: up to the first "\r", "\n" or "\r\n"
+    end = min((i for i in map(text.find, "\r\n") if i >= 0), default=len(text) - 1)
+    cut = end + 1 + text.startswith("\r\n", end)
+    lines = text.split("\n")  # after a header ending in "\n", lines[0] is "", as if blank
+    lines[0] = lines[0][cut:]
     n_rows = len(lines) - lines.count("") - lines.count("\r")
     limit = csv.field_size_limit()
-    if (any(c in first or c in body for c in '"\0') or n_rows == 0 or len(first) > limit
-            or len(body) > limit and max(map(len, lines)) > limit):
+    if ('"' in text or "\0" in text or n_rows == 0 or cut > limit
+            or len(text) - cut > limit and max(map(len, lines)) > limit):
         return None
-    header = next(csv.reader([first]), [])
+    header = next(csv.reader([text[:cut]]), [])
     if label_column not in header or len(header) < 2:
         return None
     label_pos = header.index(label_column)
@@ -291,36 +300,32 @@ def _read_plain_csv(path: Path, label_column: str
             list(codes))
 
 
-def _read_csv_rows(path: Path, label_column: str) -> tuple[np.ndarray, np.ndarray, list[str]]:
+def _read_csv_rows(text: str, label_column: str) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """Features, label codes and the labels they index, read row by row by
-    `csv.reader`, with a ValueError for every file `ingest_csv` refuses."""
-    with path.open("r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            if header is None:
-                raise ValueError(f"empty file: {path}")
-            if label_column not in header:
-                raise ValueError(f"label column {label_column!r} not in header")
-            label_pos = header.index(label_column)
-            feature_names = [h for i, h in enumerate(header) if i != label_pos]
-            if not feature_names:
-                raise ValueError("no feature columns")
-            rows: list[list[float]] = []
-            raw_labels: list[str] = []
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise ValueError(f"line {lineno}: expected {len(header)} cells, "
-                                     f"got {len(row)}")
-                raw_labels.append(row.pop(label_pos))
-                try:
-                    rows.append(list(map(float, row)))
-                except ValueError:
-                    raise ValueError(f"line {lineno}: non-numeric feature cell") from None
-        except csv.Error as exc:
-            raise ValueError(f"line {reader.line_num}: {exc}") from None
+    `csv.reader`, with a ValueError for every file `parse_csv` refuses."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+        if label_column not in header:
+            raise ValueError(f"label column {label_column!r} not in header")
+        label_pos = header.index(label_column)
+        if len(header) < 2:
+            raise ValueError("no feature columns")
+        rows: list[list[float]] = []
+        raw_labels: list[str] = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ValueError(f"line {lineno}: expected {len(header)} cells, "
+                                 f"got {len(row)}")
+            raw_labels.append(row.pop(label_pos))
+            try:
+                rows.append(list(map(float, row)))
+            except ValueError:
+                raise ValueError(f"line {lineno}: non-numeric feature cell") from None
+    except csv.Error as exc:
+        raise ValueError(f"line {reader.line_num}: {exc}") from None
     codes: dict[str, int] = {}
     y = np.array([codes.setdefault(v, len(codes)) for v in raw_labels], dtype=np.int64)
     return np.asarray(rows, dtype=np.float64), y, list(codes)

@@ -17,9 +17,12 @@ One rule decides whether a saved grid is the config's grid, for `grid`
 it): `_trusted_grid`. The grid's `.cache.json` marker, written after the
 grid files, holds a content hash of the dataset file's bytes and of the
 config's grid definition (`cfg.grid`, the one source of the learner,
-methods, multipliers, `k` and `seed`). A grid without its
-marker is no grid: `grid` computes it afresh and the other commands stop
-with E_MISSING_INPUT. A marker that is unreadable or holds no hash is
+methods, multipliers, `k` and `seed`). Each command reads a dataset file
+once (`load_bank`) and hashes the bytes it parsed the dataset from, so a
+file rewritten mid-run leaves a grid that no later run trusts; a dataset
+id that names two files is refused. A grid without its marker is no grid:
+`grid` computes it afresh and the other commands stop with
+E_MISSING_INPUT. A marker that is unreadable or holds no hash is
 E_GRID_CORRUPT, and a hash that differs from the config's is
 E_CACHE_MISMATCH, so a stale grid never reaches a result.
 """
@@ -34,14 +37,14 @@ import numpy as np
 
 from .assessment import assess_bank, format_ara_table, write_report
 from .config import RunConfig
-from .data import (Dataset, csv_text, generate_mixture, ingest_csv, read_columns, write_csv,
-                   write_files_atomically)
+from .data import (Dataset, csv_text, generate_mixture, ingest_csv, parse_csv, read_columns,
+                   write_csv, write_files_atomically)
 from .evaluation import GridFileError, QualityGrid, load_grid, quality_grid, save_grid
 from .jsondoc import read_array, read_json, read_key
 from .parallel import parallel_map
 from .qualityvars import binarize_targets, format_multiplier, quality_row
-from .recommender import (PRESETS, MetaRecord, build_meta_dataset, load_recommender,
-                          recommend, save_recommender, train)
+from .recommender import (PRESETS, build_meta_dataset, load_recommender, recommend,
+                          save_recommender, train)
 
 
 class PipelineError(Exception):
@@ -109,8 +112,10 @@ def cmd_gen(cfg: RunConfig) -> None:
     print(f"gen: wrote {len(entries)} datasets to {ds_dir}")
 
 
-def _bank_files(cfg: RunConfig) -> list[tuple[str, Path]]:
-    """(dataset id, CSV file) of every dataset: the manifest's, then csv_dir's."""
+def load_bank(cfg: RunConfig) -> list[tuple[Dataset, str]]:
+    """Every dataset, the manifest's then csv_dir's, with the `_grid_input_hash`
+    of its file: each file is read once, and its dataset is parsed from the
+    bytes that are hashed."""
     files: list[tuple[str, Path]] = []
     manifest = _manifest_path(cfg)
     if manifest.exists():
@@ -128,13 +133,15 @@ def _bank_files(cfg: RunConfig) -> list[tuple[str, Path]]:
     if not files:
         raise PipelineError("E_MISSING_INPUT",
                             "no datasets: run `gen` first or set csv_dir")
-    return files
-
-
-def load_bank(cfg: RunConfig) -> list[Dataset]:
-    """Datasets from the manifest and/or a user-provided CSV directory."""
-    return [ingest_csv(path, label_column=cfg.label_column, dataset_id=ds_id)
-            for ds_id, path in _bank_files(cfg)]
+    bank, named = [], {}
+    for ds_id, path in files:
+        if named.setdefault(ds_id, path) != path:
+            raise ValueError(f"dataset id {ds_id} names two files: {named[ds_id]} and {path}")
+        if not path.is_file():
+            raise ValueError(f"no such file: {path}")
+        raw = path.read_bytes()
+        bank.append((parse_csv(raw, path, cfg.label_column, ds_id), _grid_input_hash(cfg, raw)))
+    return bank
 
 
 def _grid_input_hash(cfg: RunConfig, dataset_csv_bytes: bytes) -> str:
@@ -174,11 +181,11 @@ def _trusted_grid(cfg: RunConfig, dataset_id: str, input_hash: str) -> QualityGr
     return grid
 
 
-def _grid_pool_task(context, s: Dataset) -> tuple[str, int, int]:
-    """Compute (or resume) one dataset's grid; returns (id, computed, cached)."""
-    cfg, workers, files = context
+def _grid_pool_task(context, item: tuple[Dataset, str]) -> tuple[str, int, int]:
+    """Compute (or resume) one bank entry's grid; returns (id, computed, cached)."""
+    cfg, workers = context
+    s, input_hash = item
     csv_path, cache_path = _grid_paths(cfg, s.id)
-    input_hash = _grid_input_hash(cfg, files[s.id].read_bytes())
     old = _trusted_grid(cfg, s.id, input_hash)
     precomputed = {**old.cells, **old.skips} if old else {}
     cached = len(precomputed)
@@ -195,8 +202,7 @@ def cmd_grid(cfg: RunConfig) -> None:
     # several datasets run one per worker, each grid serially; a lone
     # dataset's cells share the workers instead
     inner = cfg.workers if len(bank) == 1 else 1
-    results = parallel_map(_grid_pool_task, bank, cfg.workers,
-                           (cfg, inner, dict(_bank_files(cfg))))
+    results = parallel_map(_grid_pool_task, bank, cfg.workers, (cfg, inner))
     computed = sum(r[1] for r in results)
     cached = sum(r[2] for r in results)
     total = computed + cached
@@ -206,22 +212,15 @@ def cmd_grid(cfg: RunConfig) -> None:
     print(f"grid: {computed} cells computed, {cached} cached ({pct:.1f}% cache hits)")
 
 
-def load_grids(cfg: RunConfig, bank: list[Dataset]) -> list[QualityGrid]:
-    """The grid of every dataset, each one the config's grid (`_trusted_grid`)."""
-    files = dict(_bank_files(cfg))
-    grids = []
-    for s in bank:
-        grid = _trusted_grid(cfg, s.id, _grid_input_hash(cfg, files[s.id].read_bytes()))
+def load_grids(cfg: RunConfig) -> list[tuple[Dataset, QualityGrid]]:
+    """Every dataset of the bank with its grid, the config's (`_trusted_grid`)."""
+    pairs = []
+    for s, input_hash in load_bank(cfg):
+        grid = _trusted_grid(cfg, s.id, input_hash)
         if grid is None:
             raise PipelineError("E_MISSING_INPUT", f"grid missing for {s.id}: run `grid` first")
-        grids.append(grid)
-    return grids
-
-
-def _meta_records(cfg: RunConfig) -> list[MetaRecord]:
-    """The meta-dataset, built from the datasets and their grids."""
-    bank = load_bank(cfg)
-    return build_meta_dataset(list(zip(bank, load_grids(cfg, bank))), cfg.epsilon)
+        pairs.append((s, grid))
+    return pairs
 
 
 def _meta_sidecar(cfg: RunConfig) -> dict:
@@ -233,7 +232,7 @@ def _meta_sidecar(cfg: RunConfig) -> dict:
 
 def cmd_meta(cfg: RunConfig) -> None:
     """Export the meta-dataset (one wide CSV row per dataset)."""
-    records = _meta_records(cfg)
+    records = build_meta_dataset(load_grids(cfg), cfg.epsilon)
     rows = [{"dataset_id": rec.dataset_id,
              **{name: repr(v) for name, v in rec.features.as_dict().items()},
              **quality_row(rec.qv, binarize_targets(rec.qv, cfg.alpha,
@@ -249,7 +248,7 @@ def cmd_meta(cfg: RunConfig) -> None:
 
 def cmd_train(cfg: RunConfig) -> None:
     """Train one recommender per configured approach on the full meta-dataset."""
-    records = _meta_records(cfg)
+    records = build_meta_dataset(load_grids(cfg), cfg.epsilon)
     model_dir = cfg.out_dir() / "models"
     model_dir.mkdir(parents=True, exist_ok=True)
     for approach in cfg.approaches:
@@ -279,11 +278,9 @@ def cmd_recommend(cfg: RunConfig, model_path: str, data_path: str) -> None:
 
 def cmd_assess(cfg: RunConfig) -> None:
     """Meta-level k'-fold CV of the recommenders against the static strategies."""
-    bank = load_bank(cfg)
-    grids = load_grids(cfg, bank)
     recommender_cfgs = [(APPROACH_LABELS[a], PRESETS[cfg.preset_for(a)])
                         for a in cfg.approaches]
-    report = assess_bank(list(zip(bank, grids)), recommender_cfgs,
+    report = assess_bank(load_grids(cfg), recommender_cfgs,
                          cfg.k_prime, cfg.seed, cfg.learner, cfg.epsilon, workers=cfg.workers,
                          use_windowed_pval_for_targets=cfg.use_windowed_pval_for_targets)
     report_dir = cfg.out_dir() / "report"

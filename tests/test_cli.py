@@ -129,11 +129,11 @@ class TestConfig:
 _REAL_GRID_TASK = pipeline._grid_pool_task
 
 
-def _grid_task_dying_on_synth_5_1(context, s):
+def _grid_task_dying_on_synth_5_1(context, item):
     """The grid pool task, except that the worker handed dataset synth-5-1 dies at once."""
-    if s.id == "synth-5-1":
+    if item[0].id == "synth-5-1":
         os._exit(3)
-    return _REAL_GRID_TASK(context, s)
+    return _REAL_GRID_TASK(context, item)
 
 
 class TestPipelineCommands:
@@ -484,7 +484,7 @@ class TestPipelineCommands:
         meta.csv are the windowed targets that `train` fits."""
         import csv
 
-        from resamplerec.pipeline import load_bank, load_grids
+        from resamplerec.pipeline import load_grids
         from resamplerec.qualityvars import binarize_targets, quality_row
         from resamplerec.recommender import build_meta_dataset
 
@@ -492,8 +492,7 @@ class TestPipelineCommands:
         for command in ("gen", "grid", "meta"):
             assert main([command, "--config", str(cfg_path)]) == 0, command
         cfg = load_config(cfg_path)
-        bank = load_bank(cfg)
-        records = build_meta_dataset(list(zip(bank, load_grids(cfg, bank))), cfg.epsilon)
+        records = build_meta_dataset(load_grids(cfg), cfg.epsilon)
         with (tmp_path / "out" / "meta.csv").open(newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [row["dataset_id"] for row in rows] == [rec.dataset_id for rec in records]
@@ -587,7 +586,7 @@ class TestPipelineCommands:
             write_csv(s, csv_dir / f"{s.id}.csv")
         cfg_path = tiny_config(tmp_path, csv_dir=str(csv_dir))
         bank = load_bank(load_config(cfg_path))
-        assert [s.id for s in bank] == ["synth-9-0", "synth-9-1"]
+        assert [s.id for s, _ in bank] == ["synth-9-0", "synth-9-1"]
 
 
 def run_cli(args: list[str]) -> tuple[int, str, str]:
@@ -1026,35 +1025,80 @@ class TestBrokenInputs:
         assert one_error_line(capsys).startswith(
             f"error E_FAILED: cannot read manifest {path}: ")
 
-    @pytest.mark.parametrize("gone_after, code", [
-        ("load_bank", "E_MISSING_INPUT: dataset file missing: {}"),
-        ("_bank_files", "E_FAILED: [Errno 2] No such file or directory: '{}'"),
-    ])
-    def test_a_dataset_file_gone_before_hashing_names_its_path(self, tmp_path, capsys,
-                                                              monkeypatch, gone_after, code):
-        """A dataset file that vanishes between reading the bank and hashing
-        the file for the grid check is one error line that names it, not a
-        cache mismatch."""
-        from resamplerec import pipeline
-
+    def test_a_missing_dataset_file_is_one_error_line(self, tmp_path, capsys):
         cfg_path = tiny_config(tmp_path, count=2)
         assert main(["gen", "--config", str(cfg_path)]) == 0
-        assert main(["grid", "--config", str(cfg_path)]) == 0
         gone = tmp_path / "out" / "datasets" / "synth-5-0.csv"
-        real = getattr(pipeline, gone_after)
-        calls = []
+        gone.unlink()
+        capsys.readouterr()
+        for command in ("grid", "meta", "train", "assess"):
+            assert main([command, "--config", str(cfg_path)]) == 1, command
+            assert one_error_line(capsys) == \
+                f"error E_MISSING_INPUT: dataset file missing: {gone}\n"
 
-        def call_then_remove(cfg):
-            result = real(cfg)
-            calls.append(cfg)
-            if len(calls) == 2 or gone_after == "load_bank":
-                gone.unlink()
-            return result
+    def test_a_dataset_file_rewritten_during_grid_leaves_no_trusted_grid(
+            self, tmp_path, capsys, monkeypatch):
+        """`grid` hashes the bytes it parsed a dataset from. A file rewritten
+        after the bank is read leaves a grid of the old rows under the old
+        bytes' hash, which the next `meta` refuses."""
+        cfg_path = tiny_config(tmp_path, count=2)
+        assert main(["gen", "--config", str(cfg_path)]) == 0
+        datasets = tmp_path / "out" / "datasets"
+        real = pipeline.load_bank
 
-        monkeypatch.setattr(pipeline, gone_after, call_then_remove)
+        def load_then_rewrite(cfg):
+            bank = real(cfg)
+            shutil.copyfile(datasets / "synth-5-1.csv", datasets / "synth-5-0.csv")
+            return bank
+
+        monkeypatch.setattr(pipeline, "load_bank", load_then_rewrite)
+        assert main(["grid", "--config", str(cfg_path)]) == 0
+        monkeypatch.undo()
         capsys.readouterr()
         assert main(["meta", "--config", str(cfg_path)]) == 1
-        assert one_error_line(capsys) == f"error {code.format(gone)}\n"
+        assert one_error_line(capsys) == (
+            "error E_CACHE_MISMATCH: grid for synth-5-0 was computed before the dataset file "
+            f"or a learner setting changed; delete {tmp_path / 'out' / 'grids'} and rerun "
+            "`grid`\n")
+
+    def test_a_dataset_id_that_names_two_files_is_refused(self, tmp_path, capsys):
+        """A csv_dir file named like a manifest dataset stops every command
+        that reads the bank before any grid work, in one line naming both."""
+        twin = tmp_path / "csv" / "synth-5-0.csv"
+        twin.parent.mkdir()
+        cfg_path = tiny_config(tmp_path, count=3, csv_dir=str(twin.parent))
+        assert main(["gen", "--config", str(cfg_path)]) == 0
+        datasets = tmp_path / "out" / "datasets"
+        shutil.copyfile(datasets / "synth-5-1.csv", twin)
+        capsys.readouterr()
+        for command in ("grid", "meta", "train", "assess"):
+            assert main([command, "--config", str(cfg_path)]) == 1, command
+            assert one_error_line(capsys) == ("error E_FAILED: dataset id synth-5-0 names two "
+                                              f"files: {datasets / 'synth-5-0.csv'} and {twin}\n")
+        assert not (tmp_path / "out" / "grids").exists()
+
+    @pytest.mark.parametrize("offset", [3, 10000])
+    def test_an_undecodable_byte_is_named_by_its_offset_in_the_file(
+            self, trained, tmp_path, capsys, offset):
+        """`grid` (through csv_dir) and `recommend` decode a file whole, so
+        the error names the bad byte's offset in the file."""
+        from resamplerec.data import MixtureConfig, generate_mixture, write_csv
+
+        cfg_path, model, _ = trained
+        path = tmp_path / "csv" / "d.csv"
+        write_csv(generate_mixture(MixtureConfig(dim_range=(4, 4), size_range=(300, 300),
+                                                 minor_fraction_range=(0.2, 0.3), seed=9)), path)
+        raw = bytearray(path.read_bytes())
+        raw[offset] = 0xFF
+        path.write_bytes(raw)
+        problem = (f"error E_FAILED: 'utf-8' codec can't decode byte 0xff in position {offset}: "
+                   "invalid start byte\n")
+        grid_cfg = tiny_config(tmp_path, csv_dir=str(path.parent))
+        assert main(["grid", "--config", str(grid_cfg)]) == 1
+        assert one_error_line(capsys) == problem
+        assert main(["recommend", "--config", str(cfg_path), "--model", str(model),
+                     "--data", str(path)]) == 1
+        assert one_error_line(capsys) == problem
 
 
 _INTEGER_FIELDS = ("min_leaf", "k", "max_iter", "n_estimators")

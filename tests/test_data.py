@@ -227,7 +227,7 @@ class TestIngestReaders:
         s = make_dataset(30, 10, dim=3)
         path = tmp_path / "d.csv"
         write_csv(s, path)
-        x, codes, names = data._read_plain_csv(path, "label")
+        x, codes, names = data._read_plain_csv(path.read_bytes().decode(), "label")
         assert x.tobytes() == s.features.tobytes() and sorted(names) == ["0", "1"]
 
 

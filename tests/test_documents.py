@@ -554,3 +554,28 @@ def test_the_grid_definition_is_built_in_one_function():
     `src/`; every other use goes through the definition (`cfg.grid`)."""
     reads = set().union(*(config_grid_reads(path) for path in sorted((ROOT / "src").rglob("*.py"))))
     assert reads == {"config.py:RunConfig._grid_definition"}
+
+
+def calling_functions(path: Path, names: set[str]) -> set[str]:
+    """`file:function` of each function (or method) whose body calls one of
+    `names`, as a bare name or as an attribute."""
+    found = set()
+    for function in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(function, ast.FunctionDef):
+            for node in ast.walk(function):
+                if isinstance(node, ast.Call) and \
+                        getattr(node.func, "attr", getattr(node.func, "id", None)) in names:
+                    found.add(f"{path.name}:{function.name}")
+    return found
+
+
+def test_a_dataset_file_is_read_and_hashed_in_one_place():
+    """Under `src/`, only `load_bank` and `ingest_csv` read and parse a
+    dataset file's bytes, and only `load_bank` hashes them for a grid."""
+    sources = sorted((ROOT / "src").rglob("*.py"))
+
+    def callers(*names: str) -> set[str]:
+        return set().union(*(calling_functions(path, set(names)) for path in sources))
+
+    assert callers("read_bytes", "parse_csv") == {"pipeline.py:load_bank", "data.py:ingest_csv"}
+    assert callers("_grid_input_hash") == {"pipeline.py:load_bank"}
