@@ -2,6 +2,7 @@
 """Summarise paired benchmark runs of a parent commit and a change.
 
     python scripts/bench_pairs.py PARENT_RESULTS_DIR CHANGE_RESULTS_DIR [--out BENCH.json]
+        [--declared NAME ...]
 
 Each directory holds the untraced results files (`*-trace0.json`) that
 `perfbench/run.py` wrote in one checkout's `.perfbench/results/`. A run of
@@ -24,11 +25,17 @@ parent run; else "none". Each metric keeps its runs' values in seed order.
 It also gives the verdict of
 `perfbench/same_outputs.py` on every pair, the failed ops of each side, the
 environment the runs reported (`nproc` included) and their load averages.
-Written as JSON to `--out`, or printed.
+
+A change may alter some artifacts on purpose. Each `--declared NAME` names
+one, as an artifact path with its dataset id written `<id>`
+(`grids/<id>.meta.json`); the summary lists them under `declared`, and for
+every pair (`differ`) the names whose digests differ between the two
+results files, masked the same way. Written as JSON to `--out`, or printed.
 """
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -84,6 +91,28 @@ def same_outputs(parent: Path, change: Path) -> str:
     return (done.stdout or done.stderr).strip()
 
 
+# a dataset's file under datasets/ or grids/ (its grid, skips, meta file and marker)
+_DATASET_FILE = re.compile(r"(?:datasets|grids)/([^/]+?)(?:\.skips)?\.csv")
+
+
+def differing_names(parent: dict, change: dict) -> list[str]:
+    """The artifacts whose digests differ between two results files of one
+    workload and seed, over their common input batches, with dataset ids
+    masked as `<id>`."""
+    a, b = parent["digests"], change["digests"]
+    names, ids = set(), set()
+    for batch in set(a) & set(b):
+        for x, y in zip(a[batch], b[batch]):
+            names |= {name for name in set(x) | set(y) if x.get(name) != y.get(name)}
+            ids |= {m.group(1) for name in set(x) | set(y) if (m := _DATASET_FILE.fullmatch(name))}
+    masked = set()
+    for name in names:
+        head, _, tail = name.partition("/")
+        ds_id = max((i for i in ids if tail.startswith(i + ".")), key=len, default=None)
+        masked.add(f"{head}/<id>{tail[len(ds_id):]}" if ds_id else name)
+    return sorted(masked)
+
+
 def summarise(parent_runs: dict, change_runs: dict, bounds: dict[str, float]) -> dict:
     pairs = sorted(set(parent_runs) & set(change_runs))
     workloads = {}
@@ -119,6 +148,7 @@ def summarise(parent_runs: dict, change_runs: dict, bounds: dict[str, float]) ->
                            for i, side in enumerate(("parent", "change"))},
             "same_outputs": {str(s): same_outputs(p_path, c_path)
                              for s, ((p_path, _), (c_path, _)) in zip(seeds, docs)},
+            "differ": {str(s): differing_names(p, c) for s, ((_, p), (_, c)) in zip(seeds, docs)},
             "loadavg_at_start": {str(s): [p["environment"]["loadavg_at_start"],
                                           c["environment"]["loadavg_at_start"]]
                                  for s, ((_, p), (_, c)) in zip(seeds, docs)},
@@ -136,8 +166,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("parent", type=Path, help="the parent checkout's results directory")
     parser.add_argument("change", type=Path, help="the change's results directory")
     parser.add_argument("--out", type=Path, help="write the summary here")
+    parser.add_argument("--declared", action="append", default=[], metavar="NAME",
+                        help="an artifact the change alters on purpose, e.g. grids/<id>.meta.json")
     args = parser.parse_args(argv)
     summary = summarise(load_runs(args.parent), load_runs(args.change), end_to_end_bounds())
+    summary["declared"] = sorted(set(args.declared))
     if not summary["workloads"]:
         print("no workload and seed was run on both sides", file=sys.stderr)
         return 1

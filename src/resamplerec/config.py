@@ -122,7 +122,8 @@ class RunConfig:
                 raise ConfigError(f"unknown resampling method {method!r} in 'methods[{i}]'")
         if len(set(self.methods)) < len(self.methods):
             raise ConfigError("config key 'methods' must name each method once")
-        grid = GridDef.of(self.learner, self.methods, self.multipliers.values(), self.k, self.seed)
+        grid = GridDef.of(self.learner, self.methods, self.multipliers.values(), self.k, self.seed,
+                          self.label_column)
         if not grid.methods:  # "none" is the baseline, which every grid scores
             raise ConfigError("config key 'methods' must name a method other than 'none'")
         return grid

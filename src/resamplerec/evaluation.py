@@ -128,27 +128,28 @@ def cv_quality(splits: FoldSplits, learner: LearnerSpec, spec: ResamplingSpec,
 
 @dataclass(frozen=True)
 class GridDef:
-    """What a grid's `.meta.json` stores and two grids are compared by: learner token,
-    methods but "none" (the baseline every grid scores), multipliers, `k`, `seed`.
-    One built by `of` also holds, uncompared, the learner spec and methods as given."""
+    """A grid's whole identity, every field compared: the learner spec, the
+    label column, the methods but "none" (the baseline every grid scores), the
+    multipliers, `k` and `seed`. `to_dict` is the body of a grid's `.meta.json`."""
 
-    learner: str
-    k: int
+    learner: LearnerSpec
+    label_column: str
     methods: tuple[str, ...]
     multipliers: tuple[float, ...]
+    k: int
     seed: int
-    learner_spec: LearnerSpec | None = field(default=None, compare=False)
-    given_methods: tuple[str, ...] = field(default=(), compare=False)
 
     @classmethod
-    def of(cls, learner: LearnerSpec, methods, multipliers, k: int, seed: int) -> GridDef:
+    def of(cls, learner: LearnerSpec, methods, multipliers, k: int, seed: int,
+           label_column: str = "label") -> GridDef:
         """`learner`'s grid over `methods` x `multipliers`, `k` folds, master seed `seed`."""
-        return cls(learner.token(), k, tuple(m for m in methods if m != "none"),
-                   tuple(float(m) for m in multipliers), seed, learner, tuple(methods))
+        return cls(learner, label_column, tuple(m for m in methods if m != "none"),
+                   tuple(float(m) for m in multipliers), k, seed)
 
     def to_dict(self) -> dict:
-        """The compared fields, in the order a mismatch names them; multipliers by repr."""
-        return {"learner": self.learner, "k": self.k, "methods": list(self.methods),
+        """Every field, in the order a mismatch names them; multipliers by repr."""
+        return {"learner": self.learner.to_dict(), "label_column": self.label_column,
+                "k": self.k, "methods": list(self.methods),
                 "multipliers": [repr(m) for m in self.multipliers], "seed": self.seed}
 
 
@@ -220,8 +221,7 @@ def quality_grid(s: Dataset, definition: GridDef, workers: int = 1,
     pending = [t for t in tasks if t[:2] not in results]
     n_runs = min(len(pending), _RUNS_PER_WORKER * max(workers, 1))
     runs = [pending[i::n_runs] for i in range(n_runs)]
-    context = (FoldSplits(s, definition.k, definition.seed), definition.learner_spec,
-               definition.seed)
+    context = (FoldSplits(s, definition.k, definition.seed), definition.learner, definition.seed)
     for run, values in zip(runs, parallel_map(_grid_cell_task, runs, workers, context)):
         results.update(zip([t[:2] for t in run], values))
 
@@ -241,10 +241,11 @@ def save_grid(grid: QualityGrid, csv_path: str | Path) -> None:
     """
     csv_path = Path(csv_path)
     csv_path.parent.mkdir(parents=True, exist_ok=True)
-    scores = [[grid.dataset_id, grid.definition.learner, method, repr(m), j, repr(float(score))]
+    learner = grid.definition.learner.token()
+    scores = [[grid.dataset_id, learner, method, repr(m), j, repr(float(score))]
               for method, m in grid.cell_keys() if (method, m) in grid.cells
               for j, score in enumerate(grid.cells[(method, m)])]
-    skips = [[grid.dataset_id, grid.definition.learner, key[0], repr(key[1]), grid.skips[key]]
+    skips = [[grid.dataset_id, learner, key[0], repr(key[1]), grid.skips[key]]
              for key in grid.cell_keys() if key in grid.skips]
     meta = {"dataset_id": grid.dataset_id, **grid.definition.to_dict()}
     write_files_atomically({
@@ -281,8 +282,14 @@ def load_grid(csv_path: str | Path) -> QualityGrid:
     meta_path = _meta_path(csv_path)
     meta = read_json(meta_path, "grid meta", GridFileError)
     where = f"grid meta {meta_path}"
+    spec = read_key(meta, "learner", "an object", where, GridFileError)
+    try:
+        learner = LearnerSpec.from_dict(spec, f"{where} key 'learner': learner spec")
+    except ValueError as exc:
+        raise GridFileError(str(exc)) from None
     grid = QualityGrid(read_key(meta, "dataset_id", "a string", where, GridFileError), GridDef(
-        learner=read_key(meta, "learner", "a string", where, GridFileError),
+        learner=learner,
+        label_column=read_key(meta, "label_column", "a string", where, GridFileError),
         k=read_key(meta, "k", "an integer", where, GridFileError, low=2),
         seed=read_key(meta, "seed", "an integer", where, GridFileError),
         methods=tuple(read_array(meta, "methods", "a string", where, GridFileError)),
@@ -301,7 +308,7 @@ def load_grid(csv_path: str | Path) -> QualityGrid:
     except (OSError, ValueError, OverflowError) as exc:
         raise GridFileError(f"cannot read grid {csv_path}: {exc}") from exc
 
-    if set(zip(ds_ids, learners)) - {(grid.dataset_id, grid.definition.learner)}:
+    if set(zip(ds_ids, learners)) - {(grid.dataset_id, learner.token())}:
         raise GridFileError(f"grid {csv_path}: a row names another dataset or learner")
     defined = grid.cell_keys()
     index = {key: i for i, key in enumerate(defined)}

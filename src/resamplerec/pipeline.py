@@ -13,18 +13,17 @@ compute it from the datasets and their grids (`build_meta_dataset`).
 `meta.csv` is an export of it that no command reads back.
 
 One rule decides whether a saved grid is the config's grid, for `grid`
-(which resumes from it) and for `meta`, `train` and `assess` (which read
-it): `_trusted_grid`. The grid's `.cache.json` marker, written after the
-grid files, holds a content hash of the dataset file's bytes and of the
-config's grid definition (`cfg.grid`, the one source of the learner,
-methods, multipliers, `k` and `seed`). Each command reads a dataset file
-once (`load_bank`) and hashes the bytes it parsed the dataset from, so a
-file rewritten mid-run leaves a grid that no later run trusts; a dataset
-id that names two files is refused. A grid without its marker is no grid:
+(which skips it) and for `meta`, `train` and `assess` (which read it):
+`_trusted_grid`. A grid's `.meta.json` stores its definition (a `GridDef`),
+and its `.cache.json` marker, written after the grid files, holds a content
+hash of the dataset file's bytes. A grid is trusted when they are the
+config's definition (`cfg.grid`) and the hash of the bytes the command
+parsed the dataset from (`load_bank` reads each file once; a dataset id
+that names two files is refused). A grid without its marker is no grid:
 `grid` computes it afresh and the other commands stop with
-E_MISSING_INPUT. A marker that is unreadable or holds no hash is
-E_GRID_CORRUPT, and a hash that differs from the config's is
-E_CACHE_MISMATCH, so a stale grid never reaches a result.
+E_MISSING_INPUT. A malformed marker or `.meta.json` is E_GRID_CORRUPT; any
+other grid, an older version's included, is E_CACHE_MISMATCH naming every
+field that differs, so a stale grid never reaches a result.
 """
 
 from __future__ import annotations
@@ -66,11 +65,8 @@ def _manifest_path(cfg: RunConfig) -> Path:
     return cfg.out_dir() / "datasets" / "manifest.json"
 
 
-def _hash_bytes(*chunks: bytes) -> str:
-    h = hashlib.blake2b(digest_size=16)
-    for chunk in chunks:
-        h.update(chunk)
-    return h.hexdigest()
+def _hash_bytes(data: bytes) -> str:
+    return hashlib.blake2b(data, digest_size=16).hexdigest()
 
 
 def _gen_config_doc(cfg: RunConfig) -> dict:
@@ -113,9 +109,9 @@ def cmd_gen(cfg: RunConfig) -> None:
 
 
 def load_bank(cfg: RunConfig) -> list[tuple[Dataset, str]]:
-    """Every dataset, the manifest's then csv_dir's, with the `_grid_input_hash`
-    of its file: each file is read once, and its dataset is parsed from the
-    bytes that are hashed."""
+    """Every dataset, the manifest's then csv_dir's, with the hash of its file:
+    each file is read once, and its dataset is parsed from the bytes that are
+    hashed."""
     files: list[tuple[str, Path]] = []
     manifest = _manifest_path(cfg)
     if manifest.exists():
@@ -140,15 +136,8 @@ def load_bank(cfg: RunConfig) -> list[tuple[Dataset, str]]:
         if not path.is_file():
             raise ValueError(f"no such file: {path}")
         raw = path.read_bytes()
-        bank.append((parse_csv(raw, path, cfg.label_column, ds_id), _grid_input_hash(cfg, raw)))
+        bank.append((parse_csv(raw, path, cfg.label_column, ds_id), _hash_bytes(raw)))
     return bank
-
-
-def _grid_input_hash(cfg: RunConfig, dataset_csv_bytes: bytes) -> str:
-    # with the full learner spec and the methods as configured, "none" included
-    doc = {**cfg.grid.to_dict(), "learner": cfg.grid.learner_spec.to_dict(),
-           "methods": list(cfg.grid.given_methods)}
-    return _hash_bytes(dataset_csv_bytes, json.dumps(doc, sort_keys=True).encode())
 
 
 def _grid_paths(cfg: RunConfig, dataset_id: str) -> tuple[Path, Path]:
@@ -156,48 +145,49 @@ def _grid_paths(cfg: RunConfig, dataset_id: str) -> tuple[Path, Path]:
     return grid_dir / f"{dataset_id}.csv", grid_dir / f"{dataset_id}.cache.json"
 
 
-def _trusted_grid(cfg: RunConfig, dataset_id: str, input_hash: str) -> QualityGrid | None:
-    """The saved grid of a dataset when its marker vouches that it is the config's
-    grid; None when the grid file or its marker is missing.
-
-    `input_hash` is `_grid_input_hash` of the config and the dataset's file.
-    A marker that is unreadable or holds no hash raises GridFileError; one
-    whose hash differs raises E_CACHE_MISMATCH, naming the grid-definition
-    fields that differ.
-    """
+def _trusted_grid(cfg: RunConfig, dataset_id: str, file_hash: str) -> QualityGrid | None:
+    """The saved grid of a dataset when its saved definition is `cfg.grid` and
+    its marker holds `file_hash`, the hash of the dataset's file; None when the
+    grid file or its marker is missing. A malformed marker or `.meta.json`
+    raises GridFileError, any other grid E_CACHE_MISMATCH naming what differs."""
     csv_path, cache_path = _grid_paths(cfg, dataset_id)
     if not (csv_path.exists() and cache_path.exists()):
         return None
-    saved_hash = read_key(read_json(cache_path, "grid marker", GridFileError), "input_hash",
-                          "a string", f"grid marker {cache_path}", GridFileError)
-    grid = load_grid(csv_path)
-    if saved_hash != input_hash:
+    marker = read_json(cache_path, "grid marker", GridFileError)
+    if isinstance(marker, dict) and "input_hash" in marker:  # it hashed the definition too
+        cause = "was written by an older version of resamplerec"
+    else:
+        saved_hash = read_key(marker, "dataset_hash", "a string", f"grid marker {cache_path}",
+                              GridFileError)
+        grid = load_grid(csv_path)
         want, have = cfg.grid.to_dict(), grid.definition.to_dict()
         differ = [name for name in want if want[name] != have[name]]
+        if not differ and saved_hash == file_hash:
+            return grid
         cause = (f"was computed with another {', '.join(differ)} than the config" if differ
-                 else "was computed before the dataset file or a learner setting changed")
-        raise PipelineError("E_CACHE_MISMATCH", f"grid for {dataset_id} {cause}; "
-                                                f"delete {csv_path.parent} and rerun `grid`")
-    return grid
+                 else "was computed before the dataset file changed")
+    raise PipelineError("E_CACHE_MISMATCH", f"grid for {dataset_id} {cause}; "
+                                            f"delete {csv_path.parent} and rerun `grid`")
 
 
 def _grid_pool_task(context, item: tuple[Dataset, str]) -> tuple[str, int, int]:
-    """Compute (or resume) one bank entry's grid; returns (id, computed, cached)."""
+    """Compute and save one bank entry's grid unless a trusted one, which is whole
+    (`load_grid`), is saved; returns (id, computed, cached)."""
     cfg, workers = context
-    s, input_hash = item
+    s, file_hash = item
+    old = _trusted_grid(cfg, s.id, file_hash)
+    if old is not None:
+        return s.id, 0, len(old.cells) + len(old.skips)
     csv_path, cache_path = _grid_paths(cfg, s.id)
-    old = _trusted_grid(cfg, s.id, input_hash)
-    precomputed = {**old.cells, **old.skips} if old else {}
-    cached = len(precomputed)
-    grid = quality_grid(s, cfg.grid, workers=workers, precomputed=precomputed)
+    grid = quality_grid(s, cfg.grid, workers=workers)
     save_grid(grid, csv_path)
-    # the cache marker goes last: a grid is resumed only when all its files are whole
-    write_files_atomically({cache_path: json.dumps({"input_hash": input_hash}, sort_keys=True)})
-    return s.id, len(grid.cells) + len(grid.skips) - cached, cached
+    # the cache marker goes last: a grid is trusted only when all its files are whole
+    write_files_atomically({cache_path: json.dumps({"dataset_hash": file_hash})})
+    return s.id, len(grid.cells) + len(grid.skips), 0
 
 
 def cmd_grid(cfg: RunConfig) -> None:
-    """Evaluate one quality grid per dataset, reusing cached cells."""
+    """Evaluate one quality grid per dataset whose saved grid is not trusted."""
     bank = load_bank(cfg)
     # several datasets run one per worker, each grid serially; a lone
     # dataset's cells share the workers instead
@@ -215,8 +205,8 @@ def cmd_grid(cfg: RunConfig) -> None:
 def load_grids(cfg: RunConfig) -> list[tuple[Dataset, QualityGrid]]:
     """Every dataset of the bank with its grid, the config's (`_trusted_grid`)."""
     pairs = []
-    for s, input_hash in load_bank(cfg):
-        grid = _trusted_grid(cfg, s.id, input_hash)
+    for s, file_hash in load_bank(cfg):
+        grid = _trusted_grid(cfg, s.id, file_hash)
         if grid is None:
             raise PipelineError("E_MISSING_INPUT", f"grid missing for {s.id}: run `grid` first")
         pairs.append((s, grid))
@@ -224,10 +214,9 @@ def load_grids(cfg: RunConfig) -> list[tuple[Dataset, QualityGrid]]:
 
 
 def _meta_sidecar(cfg: RunConfig) -> dict:
-    """`meta.meta.json`: target settings, and the grid definition as configured but its seed."""
-    grid = {**cfg.grid.to_dict(), "methods": list(cfg.grid.given_methods)}
-    return {"epsilon": cfg.epsilon, "alpha": cfg.alpha,
-            **{key: value for key, value in grid.items() if key != "seed"}}
+    """`meta.meta.json`: target settings, and the grid definition but its seed."""
+    grid = {name: value for name, value in cfg.grid.to_dict().items() if name != "seed"}
+    return {"epsilon": cfg.epsilon, "alpha": cfg.alpha, **grid}
 
 
 def cmd_meta(cfg: RunConfig) -> None:

@@ -16,13 +16,16 @@ for bit; and so are the resamplers, fold splits, `cv_quality` and static
 cells that validate every derived dataset and recount its classes, so that
 the grid's trusted derived datasets, cached class rows and runs of cells are
 checked bit for bit.
-So are the grid-definition documents as each was written out by hand from
-the config (the grid marker's hashed document, a grid's `.meta.json` and
-`meta.meta.json`), so that the one `GridDef` they come from now is checked
-byte for byte.
+So are a grid's `.meta.json` and `meta.meta.json`, each written out by
+hand from the config, so that the one `GridDef` they come from is checked
+byte for byte; and the grid marker and `.meta.json` that the version before
+held the whole definition wrote (the parent-format oracles), so that grids
+of that version are checked to be refused as stale.
 """
 
 import csv
+import hashlib
+import json
 import math
 from pathlib import Path
 from types import SimpleNamespace
@@ -835,13 +838,44 @@ def static_cells(learner, s: Dataset, grid, strategies: dict[str, str]) -> dict:
     return out
 
 
-# --- the grid-definition documents, each written out by hand from the config
-# (the library derives all three from `cfg.grid`); `cfg.multiplier_values()`,
-# since removed, was `cfg.multipliers.values()`
+# --- the grid documents, each written out by hand from the config: a grid's
+# `.meta.json` and `meta.meta.json`, which the library derives from `cfg.grid`
 
 
-def grid_def_doc(cfg) -> dict:
-    """The document the grid marker's hash covers, besides the dataset file."""
+def grid_meta_doc(cfg, dataset_id: str) -> dict:
+    """A grid's `.meta.json`: its dataset and the config's whole grid definition."""
+    return {
+        "dataset_id": dataset_id,
+        "learner": cfg.learner.to_dict(),
+        "label_column": cfg.label_column,
+        "k": cfg.k,
+        "seed": cfg.seed,
+        "methods": [m for m in cfg.methods if m != "none"],
+        "multipliers": [repr(float(m)) for m in cfg.multipliers.values()],
+    }
+
+
+def meta_sidecar(cfg) -> dict:
+    """`meta.meta.json`: the target settings and the grid definition but its seed."""
+    return {
+        "epsilon": cfg.epsilon,
+        "alpha": cfg.alpha,
+        "learner": cfg.learner.to_dict(),
+        "label_column": cfg.label_column,
+        "k": cfg.k,
+        "methods": [m for m in cfg.methods if m != "none"],
+        "multipliers": [repr(float(m)) for m in cfg.multipliers.values()],
+    }
+
+
+# --- parent-format oracles: a grid's `.cache.json` and `.meta.json` as the
+# version before a `.meta.json` held the whole definition wrote them. Its
+# marker hashed the dataset file's bytes and the document below; its
+# `.meta.json` named the learner by its token and had no `label_column`.
+
+
+def parent_grid_def_doc(cfg) -> dict:
+    """The document the parent's grid marker hashed, besides the dataset file."""
     return {
         "learner": cfg.learner.to_dict(),
         "methods": list(cfg.methods),
@@ -851,9 +885,17 @@ def grid_def_doc(cfg) -> dict:
     }
 
 
-def grid_meta_doc(cfg, dataset_id: str) -> dict:
-    """A grid's `.meta.json`: the fields `quality_grid` gave a grid computed on
-    the config, as `save_grid` wrote them."""
+def parent_grid_marker(cfg, dataset_bytes: bytes) -> str:
+    """The text of the parent's `.cache.json` for a grid of `cfg` on a file's bytes."""
+    h = hashlib.blake2b(digest_size=16)
+    h.update(dataset_bytes)
+    h.update(json.dumps(parent_grid_def_doc(cfg), sort_keys=True).encode())
+    return json.dumps({"input_hash": h.hexdigest()}, sort_keys=True)
+
+
+def parent_grid_meta_doc(cfg, dataset_id: str) -> dict:
+    """The parent's grid `.meta.json`: the fields `quality_grid` gave a grid
+    computed on the config, as `save_grid` wrote them."""
     grid = SimpleNamespace(dataset_id=dataset_id, learner_id=cfg.learner.token(), k=cfg.k,
                            seed=cfg.seed, methods=[m for m in cfg.methods if m != "none"],
                            multipliers=[float(m) for m in cfg.multipliers.values()])
@@ -866,16 +908,3 @@ def grid_meta_doc(cfg, dataset_id: str) -> dict:
         "multipliers": [repr(float(m)) for m in grid.multipliers],
     }
     return meta
-
-
-def meta_sidecar(cfg) -> dict:
-    """`meta.meta.json`, as `cmd_meta` wrote it."""
-    sidecar = {
-        "epsilon": cfg.epsilon,
-        "alpha": cfg.alpha,
-        "methods": list(cfg.methods),
-        "multipliers": [repr(m) for m in cfg.multipliers.values()],
-        "k": cfg.k,
-        "learner": cfg.learner.token(),
-    }
-    return sidecar

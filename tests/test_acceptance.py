@@ -8,8 +8,11 @@ RESAMPLEREC_TEST_WORKERS to control its parallelism (default: the CPU count).
 
 import json
 import os
+import subprocess
+import sys
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -255,30 +258,64 @@ def _pipeline_tree(root):
     return out
 
 
+def _criterion_8_config(out, workers: int) -> dict:
+    return {
+        "seed": 5,
+        "out": str(out),
+        "learner": {"kind": "decision_tree", "max_depth": 3, "min_leaf": 2},
+        "methods": ["ros", "rus"],
+        "multipliers": {"min": 1.5, "max": 2.5, "step": 0.5},
+        "k": 4,
+        "k_prime": 2,
+        "count": 8,
+        "workers": workers,
+        "mixture": {"dim_range": [3, 5], "size_range": [60, 100],
+                    "minor_fraction_range": [0.15, 0.3]},
+        "presets": {"a1": "rs1-dtree", "a2": "rs2-dtree"},
+    }
+
+
 def test_criterion_8_pipeline_determinism(tmp_path):
     with criterion(8, "end-to-end determinism across worker counts"):
         trees = []
         for run, workers in (("w1", 1), ("w8", 8)):
             out = tmp_path / run
-            config = {
-                "seed": 5,
-                "out": str(out),
-                "learner": {"kind": "decision_tree", "max_depth": 3, "min_leaf": 2},
-                "methods": ["ros", "rus"],
-                "multipliers": {"min": 1.5, "max": 2.5, "step": 0.5},
-                "k": 4,
-                "k_prime": 2,
-                "count": 8,
-                "workers": workers,
-                "mixture": {"dim_range": [3, 5], "size_range": [60, 100],
-                            "minor_fraction_range": [0.15, 0.3]},
-                "presets": {"a1": "rs1-dtree", "a2": "rs2-dtree"},
-            }
             cfg_path = tmp_path / f"cfg-{run}.json"
-            cfg_path.write_text(json.dumps(config))
+            cfg_path.write_text(json.dumps(_criterion_8_config(out, workers)))
             for command in ("gen", "grid", "meta", "train", "assess"):
                 assert cli_main([command, "--config", str(cfg_path)]) == 0, command
             trees.append(_pipeline_tree(out))
         assert trees[0].keys() == trees[1].keys()
         for name in trees[0]:
             assert trees[0][name] == trees[1][name], f"{name} differs between worker counts"
+
+
+_PIPELINE_SCRIPT = """
+import sys
+from resamplerec.cli import main
+for command in ("gen", "grid", "meta", "train", "assess", "report"):
+    assert main([command, "--config", sys.argv[1]]) == 0, command
+"""
+
+
+def test_blas_thread_count_leaves_every_output_unchanged(tmp_path):
+    """OpenBLAS may sum a matrix product in another order under another thread
+    count (a 300x8 @ 8x250 product does). The criterion-8 pipeline, run in a
+    fresh interpreter under 1 and under 2 OpenBLAS threads, writes the same
+    `out/` tree byte for byte."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    trees = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        cfg_path = tmp_path / f"cfg-threads{threads}.json"
+        cfg_path.write_text(json.dumps(_criterion_8_config(out, workers=1)))
+        env = {name: value for name, value in os.environ.items()
+               if name not in ("OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        proc = subprocess.run([sys.executable, "-c", _PIPELINE_SCRIPT, str(cfg_path)],
+                              env={**env, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads},
+                              capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        trees.append(_pipeline_tree(out))
+    assert trees[0].keys() == trees[1].keys()
+    for name in trees[0]:
+        assert trees[0][name] == trees[1][name], f"{name} differs between thread counts"

@@ -26,7 +26,7 @@ def grid_with_means(means: dict, k: int = 4) -> QualityGrid:
     cells = {key: np.full(k, value) for key, value in means.items()}
     methods = tuple(sorted({key[0] for key in means if key[0] != "none"}))
     multipliers = tuple(sorted({key[1] for key in means if key[0] != "none"}))
-    return QualityGrid("fixed", GridDef("synthetic", k, methods, multipliers, 0), cells)
+    return QualityGrid("fixed", GridDef.of(TREE, methods, multipliers, k, 0), cells)
 
 
 class TestRecommendationAccuracy:

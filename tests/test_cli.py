@@ -1,3 +1,4 @@
+import hashlib
 import io
 import itertools
 import json
@@ -20,8 +21,10 @@ from resamplerec import pipeline
 from resamplerec.cli import build_parser, main
 from resamplerec.config import (MAX_MULTIPLIERS, ConfigError, MultiplierGrid, RunConfig,
                                 config_from_dict, load_config)
+from resamplerec.data import MixtureConfig, csv_text, generate_mixture
 from resamplerec.learners import LearnerSpec
 
+import oracles
 from oracles import count_multipliers, walk_multipliers
 
 
@@ -597,29 +600,41 @@ def run_cli(args: list[str]) -> tuple[int, str, str]:
     return status, out.getvalue(), err.getvalue()
 
 
-# the grid definition of `gridded`; `mixture.seed` is fixed, so the master seed
-# changes the grids but not the datasets
-_TRUST_CONFIG = {"count": 2, "mixture": {"dim_range": [3, 4], "size_range": [60, 90],
-                                         "minor_fraction_range": [0.15, 0.3], "seed": 5}}
+# the learner of `gridded`, and the learner fields that the decision tree's
+# token leaves out, at their defaults
 _TRUST_LEARNER = {"kind": "decision_tree", "max_depth": 3, "min_leaf": 2}
-# the learner fields that the decision tree's token leaves out, at their defaults
 _OUTSIDE_TOKEN = {name: value for name, value in LearnerSpec("decision_tree").to_dict().items()
                   if name not in ("kind", "max_depth", "min_leaf")}
 
 
+def trust_config(root: Path, **extra) -> Path:
+    """The config of `gridded` under root, with `extra` keys: its datasets are
+    the two csv_dir files of `inputs/`."""
+    return tiny_config(root, csv_dir=str(root / "inputs"), **extra)
+
+
 @pytest.fixture(scope="module")
 def gridded(tmp_path_factory) -> Path:
-    """The directory of a tiny run through `grid`."""
+    """The directory of a tiny run through `grid` on two csv_dir datasets, each
+    with two 0/1 columns: `label`, the config's label, and `other`."""
     root = tmp_path_factory.mktemp("gridded")
-    cfg_path = tiny_config(root, **_TRUST_CONFIG)
-    for command in ("gen", "grid"):
-        assert main([command, "--config", str(cfg_path)]) == 0, command
+    for i in range(2):
+        s = generate_mixture(MixtureConfig(dim_range=(3, 4), size_range=(60, 90),
+                                           minor_fraction_range=(0.15, 0.3), seed=5), i)
+        other = np.random.default_rng(i).permutation(s.labels)
+        rows = [[repr(float(v)) for v in row] + [int(a), int(b)]
+                for row, a, b in zip(s.features, s.labels, other)]
+        (root / "inputs").mkdir(exist_ok=True)
+        (root / "inputs" / f"{s.id}.csv").write_text(
+            csv_text([f"f{j}" for j in range(s.dim)] + ["label", "other"], rows), newline="")
+    assert main(["grid", "--config", str(trust_config(root))]) == 0
     return root
 
 
 def copy_of(gridded, tmp: Path) -> Path:
-    """A copy of the gridded run's `out/` under tmp; returns tmp."""
-    shutil.copytree(gridded / "out", tmp / "out")
+    """A copy of the gridded run's `inputs/` and `out/` under tmp; returns tmp."""
+    for name in ("inputs", "out"):
+        shutil.copytree(gridded / name, tmp / name)
     return tmp
 
 
@@ -633,7 +648,7 @@ def _multiplier_grids():
 def grid_input_changes(draw) -> tuple[dict, int | None, str]:
     """One change of a grid input: (config keys to set, index of a dataset file
     to append a blank line to or None, the cause the error line gives)."""
-    choice = draw(st.sampled_from(["seed", "learner", "dataset", "k", "methods",
+    choice = draw(st.sampled_from(["seed", "learner", "label_column", "dataset", "k", "methods",
                                    "multipliers"]))
     named = "was computed with another {} than the config"
     if choice == "seed":
@@ -644,11 +659,11 @@ def grid_input_changes(draw) -> tuple[dict, int | None, str]:
         default = _OUTSIDE_TOKEN[field]
         value = draw((st.integers(1, 1000) if isinstance(default, int)
                       else st.floats(1e-9, 10.0)).filter(lambda v: v != default))
-        return {"learner": {**_TRUST_LEARNER, field: value}}, None, \
-            "was computed before the dataset file or a learner setting changed"
+        return {"learner": {**_TRUST_LEARNER, field: value}}, None, named.format("learner")
+    if choice == "label_column":  # the other 0/1 column of the same file bytes
+        return {"label_column": "other"}, None, named.format("label_column")
     if choice == "dataset":
-        return {}, draw(st.integers(0, 1)), \
-            "was computed before the dataset file or a learner setting changed"
+        return {}, draw(st.integers(0, 1)), "was computed before the dataset file changed"
     if choice == "k":
         return {"k": draw(st.sampled_from([2, 3, 5]))}, None, named.format("k")
     if choice == "methods":
@@ -665,110 +680,179 @@ _CRASH_CONFIG = {"count": 3, "methods": ["ros"],
 
 
 class TestCrashAnywhere:
-    def test_a_failed_move_anywhere_resumes_to_the_same_tree(self, tmp_path, monkeypatch,
-                                                             capsys):
-        """Every file is moved into place by one `os.replace`. For each n, make
-        the n-th move of the six commands fail: each command then succeeds or
-        prints one error line, the first failure is the move's, and rerunning
-        the six commands gives the `out/` tree of an uninterrupted run, byte
-        for byte."""
+    """Every file is written to a temp file by one `Path.write_text` and moved
+    into place by one `os.replace`. For each n, make the n-th write or move of
+    the six commands fail: each command then succeeds or prints one error
+    line, the first failure is the injected one, no temp file is left, and
+    rerunning the six commands gives the `out/` tree of an uninterrupted run,
+    byte for byte."""
+
+    def run_all(self, cfg_path: Path, capsys) -> list[str]:
+        """The error line of each failed command of `gen` through `report`."""
+        errors = []
+        for command in ("gen", "grid", "meta", "train", "assess", "report"):
+            code = main([command, "--config", str(cfg_path)])
+            err = capsys.readouterr().err
+            assert (code, err) == (0, "") or (code == 1 and err.startswith("error E_")
+                                              and err.count("\n") == 1), (command, err)
+            errors += [err] if code else []
+        return errors
+
+    def fail_each_call_in_turn(self, tmp_path, capsys, calls: list, fail: SimpleNamespace,
+                               error: str) -> int:
+        """Run the six commands whole, then once with each call of `calls` made to
+        fail (`fail.at`, 1-based) and once more; returns the whole run's call count."""
         cfg_path = tiny_config(tmp_path, **_CRASH_CONFIG)
         out = tmp_path / "out"
+        calls.clear()  # the config's own write
+        assert self.run_all(cfg_path, capsys) == []
+        whole = read_tree(out)
+        n_calls = len(calls)
+        for n in range(1, n_calls + 1):
+            shutil.rmtree(out)
+            calls.clear()
+            fail.at = n
+            errors = self.run_all(cfg_path, capsys)
+            assert errors and errors[0] == error, n
+            assert not list(out.rglob(".*.tmp")), n
+            fail.at = None
+            assert self.run_all(cfg_path, capsys) == []
+            assert read_tree(out) == whole, n
+        return n_calls
+
+    def test_a_failed_move_anywhere_resumes_to_the_same_tree(self, tmp_path, monkeypatch,
+                                                             capsys):
         real_replace = os.replace
-        moves = []
-        fail_at = None
+        moves, fail = [], SimpleNamespace(at=None)
 
         def replace(src, dst):
             moves.append(dst)
-            if len(moves) == fail_at:
+            if len(moves) == fail.at:
                 raise OSError("disk gone")
             real_replace(src, dst)
 
-        def run_all() -> list[str]:
-            """The error line of each failed command."""
-            errors = []
-            for command in ("gen", "grid", "meta", "train", "assess", "report"):
-                code = main([command, "--config", str(cfg_path)])
-                err = capsys.readouterr().err
-                assert (code, err) == (0, "") or (code == 1 and err.startswith("error E_")
-                                                  and err.count("\n") == 1), (command, err)
-                errors += [err] if code else []
-            return errors
-
         monkeypatch.setattr(os, "replace", replace)
-        assert run_all() == []
-        whole = read_tree(out)
-        n_moves = len(moves)
-        assert n_moves == 29
-        for n in range(1, n_moves + 1):
-            shutil.rmtree(out)
-            moves.clear()
-            fail_at = n
-            errors = run_all()
-            assert errors and errors[0] == "error E_FAILED: disk gone\n", n
-            fail_at = None
-            assert run_all() == []
-            assert read_tree(out) == whole, n
+        assert self.fail_each_call_in_turn(tmp_path, capsys, moves, fail,
+                                           "error E_FAILED: disk gone\n") == 29
+
+    def test_a_failed_temp_file_write_anywhere_resumes_to_the_same_tree(
+            self, tmp_path, monkeypatch, capsys):
+        """The failing write leaves half its text in the temp file."""
+        real_write_text = Path.write_text
+        writes, fail = [], SimpleNamespace(at=None)
+
+        def write_text(path, text, *args, **kwargs):
+            writes.append(path)
+            if len(writes) == fail.at:
+                real_write_text(path, text[:len(text) // 2], *args, **kwargs)
+                raise OSError("disk full")
+            return real_write_text(path, text, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", write_text)
+        assert self.fail_each_call_in_turn(tmp_path, capsys, writes, fail,
+                                           "error E_FAILED: disk full\n") == 29
 
 
 class TestGridTrust:
-    """`grid`, `meta`, `train` and `assess` trust a saved grid by one rule:
-    its `.cache.json` marker holds the content hash of the dataset file and
-    of the config's learner spec, methods, multipliers, `k` and `seed`."""
+    """`grid`, `meta`, `train` and `assess` trust a saved grid by one rule: its
+    `.meta.json` holds the config's whole grid definition (learner spec,
+    `label_column`, methods but "none", multipliers, `k`, `seed`), and its
+    `.cache.json` marker the content hash of the dataset file. Any other grid
+    is refused in one E_CACHE_MISMATCH line that names every field that
+    differs, and the command writes nothing."""
 
     COMMANDS = ("grid", "meta", "train", "assess")
+
+    def assert_refused_by_every_command(self, root: Path, cfg_path: Path, line: str) -> None:
+        out = root / "out"
+        before = read_tree(out)
+        for command in self.COMMANDS:
+            status, stdout, err = run_cli([command, "--config", str(cfg_path)])
+            assert (status, stdout) == (1, ""), command
+            assert err == f"error E_CACHE_MISMATCH: {line}; delete {out / 'grids'} and rerun " \
+                          "`grid`\n", command
+            assert read_tree(out) == before, command
 
     @given(grid_input_changes())
     @example(({"seed": 7}, None, "was computed with another seed than the config"))
     @example(({"learner": {**_TRUST_LEARNER, "tol": 1e-4}}, None,
-              "was computed before the dataset file or a learner setting changed"))
+              "was computed with another learner than the config"))
+    @example(({"label_column": "other"}, None,
+              "was computed with another label_column than the config"))
     @settings(max_examples=25, deadline=None)
     def test_a_changed_input_is_refused_by_every_command(self, gridded, change):
         """Each command exits 1 with one E_CACHE_MISMATCH line and writes nothing."""
         updates, dataset, cause = change
         with tempfile.TemporaryDirectory() as tmp:
             root = copy_of(gridded, Path(tmp))
-            out = root / "out"
             ids = [f"synth-5-{i}" for i in range(2)]
             if dataset is not None:
-                path = out / "datasets" / f"{ids[dataset]}.csv"
+                path = root / "inputs" / f"{ids[dataset]}.csv"
                 path.write_bytes(path.read_bytes() + b"\r\n")
-            cfg_path = tiny_config(root, **{**_TRUST_CONFIG, **updates})
             first = ids[dataset] if dataset is not None else ids[0]  # the first refused
-            before = read_tree(out)
-            for command in self.COMMANDS:
-                status, stdout, err = run_cli([command, "--config", str(cfg_path)])
-                assert (status, stdout) == (1, ""), command
-                assert err == (f"error E_CACHE_MISMATCH: grid for {first} {cause}; "
-                               f"delete {out / 'grids'} and rerun `grid`\n"), command
-                assert read_tree(out) == before, command
+            self.assert_refused_by_every_command(
+                root, trust_config(root, **updates), f"grid for {first} {cause}")
+
+    def test_a_grid_an_older_version_wrote_is_stale(self, gridded, tmp_path):
+        """A grid whose `.cache.json` and `.meta.json` are in the parent format
+        (the marker hashed the file and the definition, the `.meta.json` named
+        the learner by its token) is refused as stale, not as corrupt."""
+        root = copy_of(gridded, tmp_path)
+        cfg_path = trust_config(root)
+        cfg = load_config(cfg_path)
+        for i in range(2):
+            data = (root / "inputs" / f"synth-5-{i}.csv").read_bytes()
+            grids = root / "out" / "grids"
+            assert (grids / f"synth-5-{i}.cache.json").read_text() == json.dumps(
+                {"dataset_hash": hashlib.blake2b(data, digest_size=16).hexdigest()})
+            (grids / f"synth-5-{i}.cache.json").write_text(oracles.parent_grid_marker(cfg, data))
+            (grids / f"synth-5-{i}.meta.json").write_text(
+                json.dumps(oracles.parent_grid_meta_doc(cfg, f"synth-5-{i}"), sort_keys=True))
+        self.assert_refused_by_every_command(
+            root, cfg_path, "grid for synth-5-0 was written by an older version of resamplerec")
 
     @given(st.sampled_from(["alpha", "epsilon", "k_prime", "workers",
-                            "use_windowed_pval_for_targets"]), st.data())
-    @settings(max_examples=6, deadline=None)
+                            "use_windowed_pval_for_targets", "methods"]), st.data())
+    @settings(max_examples=8, deadline=None)
     def test_a_setting_outside_the_grid_keeps_it(self, gridded, key, data):
-        """A key the marker does not cover leaves `out/` byte-identical to a
-        fresh run with that key."""
+        """A key outside the grid definition, or "none" anywhere in `methods`,
+        leaves `out/` byte-identical to a fresh run with that key."""
         value = data.draw({"alpha": st.sampled_from([0.1, 0.3]),
                            "epsilon": st.sampled_from([0.5, 1.0]),
                            "k_prime": st.just(2), "workers": st.just(2),
-                           "use_windowed_pval_for_targets": st.just(True)}[key])
+                           "use_windowed_pval_for_targets": st.just(True),
+                           "methods": st.sampled_from([["none", "ros", "rus"],
+                                                       ["ros", "none", "rus"],
+                                                       ["ros", "rus", "none"]])}[key])
         with tempfile.TemporaryDirectory() as tmp:
             root = copy_of(gridded, Path(tmp))
-            cfg_path = tiny_config(root, **_TRUST_CONFIG, **{key: value})
+            cfg_path = trust_config(root, **{key: value})
             for command in self.COMMANDS:
                 assert run_cli([command, "--config", str(cfg_path)])[0] == 0, command
             fresh = root / "fresh"
-            for command in ("gen",) + self.COMMANDS:
+            for command in self.COMMANDS:
                 status = run_cli([command, "--config", str(cfg_path), "--out", str(fresh)])[0]
                 assert status == 0, command
             assert read_tree(root / "out") == read_tree(fresh)
+
+    def test_a_second_grid_writes_nothing(self, gridded, tmp_path, monkeypatch, capsys):
+        """`grid` over trusted grids moves no file into place and leaves every
+        grid file as it was, to the nanosecond."""
+        grids = copy_of(gridded, tmp_path) / "out" / "grids"
+        cfg_path = trust_config(tmp_path)
+        before = {p.name: (p.stat().st_mtime_ns, p.read_bytes()) for p in grids.iterdir()}
+        moves = []
+        monkeypatch.setattr(os, "replace", lambda src, dst: moves.append(dst))
+        assert main(["grid", "--config", str(cfg_path)]) == 0
+        assert "grid: 0 cells computed, 14 cached (100.0% cache hits)" in capsys.readouterr().out
+        assert moves == []
+        assert {p.name: (p.stat().st_mtime_ns, p.read_bytes()) for p in grids.iterdir()} == before
 
     def test_a_deleted_marker_is_a_missing_grid(self, gridded, tmp_path, capsys):
         """`grid` computes a grid without its marker afresh, to the same bytes;
         `meta`, `train` and `assess` stop with E_MISSING_INPUT."""
         out = copy_of(gridded, tmp_path) / "out"
-        cfg_path = tiny_config(tmp_path, **_TRUST_CONFIG)
+        cfg_path = trust_config(tmp_path)
         (out / "grids" / "synth-5-1.cache.json").unlink()
         before = read_tree(out)
         for command in ("meta", "train", "assess"):
@@ -782,13 +866,13 @@ class TestGridTrust:
 
     @pytest.mark.parametrize("text, problem", [
         ("[]", "grid marker {} is not a JSON object"),
-        ("{}", "grid marker {} has no key 'input_hash'"),
-        ('{"input_hash": 7}', "grid marker {} key 'input_hash' must be a string, not 7"),
-        ('{"input_hash": "0f', "cannot read grid marker {}: Unterminated string"),
+        ("{}", "grid marker {} has no key 'dataset_hash'"),
+        ('{"dataset_hash": 7}', "grid marker {} key 'dataset_hash' must be a string, not 7"),
+        ('{"dataset_hash": "0f', "cannot read grid marker {}: Unterminated string"),
     ], ids=["list", "empty-object", "number-hash", "truncated"])
     def test_a_broken_marker_is_refused(self, gridded, tmp_path, capsys, text, problem):
         out = copy_of(gridded, tmp_path) / "out"
-        cfg_path = tiny_config(tmp_path, **_TRUST_CONFIG)
+        cfg_path = trust_config(tmp_path)
         marker = out / "grids" / "synth-5-0.cache.json"
         marker.write_text(text)
         before = read_tree(out)
@@ -1058,8 +1142,7 @@ class TestBrokenInputs:
         assert main(["meta", "--config", str(cfg_path)]) == 1
         assert one_error_line(capsys) == (
             "error E_CACHE_MISMATCH: grid for synth-5-0 was computed before the dataset file "
-            f"or a learner setting changed; delete {tmp_path / 'out' / 'grids'} and rerun "
-            "`grid`\n")
+            f"changed; delete {tmp_path / 'out' / 'grids'} and rerun `grid`\n")
 
     def test_a_dataset_id_that_names_two_files_is_refused(self, tmp_path, capsys):
         """A csv_dir file named like a manifest dataset stops every command

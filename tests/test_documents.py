@@ -10,9 +10,9 @@ that the key does not take. The command must fail with exactly one line:
 no traceback, and no value that is silently truncated (4.7 or 4.0 for an
 integer).
 
-The documents a grid's definition is written into (the grid marker's hash,
-a grid's `.meta.json`, `meta.meta.json`) keep the bytes they had when each
-was written out by hand, and one function builds that definition.
+The documents a grid's definition is written into (a grid's `.meta.json`
+and `meta.meta.json`) keep the bytes they had when each was written out by
+hand, and one function builds that definition.
 """
 
 import ast
@@ -397,15 +397,17 @@ def classify_manifest(path: tuple, where: str) -> Rule | None:
 def classify_grid_meta(path: tuple, where: str) -> Rule:
     if not path:
         return Rule(OBJECT, False, (where,))
+    if path[0] == "learner" and len(path) == 2:  # LearnerSpec.from_dict requires only kind
+        return Rule(SPEC[path[1]], path[1] == "kind", (where, "'learner'", f"'{path[1]}'"))
     if len(path) == 2:
         return Rule(STRING, False, (where, f"'{render(path)}'"))
-    types = {"dataset_id": STRING, "learner": STRING, "k": INT, "seed": INT,
-             "methods": ARRAY, "multipliers": ARRAY}[path[0]]
+    types = {"dataset_id": STRING, "learner": OBJECT, "label_column": STRING, "k": INT,
+             "seed": INT, "methods": ARRAY, "multipliers": ARRAY}[path[0]]
     return Rule(types, True, (where, f"'{path[0]}'"))
 
 
 def classify_marker(path: tuple, where: str) -> Rule:
-    return Rule(STRING, True, (where, "'input_hash'")) if path else Rule(OBJECT, False, (where,))
+    return Rule(STRING, True, (where, "'dataset_hash'")) if path else Rule(OBJECT, False, (where,))
 
 
 DOCUMENTS = {  # name -> (file under out/, its `where`, its classifier, its error code)
@@ -480,8 +482,8 @@ def test_json_is_parsed_in_one_function():
 @st.composite
 def grid_configs(draw) -> dict:
     """The grid-definition keys of a config: any learner kind with fields off
-    its defaults, methods in any order with or without "none", multipliers
-    whose steps round at 10 decimals, `k` and `seed`."""
+    its defaults, the label column, methods in any order with or without
+    "none", multipliers whose steps round at 10 decimals, `k` and `seed`."""
     learner = draw(st.fixed_dictionaries(
         {"kind": st.sampled_from(sorted(DEFAULT_LEARNERS))},
         optional={"max_depth": st.none() | st.integers(1, 12), "min_leaf": st.integers(1, 9),
@@ -494,20 +496,18 @@ def grid_configs(draw) -> dict:
     low = draw(st.sampled_from([1.0, 1.1, 1.25, 4 / 3]))
     step = draw(st.sampled_from([0.1, 0.25, 0.3, 1 / 3, 0.7]))
     multipliers = {"min": low, "max": low + step * draw(st.integers(0, 30)), "step": step}
-    return {"learner": learner, "methods": methods, "multipliers": multipliers,
+    return {"learner": learner, "label_column": draw(st.sampled_from(["label", "y", "my 0/1"])),
+            "methods": methods, "multipliers": multipliers,
             "k": draw(st.integers(2, 12)), "seed": draw(st.integers(0, 2**40))}
 
 
 @given(grid_configs(), st.sampled_from(["synth-5-0", "d", "my data"]))
 @settings(max_examples=60, deadline=None)
 def test_grid_definition_documents_are_the_hand_written_ones(doc, dataset_id):
-    """The marker's hash, a grid's `.meta.json` and `meta.meta.json` are byte for
-    byte those written out by hand from the config, and a grid read back has
-    the config's definition."""
+    """A grid's `.meta.json` and `meta.meta.json` are byte for byte those
+    written out by hand from the config, and a grid read back has the
+    config's definition."""
     cfg = config_from_dict(doc)
-    data = dataset_id.encode()
-    assert pipeline._grid_input_hash(cfg, data) == pipeline._hash_bytes(
-        data, json.dumps(oracles.grid_def_doc(cfg), sort_keys=True).encode())
     assert json.dumps(pipeline._meta_sidecar(cfg), sort_keys=True) == \
         json.dumps(oracles.meta_sidecar(cfg), sort_keys=True)
     grid = QualityGrid(dataset_id, cfg.grid)
@@ -571,11 +571,12 @@ def calling_functions(path: Path, names: set[str]) -> set[str]:
 
 def test_a_dataset_file_is_read_and_hashed_in_one_place():
     """Under `src/`, only `load_bank` and `ingest_csv` read and parse a
-    dataset file's bytes, and only `load_bank` hashes them for a grid."""
+    dataset file's bytes, and only `load_bank` hashes them for a grid
+    (`cmd_gen` hashes its config for the manifest)."""
     sources = sorted((ROOT / "src").rglob("*.py"))
 
     def callers(*names: str) -> set[str]:
         return set().union(*(calling_functions(path, set(names)) for path in sources))
 
     assert callers("read_bytes", "parse_csv") == {"pipeline.py:load_bank", "data.py:ingest_csv"}
-    assert callers("_grid_input_hash") == {"pipeline.py:load_bank"}
+    assert callers("_hash_bytes") == {"pipeline.py:load_bank", "pipeline.py:cmd_gen"}

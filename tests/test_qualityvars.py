@@ -6,12 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resamplerec.evaluation import GridDef, QualityGrid
+from resamplerec.learners import DEFAULT_LEARNERS
 from resamplerec.qualityvars import (binarize_targets, compute_quality_variables,
                                      paired_ttest_pvalues, quality_row)
 from resamplerec.stats import student_t_sf
 
 import oracles
 from oracles import student_t_sf_quadrature
+
+TREE = DEFAULT_LEARNERS["decision_tree"]
 
 
 def random_grid(seed: int, methods=("ros", "rus"), multipliers=(1.5, 2.0, 2.5, 3.0),
@@ -26,7 +29,7 @@ def random_grid(seed: int, methods=("ros", "rus"), multipliers=(1.5, 2.0, 2.5, 3
                 skips[(method, m)] = "synthetic skip"
             else:
                 cells[(method, m)] = rng.uniform(0.2, 0.8, size=k)
-    definition = GridDef("synthetic", k, tuple(methods), tuple(map(float, multipliers)), seed)
+    definition = GridDef.of(TREE, methods, multipliers, k, seed)
     return QualityGrid(f"rand-{seed}", definition, cells, skips)
 
 
@@ -174,7 +177,7 @@ class TestBinarizeTargets:
         k = 6
         base = np.random.default_rng(0).uniform(0.3, 0.7, size=k)
         cells = {("none", 1.0): base, ("ros", 1.5): base.copy(), ("ros", 2.0): base.copy()}
-        g = QualityGrid("flat", GridDef("synthetic", k, ("ros",), (1.5, 2.0), 0), cells)
+        g = QualityGrid("flat", GridDef.of(TREE, ("ros",), (1.5, 2.0), k, 0), cells)
         qv = compute_quality_variables(g, epsilon=0.75)
         targets = binarize_targets(qv, alpha=0.05)
         assert all(v == 0 for v in targets.y_rm.values())
@@ -230,8 +233,8 @@ class TestBinarizeTargets:
                     skips[(method, m)] = "synthetic skip"
                 else:
                     cells[(method, m)] = rng.integers(0, 4, size=k) / 4.0
-        g = QualityGrid("lattice", GridDef("synthetic", k, ("ros", "rus", "smote5"),
-                                           tuple(multipliers), 0), cells, skips)
+        g = QualityGrid("lattice", GridDef.of(TREE, ("ros", "rus", "smote5"), multipliers, k, 0),
+                        cells, skips)
         qv = compute_quality_variables(g, epsilon)
         assert binarize_targets(qv, alpha, windowed) == \
             oracles.binarize_targets(qv, alpha, windowed)

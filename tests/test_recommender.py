@@ -81,7 +81,7 @@ class TestTrainApproach1:
         for i in range(4):
             base = rng.uniform(0.4, 0.6, size=6)
             cells = {("none", 1.0): base, ("ros", 2.0): base + 0.2}  # p-value 0 always
-            g = QualityGrid(f"d{i}", GridDef("synthetic", 6, ("ros",), (2.0,), 1), cells)
+            g = QualityGrid(f"d{i}", GridDef.of(TREE, ("ros",), (2.0,), 6, 1), cells)
             records.append((make_dataset(30, 10, seed=i, dataset_id=f"d{i}"), g))
         meta = build_meta_dataset(records, 0.75)
         model = train_approach1(meta, PRESETS["rs1-dtree"])
@@ -110,7 +110,7 @@ class TestTrainApproach2:
         for i in range(4):
             base = rng.uniform(0.4, 0.6, size=6)
             cells = {("none", 1.0): base, ("ros", 1.5): base - 0.2, ("ros", 4.0): base - 0.1}
-            g = QualityGrid(f"d{i}", GridDef("synthetic", 6, ("ros",), (1.5, 4.0), 1), cells)
+            g = QualityGrid(f"d{i}", GridDef.of(TREE, ("ros",), (1.5, 4.0), 6, 1), cells)
             records.append((make_dataset(30, 10, seed=i, dataset_id=f"d{i}"), g))
         meta = build_meta_dataset(records, 0.75)
         model = train_approach2(meta, PRESETS["rs2-dtree"])
