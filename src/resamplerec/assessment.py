@@ -122,7 +122,8 @@ def assess_bank(bank: list[tuple[Dataset, QualityGrid]],
     if k_prime < 2:
         raise ValueError("k_prime must be >= 2")
     if len(bank) < k_prime:
-        raise ValueError("bank too small for k_prime folds")
+        raise ValueError(f"bank too small for k_prime folds: {len(bank)} datasets, "
+                         f"k_prime is {k_prime}")
     datasets = {s.id: s for s, _ in bank}
     grids = {s.id: g for s, g in bank}
     ids = [s.id for s, _ in bank]

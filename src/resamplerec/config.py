@@ -15,7 +15,7 @@ from pathlib import Path
 from .data import MixtureConfig
 from .evaluation import GridDef
 from .jsondoc import read_array, read_json, read_object
-from .learners import DEFAULT_LEARNERS, SPEC_FIELD_TYPES, LearnerSpec
+from .learners import DEFAULT_LEARNERS, KINDS, LearnerSpec
 from .recommender import DEFAULT_PRESETS, PRESETS
 from .resampling import ResamplingSpec
 
@@ -154,14 +154,14 @@ def _mixture_from_dict(d: dict) -> MixtureConfig:
         raise ConfigError(f"config key 'mixture' is invalid: {exc}") from None
 
 
-def _learner_from_config(learner) -> LearnerSpec:
+def _learner_from_config(learner: str | dict) -> LearnerSpec:
+    """The config's learner (a kind, or an object of spec fields); a field it
+    does not give takes its kind's value in DEFAULT_LEARNERS."""
     if isinstance(learner, str):
         learner = {"kind": learner}
-    read_object(learner, SPEC_FIELD_TYPES, "config", ConfigError, required=("kind",),
-                prefix="learner.")
-    if learner["kind"] not in DEFAULT_LEARNERS:
-        raise ConfigError(f"unknown learner kind {learner['kind']!r} in 'learner.kind'")
-    return LearnerSpec(**{**DEFAULT_LEARNERS[learner["kind"]].to_dict(), **learner})
+    kind = learner.get("kind")  # any JSON value: `in KINDS` hashes none, from_dict refuses it
+    defaults = DEFAULT_LEARNERS[kind].to_dict() if kind in KINDS else {}
+    return LearnerSpec.from_dict({**defaults, **learner}, "config", ConfigError, "learner.")
 
 
 def config_from_dict(doc: dict) -> RunConfig:

@@ -138,7 +138,8 @@ def stratified_folds(s: Dataset, k: int, seed: int) -> FoldAssignment:
     if k < 2:
         raise ValueError("k must be >= 2")
     if s.n_minor < k:
-        raise ValueError("minor class too small for k folds")
+        raise ValueError(f"minor class too small for k folds: dataset {s.id!r} has "
+                         f"{s.n_minor} minor rows, k is {k}")
     rng = derive_rng(seed, "stratified-folds", k)
     fold_index = np.empty(s.n, dtype=np.int64)
     for members in (s.major_rows, s.minor_rows):

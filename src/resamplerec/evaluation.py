@@ -282,11 +282,8 @@ def load_grid(csv_path: str | Path) -> QualityGrid:
     meta_path = _meta_path(csv_path)
     meta = read_json(meta_path, "grid meta", GridFileError)
     where = f"grid meta {meta_path}"
-    spec = read_key(meta, "learner", "an object", where, GridFileError)
-    try:
-        learner = LearnerSpec.from_dict(spec, f"{where} key 'learner': learner spec")
-    except ValueError as exc:
-        raise GridFileError(str(exc)) from None
+    learner = LearnerSpec.from_dict(read_key(meta, "learner", "an object", where, GridFileError),
+                                    where, GridFileError, "learner.")
     grid = QualityGrid(read_key(meta, "dataset_id", "a string", where, GridFileError), GridDef(
         learner=learner,
         label_column=read_key(meta, "label_column", "a string", where, GridFileError),

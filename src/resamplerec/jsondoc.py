@@ -109,12 +109,17 @@ def _check_items(value: list, test, kind: str, depth: int, where: str, error, pa
 
 def read_object(obj: dict, kinds: dict, where: str, error: type[Exception] = ValueError,
                 required=(), prefix: str = "") -> dict:
-    """`obj` when it is an object of `kinds` keys with each of `required`."""
+    """`obj` when it is an object of `kinds` keys with each of `required`. A
+    value of `kinds` is a kind, or a (kind, (text, test)) pair: a value of
+    the kind that fails `test` is refused as not `<kind> <text>`."""
     if not isinstance(obj, dict):
         raise _wrong(error, where, prefix.rstrip("."), "an object", obj)
     for name in obj:
         if name not in kinds:
             raise error(f"{where} has unknown key '{prefix}{name}'")
     for name in (*required, *obj):
-        read_key(obj, name, kinds[name], where, error, prefix=prefix)
+        kind, bound = kinds[name] if isinstance(kinds[name], tuple) else (kinds[name], None)
+        value = read_key(obj, name, kind, where, error, prefix=prefix)
+        if bound is not None and not bound[1](value):
+            raise _wrong(error, where, prefix + name, f"{kind} {bound[0]}", value)
     return obj

@@ -38,18 +38,6 @@ class LearnerSpec:
     n_estimators: int = 10
     learning_rate: float = 1.0
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown learner kind {self.kind!r}")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.n_estimators < 1:
-            raise ValueError("n_estimators must be >= 1")
-        if self.l1_strength < 0:
-            raise ValueError("l1_strength must be >= 0")
-        if self.min_leaf < 1:
-            raise ValueError("min_leaf must be >= 1")
-
     def token(self) -> str:
         if self.kind == "decision_tree":
             return f"decision_tree(depth={self.max_depth},min_leaf={self.min_leaf})"
@@ -63,16 +51,25 @@ class LearnerSpec:
         return dict(vars(self))  # every field, in declaration order
 
     @staticmethod
-    def from_dict(d: dict, where: str = "learner spec") -> "LearnerSpec":
-        """The spec of a `to_dict` object; a ValueError names `where` and a bad key."""
-        return LearnerSpec(**read_object(d, SPEC_FIELD_TYPES, where, required=("kind",)))
+    def from_dict(d: dict, where: str = "learner spec", error: type[Exception] = ValueError,
+                  prefix: str = "") -> "LearnerSpec":
+        """The spec of a `to_dict` object, else `error` naming `where` and the
+        key; `prefix` is the object's key path in its document, dot-ended.
+        The one check of a spec read from a document: one built in code is
+        trusted, and no learner checks its fields again."""
+        return LearnerSpec(**read_object(d, SPEC_FIELD_TYPES, where, error, ("kind",), prefix))
 
 
-# the JSON kind (a key of jsondoc.KINDS) of each spec field
+_AT_LEAST_1 = (">= 1", lambda v: v >= 1)
+
+# each spec field -> its JSON kind (a key of jsondoc.KINDS), or its kind and
+# the bound its value must meet (the bound's text, its test)
 SPEC_FIELD_TYPES = {
-    "kind": "a string", "max_depth": "an integer or null", "min_leaf": "an integer",
-    "k": "an integer", "l1_strength": "a number", "max_iter": "an integer", "tol": "a number",
-    "n_estimators": "an integer", "learning_rate": "a number",
+    "kind": ("a string", (f"in ({', '.join(KINDS)})", lambda v: v in KINDS)),
+    "max_depth": "an integer or null", "min_leaf": ("an integer", _AT_LEAST_1),
+    "k": ("an integer", _AT_LEAST_1), "l1_strength": ("a number", (">= 0", lambda v: v >= 0)),
+    "max_iter": "an integer", "tol": "a number", "n_estimators": ("an integer", _AT_LEAST_1),
+    "learning_rate": ("a number", ("> 0", lambda v: v > 0)),
 }
 
 # documented defaults for the paper-level experiments
@@ -210,7 +207,8 @@ def model_from_dict(doc: dict, shared: tuple[dict, LearnerSpec] | None = None) -
     its decoded LearnerSpec: a `spec` equal to that object, value types
     included, takes that LearnerSpec instead of being decoded again.
 
-    A ValueError names a key that is missing or holds the wrong JSON type.
+    A ValueError names a key that is missing, holds the wrong JSON type or
+    is out of range.
     """
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ValueError("not a model document")
@@ -220,7 +218,7 @@ def model_from_dict(doc: dict, shared: tuple[dict, LearnerSpec] | None = None) -
     if shared is not None and _same_json(spec_doc, shared[0]):
         spec = shared[1]
     else:
-        spec = LearnerSpec.from_dict(spec_doc)
+        spec = LearnerSpec.from_dict(spec_doc, "model", prefix="spec.")
     width = read_key(doc, "n_features", "an integer", "model", low=1)
     if "constant_score" in doc:
         return constant_model(spec, width, read_key(doc, "constant_score", "a number", "model"))

@@ -29,8 +29,6 @@ class BoostStage:
 def fit_boosted_classifier(x: np.ndarray, y: np.ndarray, *, n_estimators: int,
                            max_depth: int | None, min_leaf: int,
                            learning_rate: float = 1.0) -> list[BoostStage]:
-    if n_estimators < 1:
-        raise ValueError("n_estimators must be >= 1")
     n = x.shape[0]
     w = np.full(n, 1.0 / n)
     stages: list[BoostStage] = []
@@ -75,10 +73,6 @@ def boosted_classifier_scores(stages: list[BoostStage], x: np.ndarray) -> np.nda
 def fit_boosted_regressor(x: np.ndarray, y: np.ndarray, *, n_estimators: int,
                           max_depth: int | None, min_leaf: int,
                           learning_rate: float = 1.0) -> list[BoostStage]:
-    if n_estimators < 1:
-        raise ValueError("n_estimators must be >= 1")
-    if x.shape[0] < 1:
-        raise ValueError("empty input")
     n = x.shape[0]
     w = np.full(n, 1.0 / n)
     stages: list[BoostStage] = []

@@ -51,8 +51,6 @@ def knn_scores(train_x: np.ndarray, train_y: np.ndarray, query: np.ndarray, k: i
     distances, which returns the lowest index among equal values, so they
     come out in the order of a stable sort without sorting any row.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     k = min(k, train_x.shape[0])
     # non-negative doubles order like their bit patterns
     bits = _squared_distances(train_x, query).view(np.int64)

@@ -53,8 +53,6 @@ def fit_logreg_l1(x: np.ndarray, y: np.ndarray, *, l1_strength: float = 1.0,
     When a list is passed as `history`, the objective value after every
     iteration is appended to it.
     """
-    if l1_strength < 0:
-        raise ValueError("l1_strength must be >= 0")
     count_fit()
     y = y.astype(np.float64)
     coef = np.zeros(x.shape[1])

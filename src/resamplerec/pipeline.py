@@ -286,10 +286,14 @@ def cmd_report(cfg: RunConfig) -> None:
     try:
         strategies, values = read_columns(ra_path, ("strategy", "ra"))
         ras = list(map(float, values))
+        if not ras:
+            raise ValueError("ra.csv has no rows")
+        for row, ra in enumerate(ras, start=1):
+            if not 0.0 <= ra <= 1.0:  # false for NaN
+                raise ValueError(f"ra.csv row {row} has ra {values[row - 1]}, "
+                                 "not a number in [0, 1]")
     except ValueError as exc:
         raise ValueError(f"cannot read {ra_path}: {exc}; rerun `assess`") from None
-    if not ras:
-        raise ValueError(f"cannot read {ra_path}: ra.csv has no rows; rerun `assess`")
     by_strategy: dict[str, list[float]] = {}
     for name, ra in zip(strategies, ras):
         by_strategy.setdefault(name, []).append(ra)

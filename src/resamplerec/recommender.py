@@ -282,33 +282,33 @@ def recommender_to_dict(model: RecommenderModel) -> dict:
     return doc
 
 
-def recommender_from_dict(doc: dict) -> RecommenderModel:
-    """The model of a `recommender_to_dict` document; a ValueError names a bad key."""
-    where = "recommender"
+def recommender_from_dict(doc: dict, where: str = "recommender") -> RecommenderModel:
+    """The model of a `recommender_to_dict` document; a ValueError names
+    `where` (the document, its file when read from one) and a bad key."""
     if read_key(doc, "format", "any value", where) != RECOMMENDER_FORMAT:
         raise ValueError("not a recommender document")
     if doc.get("version") != RECOMMENDER_VERSION or type(doc["version"]) is not int:
         raise ValueError(f"unsupported recommender version {doc.get('version')!r}")
     approach = read_key(doc, "approach", "a string", where)
     if approach not in ("a1", "a2"):
-        raise ValueError(f"recommender key 'approach' must be 'a1' or 'a2', not {approach!r}")
+        raise ValueError(f"{where} key 'approach' must be 'a1' or 'a2', not {approach!r}")
     features = read_array(doc, "features", "a string", where)
     for name in features:
         if name not in META_FEATURE_NAMES:
-            raise ValueError(f"recommender key 'features' names no meta-feature: {name!r}")
+            raise ValueError(f"{where} key 'features' names no meta-feature: {name!r}")
     model = RecommenderModel(
         approach=approach, preset_name=read_key(doc, "preset", "a string", where),
         alpha=float(read_key(doc, "alpha", "a number", where)),
         epsilon=float(read_key(doc, "epsilon", "a number", where)), feature_names=list(features),
         methods=list(read_array(doc, "methods", "a string", where)),
         multipliers=[float(m) for m in read_array(doc, "multipliers", "a float string", where)],
-        classifier_spec=_spec(doc, "classifier_spec"),
-        regressor_spec=_spec(doc, "regressor_spec") if approach == "a2"
+        classifier_spec=_spec(doc, "classifier_spec", where),
+        regressor_spec=_spec(doc, "regressor_spec", where) if approach == "a2"
         else read_key(doc, "regressor_spec", "null", where),
         trained_on_ids=list(read_array(doc, "trained_on", "a string", where)))
     for name in ("methods", "multipliers"):
         if not doc[name]:
-            raise ValueError(f"recommender key {name!r} must be a non-empty array, not []")
+            raise ValueError(f"{where} key {name!r} must be a non-empty array, not []")
     # entries whose spec is the top-level one (all of them in a trained
     # document) share its LearnerSpec rather than decode it again
     classifier = (doc["classifier_spec"], model.classifier_spec)
@@ -329,13 +329,13 @@ def recommender_from_dict(doc: dict) -> RecommenderModel:
                 model.a2_regressors[token] = model_from_dict(
                     read_key(entry, "regressor", "an object", "entry"), regressor)
         except ValueError as exc:
-            raise ValueError(f"recommender key 'models' entry {token!r}: {exc}") from None
+            raise ValueError(f"{where} key 'models' entry {token!r}: {exc}") from None
     return model
 
 
-def _spec(doc: dict, name: str) -> LearnerSpec:
-    return LearnerSpec.from_dict(read_key(doc, name, "an object", "recommender"),
-                                 f"recommender key {name!r}: learner spec")
+def _spec(doc: dict, name: str, where: str) -> LearnerSpec:
+    return LearnerSpec.from_dict(read_key(doc, name, "an object", where), where,
+                                 prefix=f"{name}.")
 
 
 def save_recommender(model: RecommenderModel, path: str | Path) -> None:
@@ -343,4 +343,5 @@ def save_recommender(model: RecommenderModel, path: str | Path) -> None:
 
 
 def load_recommender(path: str | Path) -> RecommenderModel:
-    return recommender_from_dict(read_json(path, "recommender", ValueError))
+    return recommender_from_dict(read_json(path, "recommender", ValueError),
+                                 f"recommender {path}")

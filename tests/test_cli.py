@@ -1027,16 +1027,16 @@ class TestBrokenInputs:
         (lambda doc: {**doc, "models": {**doc["models"], "ros@1.5": None}},
          "recommender key 'models' entry 'ros@1.5': not a model document"),
         (lambda doc: {**doc, "classifier_spec": {**doc["classifier_spec"], "depht": 3}},
-         "recommender key 'classifier_spec': learner spec has unknown key 'depht'"),
+         "recommender has unknown key 'classifier_spec.depht'"),
         (lambda doc: {**doc, "models": {**doc["models"], "ros@1.5": {
             **doc["models"]["ros@1.5"],
             "spec": {**doc["models"]["ros@1.5"]["spec"], "depht": 3}}}},
-         "recommender key 'models' entry 'ros@1.5': learner spec has unknown key 'depht'"),
+         "recommender key 'models' entry 'ros@1.5': model has unknown key 'spec.depht'"),
         (lambda doc: {**doc, "models": {**doc["models"], "ros@1.5": {
             **doc["models"]["ros@1.5"],
             "spec": {**doc["models"]["ros@1.5"]["spec"], "min_leaf": 5.0}}}},
          "recommender key 'models' entry 'ros@1.5': "
-         "learner spec key 'min_leaf' must be an integer, not 5.0"),
+         "model key 'spec.min_leaf' must be an integer, not 5.0"),
         (lambda doc: {**doc, "approach": "a3"},
          "recommender key 'approach' must be 'a1' or 'a2', not 'a3'"),
     ], ids=["list-document", "null-models", "unknown-feature", "null-model-entry",
@@ -1049,7 +1049,9 @@ class TestBrokenInputs:
         broken.write_text(json.dumps(change(json.loads(model.read_text()))))
         assert main(["recommend", "--config", str(cfg_path), "--model", str(broken),
                      "--data", str(data)]) == 1
-        assert one_error_line(capsys) == f"error E_FAILED: {problem}\n"
+        # the line names the file after the document
+        named = problem.replace("recommender", f"recommender {broken}", 1)
+        assert one_error_line(capsys) == f"error E_FAILED: {named}\n"
 
 
     @pytest.mark.parametrize("edit, problem", [
@@ -1073,7 +1075,7 @@ class TestBrokenInputs:
         assert main(["recommend", "--config", str(cfg_path), "--model", str(broken),
                      "--data", str(data)]) == 1
         assert one_error_line(capsys) == \
-            f"error E_FAILED: recommender key 'models' entry {token!r}: {problem}\n"
+            f"error E_FAILED: recommender {broken} key 'models' entry {token!r}: {problem}\n"
 
     @pytest.mark.parametrize("manifest, problem", [
         ([], "is not a JSON object"),
@@ -1217,24 +1219,24 @@ class TestSpecValueTypes:
         cfg_path, model, data = trained
         field, value = field_value
         doc = json.loads(model.read_text())
-        if where == "classifier_spec":
-            doc["classifier_spec"][field] = value
-            prefix = "recommender key 'classifier_spec'"
-        else:
-            token = min(doc["models"])
-            doc["models"][token]["spec"][field] = value
-            prefix = f"recommender key 'models' entry {token!r}"
         out, err = io.StringIO(), io.StringIO()
         with tempfile.TemporaryDirectory() as tmp:
             broken = Path(tmp) / "model.json"
+            if where == "classifier_spec":
+                doc["classifier_spec"][field] = value
+                problem = f"recommender {broken} key 'classifier_spec.{field}'"
+            else:
+                token = min(doc["models"])
+                doc["models"][token]["spec"][field] = value
+                problem = f"recommender {broken} key 'models' entry {token!r}: " \
+                    f"model key 'spec.{field}'"
             broken.write_text(json.dumps(doc))
             with redirect_stdout(out), redirect_stderr(err):
                 status = main(["recommend", "--config", str(cfg_path),
                                "--model", str(broken), "--data", str(data)])
         assert status == 1 and out.getvalue() == ""
         assert err.getvalue().count("\n") == 1
-        assert err.getvalue().startswith(
-            f"error E_FAILED: {prefix}: learner spec key {field!r} must be ")
+        assert err.getvalue().startswith(f"error E_FAILED: {problem} must be ")
 
 
 class TestParserReuse:

@@ -8,7 +8,9 @@ grid's `.meta.json` and `.cache.json`. For each, a hypothesis property
 deletes a required key, or replaces a value with a value of a JSON type
 that the key does not take. The command must fail with exactly one line:
 no traceback, and no value that is silently truncated (4.7 or 4.0 for an
-integer).
+integer). A learner spec, which the config, a grid's `.meta.json` and a
+recommender file each hold, is read by one function, and a field below its
+bound is refused in each of them in the same words.
 
 The documents a grid's definition is written into (a grid's `.meta.json`
 and `meta.meta.json`) keep the bytes they had when each was written out by
@@ -236,7 +238,7 @@ def classify_entry(path: tuple, where: str) -> Rule | None:
     if not path:
         return Rule(OBJECT, False, (where,))
     if path[0] == "spec" and len(path) == 2:
-        return Rule(SPEC[last], last == "kind", (where, f"'{last}'"))
+        return Rule(SPEC[last], last == "kind", (where, f"'spec.{last}'"))
     if last in ("format", "version") and len(path) == 1:  # the document's identity
         return Rule(STRING if last == "format" else INT, True,
                     (where, "not a model document" if last == "format" else "model version"))
@@ -261,8 +263,7 @@ def classify_recommender(path: tuple, approach: str, entries: set) -> Rule | Non
     head, rest = path[0], path[1:]
     top = f"'{render(path)}'"
     if head in ("classifier_spec", "regressor_spec") and rest:
-        return Rule(SPEC[rest[0]], rest[0] == "kind", (f"recommender key '{head}'",
-                                                       f"'{rest[0]}'"))
+        return Rule(SPEC[rest[0]], rest[0] == "kind", ("recommender", f"'{head}.{rest[0]}'"))
     if head == "regressor_spec":
         return Rule(OBJECT if approach == "a2" else NULL, True, ("recommender", top))
     if head in ("format", "version"):  # the file's identity: "not a recommender document"
@@ -271,7 +272,7 @@ def classify_recommender(path: tuple, approach: str, entries: set) -> Rule | Non
         return Rule(TOP_TYPES[head] if not rest else STRING, not rest, ("recommender", top))
     if path[1] not in entries:
         return None
-    where = f"recommender key 'models' entry {path[1]!r}"
+    where = f"key 'models' entry {path[1]!r}"  # the file's path precedes it
     if approach == "a1":
         return classify_entry(path[2:], where)
     if len(path) == 2:
@@ -368,6 +369,8 @@ class TestRecommenderFile:
         edit(doc)
         model = tmp_path / "model.json"
         model.write_text(json.dumps(doc))
+        if problem.startswith("recommender "):  # the line names the file after the document
+            problem = f"recommender {model} {problem.removeprefix('recommender ')}"
         assert assert_one_error_line(recommend_argv(trained, model), "E_FAILED") == \
             f"error E_FAILED: {problem}\n"
 
@@ -398,7 +401,7 @@ def classify_grid_meta(path: tuple, where: str) -> Rule:
     if not path:
         return Rule(OBJECT, False, (where,))
     if path[0] == "learner" and len(path) == 2:  # LearnerSpec.from_dict requires only kind
-        return Rule(SPEC[path[1]], path[1] == "kind", (where, "'learner'", f"'{path[1]}'"))
+        return Rule(SPEC[path[1]], path[1] == "kind", (where, f"'learner.{path[1]}'"))
     if len(path) == 2:
         return Rule(STRING, False, (where, f"'{render(path)}'"))
     types = {"dataset_id": STRING, "learner": OBJECT, "label_column": STRING, "k": INT,
@@ -453,6 +456,121 @@ class TestRunFiles:
             path.write_bytes(before)
         assert err.startswith(f"error E_GRID_CORRUPT: cannot read grid meta {path}: "
                               "'utf-8' codec can't decode byte 0xff")
+
+
+# -- a learner spec's bounds, in each document that holds a spec -------------
+
+# each bounded spec field -> (values below its bound, values at it, what the
+# error line says the value must be)
+BOUNDED_FIELDS = {
+    "min_leaf": (st.integers(-10**6, 0), st.just(1), "an integer >= 1"),
+    "k": (st.integers(-10**6, 0), st.just(1), "an integer >= 1"),
+    "n_estimators": (st.integers(-10**6, 0), st.just(1), "an integer >= 1"),
+    "l1_strength": (st.integers(-10**6, -1) | st.floats(max_value=-5e-324, allow_infinity=False),
+                    st.sampled_from([0, 0.0, -0.0]), "a number >= 0"),
+    "learning_rate": (st.integers(-10**6, 0) | st.floats(max_value=0.0, allow_infinity=False),
+                      st.sampled_from([5e-324, 1e-300, 1]), "a number > 0"),
+}
+
+
+def out_files(out: Path) -> dict[str, bytes]:
+    return {str(path): path.read_bytes() for path in sorted(out.rglob("*")) if path.is_file()}
+
+
+class TestSpecBounds:
+    @given(st.sampled_from(sorted(BOUNDED_FIELDS)), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_config(self, field, data):
+        """Below its bound: one E_CONFIG line naming the key, and no `out/`.
+        At it: the config loads, and so does a grid saved under it."""
+        below, at, must = BOUNDED_FIELDS[field]
+        value = data.draw(below)
+        doc = {**FULL_CONFIG, "learner": {**FULL_CONFIG["learner"], field: value}}
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg_path = Path(tmp) / "cfg.json"
+            cfg_path.write_text(json.dumps({**doc, "out": str(Path(tmp) / "out")}))
+            err = assert_one_error_line(["gen", "--config", str(cfg_path)], "E_CONFIG")
+            assert not (Path(tmp) / "out").exists()
+        assert err == f"error E_CONFIG: config key 'learner.{field}' must be {must}, " \
+            f"not {json.dumps(value)}\n"
+        value = data.draw(at)
+        cfg = config_from_dict({**doc, "learner": {**doc["learner"], field: value}})
+        assert repr(getattr(cfg.learner, field)) == repr(value)
+        grid = QualityGrid("d", cfg.grid)
+        grid.cells = {key: np.full(cfg.grid.k, 0.5) for key in grid.cell_keys()}
+        with tempfile.TemporaryDirectory() as tmp:
+            save_grid(grid, Path(tmp) / "g.csv")
+            assert load_grid(Path(tmp) / "g.csv").definition == cfg.grid
+
+    @given(st.sampled_from(sorted(BOUNDED_FIELDS)), st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_grid_meta(self, trained, field, data):
+        """Below its bound: one E_GRID_CORRUPT line naming the file and the
+        key, and `meta` leaves every file under `out/` as it was."""
+        below, _, must = BOUNDED_FIELDS[field]
+        value = data.draw(below)
+        out = trained.parent / "out"
+        path = out / "grids" / "synth-5-0.meta.json"
+        doc = json.loads(path.read_text())
+        doc["learner"][field] = value
+        before = out_files(out)
+        assert_refused(path, json.dumps(doc), ["meta", "--config", str(trained)],
+                       "E_GRID_CORRUPT", (f"error E_GRID_CORRUPT: grid meta {path} key "
+                                          f"'learner.{field}' must be {must}, "
+                                          f"not {json.dumps(value)}\n",))
+        assert out_files(out) == before
+
+    @pytest.mark.parametrize("where", ["classifier_spec", "entry"])
+    @given(field=st.sampled_from(sorted(BOUNDED_FIELDS)), data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_model_file(self, trained, where, field, data):
+        """Below its bound, in the file's spec or in a model entry's: one
+        E_FAILED line naming the file and the key. At it: `recommend` runs."""
+        below, at, must = BOUNDED_FIELDS[field]
+        doc = model_doc(trained, "a1")
+        token = min(doc["models"])
+        spec = doc["classifier_spec"] if where == "classifier_spec" else doc["models"][token]["spec"]
+        with tempfile.TemporaryDirectory() as tmp:
+            model = Path(tmp) / "model.json"
+            key = f"key 'classifier_spec.{field}'" if where == "classifier_spec" else \
+                f"key 'models' entry {token!r}: model key 'spec.{field}'"
+            spec[field] = value = data.draw(below)
+            model.write_text(json.dumps(doc))
+            err = assert_one_error_line(recommend_argv(trained, model), "E_FAILED")
+            assert err == f"error E_FAILED: recommender {model} {key} must be {must}, " \
+                f"not {json.dumps(value)}\n"
+            spec[field] = data.draw(at)
+            model.write_text(json.dumps(doc))
+            status, _, err = run(recommend_argv(trained, model))
+            assert (status, err) == (0, "")
+
+
+def spec_builders(path: Path) -> set[str]:
+    """`file:function` (`Class.function` in a class) of each call under
+    `path` that builds a LearnerSpec from a mapping: `LearnerSpec(**d)` or
+    `replace(spec, **d)`."""
+    found = set()
+
+    def visit(node, function: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name if function == "<module>" else f"{function}.{child.name}")
+                continue
+            if isinstance(child, ast.Call) and \
+                    getattr(child.func, "id", getattr(child.func, "attr", None)) in \
+                    ("LearnerSpec", "replace") and any(kw.arg is None for kw in child.keywords):
+                found.add(f"{path.name}:{function}")
+            visit(child, function)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    return found
+
+
+def test_a_learner_spec_is_read_in_one_function():
+    """`LearnerSpec.from_dict` is the one place under `src/` that builds a
+    spec from a mapping, so every document's spec meets the same bounds."""
+    builders = set().union(*(spec_builders(path) for path in sorted((ROOT / "src").rglob("*.py"))))
+    assert builders == {"__init__.py:LearnerSpec.from_dict"}
 
 
 def json_parsers(path: Path) -> list[tuple[str, str]]:

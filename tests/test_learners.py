@@ -37,14 +37,22 @@ def xor_like_dataset() -> Dataset:
 
 class TestSpec:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            LearnerSpec("svm")
-        with pytest.raises(ValueError):
-            LearnerSpec("knn", k=0)
-        with pytest.raises(ValueError):
-            LearnerSpec("adaboost_clf", n_estimators=0)
-        with pytest.raises(ValueError):
-            LearnerSpec("logreg_l1", l1_strength=-1.0)
+        """The document reader refuses an out-of-range field; the constructor
+        trusts the code that calls it."""
+        for doc, problem in [
+            ({"kind": "svm"}, "key 'kind' must be a string in (decision_tree, knn, logreg_l1, "
+                              'adaboost_clf, adaboost_reg), not "svm"'),
+            ({"kind": "knn", "k": 0}, "key 'k' must be an integer >= 1, not 0"),
+            ({"kind": "adaboost_clf", "n_estimators": 0},
+             "key 'n_estimators' must be an integer >= 1, not 0"),
+            ({"kind": "logreg_l1", "l1_strength": -1.0},
+             "key 'l1_strength' must be a number >= 0, not -1.0"),
+            ({"kind": "adaboost_reg", "learning_rate": 0},
+             "key 'learning_rate' must be a number > 0, not 0"),
+        ]:
+            with pytest.raises(ValueError) as info:
+                LearnerSpec.from_dict(doc)
+            assert str(info.value) == f"learner spec {problem}"
 
     def test_round_trip(self):
         spec = DEFAULT_LEARNERS["adaboost_clf"]
@@ -57,7 +65,7 @@ class TestSpec:
         max_iter=st.integers(0, 10**6),
         tol=st.integers(0, 9) | st.floats(allow_nan=False, allow_infinity=False),
         n_estimators=st.integers(1, 64),
-        learning_rate=st.integers(-9, 9) | st.floats(allow_nan=False, allow_infinity=False)))
+        learning_rate=st.integers(1, 9) | st.floats(0.0, exclude_min=True, allow_infinity=False)))
     def test_valid_specs_round_trip(self, spec):
         assert LearnerSpec.from_dict(spec.to_dict()) == spec
         assert LearnerSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
