@@ -8,25 +8,26 @@ reader, so a bad key is one ConfigError (E_CONFIG) naming its key path.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .data import MixtureConfig
 from .evaluation import GridDef
-from .jsondoc import read_array, read_json, read_object
+from .jsondoc import POSITIVE, at_least, one_of, read_array, read_json, read_object
 from .learners import DEFAULT_LEARNERS, KINDS, LearnerSpec
 from .recommender import DEFAULT_PRESETS, PRESETS
 from .resampling import ResamplingSpec
 
 DEFAULT_METHODS = ["ros", "rus", "smote1", "smote3", "smote5", "smote7"]
 
-# the JSON kind (a key of jsondoc.KINDS) of each top-level key
-_SCALAR_KEYS = {"seed": "an integer", "out": "a string", "k": "an integer",
-                "k_prime": "an integer", "alpha": "a number", "epsilon": "a number",
-                "count": "an integer", "csv_dir": "a string or null",
-                "label_column": "a string", "use_windowed_pval_for_targets": "true or false",
-                "workers": "an integer"}
+# each top-level key -> its JSON kind (a key of jsondoc.KINDS), or its kind and bound
+_SCALAR_KEYS = {"seed": "an integer", "out": "a string", "k": ("an integer", at_least(2)),
+                "k_prime": ("an integer", at_least(2)),
+                "alpha": ("a number", ("in (0, 1)", lambda v: 0 < v < 1)),
+                "epsilon": ("a number", POSITIVE), "count": ("an integer", at_least(1)),
+                "csv_dir": "a string or null", "label_column": "a string",
+                "use_windowed_pval_for_targets": "true or false",
+                "workers": ("an integer", at_least(1))}
 _TOP_KEYS = {**_SCALAR_KEYS, "learner": "a string or an object", "methods": "an array",
              "multipliers": "an object", "mixture": "an object", "approaches": "an array",
              "presets": "an object"}
@@ -35,7 +36,9 @@ _MIXTURE_RANGES = {"dim_range": "an integer", "size_range": "an integer",
                    "mean_range": "a number", "cov_scale_range": "a number"}
 _MIXTURE_KEYS = {**dict.fromkeys(_MIXTURE_RANGES, "an array"), "seed": "an integer"}
 _MULTIPLIER_KEYS = dict.fromkeys(("min", "max", "step"), "a number")
-_MINIMUMS = {"count": 1, "k": 2, "k_prime": 2, "workers": 1}
+_PRESET_KEYS = {approach: ("a string", one_of(tuple(
+    name for name, preset in PRESETS.items() if preset.approach == approach)))
+    for approach in ("a1", "a2")}
 MAX_MULTIPLIERS = 1000  # the paper's grid has 36
 
 
@@ -99,15 +102,6 @@ class RunConfig:
     grid: GridDef = field(init=False, repr=False, compare=False)  # built from the keys above
 
     def __post_init__(self):
-        for key, low in _MINIMUMS.items():
-            if getattr(self, key) < low:
-                raise ConfigError(f"config key '{key}' must be >= {low}, "
-                                  f"got {json.dumps(getattr(self, key))}")
-        if not (0.0 < self.alpha < 1.0):
-            raise ConfigError(f"config key 'alpha' must be in (0, 1), got {json.dumps(self.alpha)}")
-        if self.epsilon <= 0:
-            raise ConfigError(f"config key 'epsilon' must be positive, "
-                              f"got {json.dumps(self.epsilon)}")
         for i, a in enumerate(self.approaches):
             if a not in ("a1", "a2"):
                 raise ConfigError(f"unknown approach {a!r} in 'approaches[{i}]'")
@@ -179,14 +173,8 @@ def config_from_dict(doc: dict) -> RunConfig:
     if "mixture" in doc:
         kwargs["mixture"] = _mixture_from_dict(doc["mixture"])
     if "presets" in doc:  # approach -> the name of one of its presets
-        presets = read_object(doc["presets"], dict.fromkeys(("a1", "a2"), "a string"), "config",
-                              ConfigError, prefix="presets.")
-        for approach, name in presets.items():
-            names = [n for n, preset in PRESETS.items() if preset.approach == approach]
-            if name not in names:
-                raise ConfigError(f"config key 'presets.{approach}' must be one of "
-                                  f"{', '.join(names)}, not {json.dumps(name)}")
-        kwargs["presets"] = dict(presets)
+        kwargs["presets"] = dict(read_object(doc["presets"], _PRESET_KEYS, "config", ConfigError,
+                                             prefix="presets."))
     if "seed" not in doc.get("mixture", {}):  # the generator seed follows the master seed
         kwargs["mixture"] = replace(kwargs.get("mixture", MixtureConfig()),
                                     seed=kwargs.get("seed", RunConfig.seed))

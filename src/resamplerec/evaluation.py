@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset, csv_text, read_columns, stratified_folds, write_files_atomically
-from .jsondoc import read_array, read_json, read_key
+from .jsondoc import at_least, read_array, read_json, read_key
 from .learners import LearnerSpec, fit_arrays, predict_scores
 from .parallel import parallel_map
 from .resampling import ResamplingSpec, feasible, resample, smote_neighbor_order
@@ -287,7 +287,7 @@ def load_grid(csv_path: str | Path) -> QualityGrid:
     grid = QualityGrid(read_key(meta, "dataset_id", "a string", where, GridFileError), GridDef(
         learner=learner,
         label_column=read_key(meta, "label_column", "a string", where, GridFileError),
-        k=read_key(meta, "k", "an integer", where, GridFileError, low=2),
+        k=read_key(meta, "k", "an integer", where, GridFileError, at_least(2)),
         seed=read_key(meta, "seed", "an integer", where, GridFileError),
         methods=tuple(read_array(meta, "methods", "a string", where, GridFileError)),
         multipliers=tuple(float(m) for m in read_array(meta, "multipliers", "a float string",

@@ -3,8 +3,9 @@ a recommender file, `datasets/manifest.json`, a grid's `.meta.json` and
 `.cache.json`. Each function raises its caller's exception class, so every
 document keeps its error code, and names the document (`where`) and the key:
 `cannot read <where> <file>: <reason>`, `<where> is not a JSON object`,
-`<where> key '<path>' must be <kind>, not <json>`, `<where> has no key
-'<path>'` or `<where> has unknown key '<path>'`.
+`<where> key '<path>' must be <kind>, not <json>` (`<kind> <bound>` for a
+value of the kind outside its bound), `<where> has no key '<path>'` or
+`<where> has unknown key '<path>'`.
 """
 
 from __future__ import annotations
@@ -60,21 +61,35 @@ def _wrong(error: type[Exception], where: str, path: str, kind: str, value) -> E
     return error(f"{where} key '{path}' must be {kind}, not {text}")
 
 
+def at_least(low) -> tuple:
+    """The bound `>= low` of a number, for `read_key` and `read_object`."""
+    return f">= {low}", lambda v: v >= low
+
+
+def one_of(values: tuple) -> tuple:
+    """The bound `in (a, b, ...)` of a string, for `read_key` and `read_object`."""
+    return f"in ({', '.join(values)})", lambda v: v in values
+
+
+POSITIVE = ("> 0", lambda v: v > 0)
+
+
 def read_key(obj: dict, name: str, kind: str, where: str,
-             error: type[Exception] = ValueError, low=None, high=None, prefix: str = ""):
-    """obj[name] when it is of `kind` (a key of KINDS) and in [low, high], else
-    raise `error`; `prefix` is the path of `obj` in its document, dot-ended."""
+             error: type[Exception] = ValueError, bound: tuple | None = None, prefix: str = ""):
+    """obj[name] when it is of `kind` (a key of KINDS), else raise `error`;
+    `prefix` is the path of `obj` in its document, dot-ended. A `bound` (its
+    text, its test) refuses a value of the kind that fails the test as not
+    `<kind> <text>`."""
     try:
         value = obj[name]
     except (KeyError, TypeError):
         if not isinstance(obj, dict):
             raise _wrong(error, where, prefix.rstrip("."), "an object", obj) from None
         raise error(f"{where} has no key '{prefix}{name}'") from None
-    if not KINDS[kind](value) or (low is not None and value < low) \
-            or (high is not None and value > high):
-        if low is not None:
-            kind += f" in {low}..{high}" if high is not None else f" >= {low}"
+    if not KINDS[kind](value):
         raise _wrong(error, where, prefix + name, kind, value)
+    if bound is not None and not bound[1](value):
+        raise _wrong(error, where, prefix + name, f"{kind} {bound[0]}", value)
     return value
 
 
@@ -110,8 +125,7 @@ def _check_items(value: list, test, kind: str, depth: int, where: str, error, pa
 def read_object(obj: dict, kinds: dict, where: str, error: type[Exception] = ValueError,
                 required=(), prefix: str = "") -> dict:
     """`obj` when it is an object of `kinds` keys with each of `required`. A
-    value of `kinds` is a kind, or a (kind, (text, test)) pair: a value of
-    the kind that fails `test` is refused as not `<kind> <text>`."""
+    value of `kinds` is a kind, or a (kind, bound) pair for `read_key`."""
     if not isinstance(obj, dict):
         raise _wrong(error, where, prefix.rstrip("."), "an object", obj)
     for name in obj:
@@ -119,7 +133,5 @@ def read_object(obj: dict, kinds: dict, where: str, error: type[Exception] = Val
             raise error(f"{where} has unknown key '{prefix}{name}'")
     for name in (*required, *obj):
         kind, bound = kinds[name] if isinstance(kinds[name], tuple) else (kinds[name], None)
-        value = read_key(obj, name, kind, where, error, prefix=prefix)
-        if bound is not None and not bound[1](value):
-            raise _wrong(error, where, prefix + name, f"{kind} {bound[0]}", value)
+        read_key(obj, name, kind, where, error, bound, prefix)
     return obj

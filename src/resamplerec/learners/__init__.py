@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..jsondoc import read_array, read_key, read_object
+from ..jsondoc import POSITIVE, at_least, one_of, read_array, read_key, read_object
 from .boost import (BoostStage, boosted_classifier_scores, boosted_regressor_predict,
                     fit_boosted_classifier, fit_boosted_regressor)
 from .instrument import count_fit as _count_fit
@@ -60,16 +60,13 @@ class LearnerSpec:
         return LearnerSpec(**read_object(d, SPEC_FIELD_TYPES, where, error, ("kind",), prefix))
 
 
-_AT_LEAST_1 = (">= 1", lambda v: v >= 1)
-
 # each spec field -> its JSON kind (a key of jsondoc.KINDS), or its kind and
-# the bound its value must meet (the bound's text, its test)
+# the bound its value must meet
 SPEC_FIELD_TYPES = {
-    "kind": ("a string", (f"in ({', '.join(KINDS)})", lambda v: v in KINDS)),
-    "max_depth": "an integer or null", "min_leaf": ("an integer", _AT_LEAST_1),
-    "k": ("an integer", _AT_LEAST_1), "l1_strength": ("a number", (">= 0", lambda v: v >= 0)),
-    "max_iter": "an integer", "tol": "a number", "n_estimators": ("an integer", _AT_LEAST_1),
-    "learning_rate": ("a number", ("> 0", lambda v: v > 0)),
+    "kind": ("a string", one_of(KINDS)), "max_depth": "an integer or null",
+    "min_leaf": ("an integer", at_least(1)), "k": ("an integer", at_least(1)),
+    "l1_strength": ("a number", at_least(0)), "max_iter": "an integer", "tol": "a number",
+    "n_estimators": ("an integer", at_least(1)), "learning_rate": ("a number", POSITIVE),
 }
 
 # documented defaults for the paper-level experiments
@@ -127,11 +124,13 @@ def fit_arrays(spec: LearnerSpec, x: np.ndarray, y: np.ndarray) -> Model:
             x, y.astype(np.int64), n_estimators=spec.n_estimators,
             max_depth=spec.max_depth, min_leaf=spec.min_leaf,
             learning_rate=spec.learning_rate)
-    else:
+    elif spec.kind == "adaboost_reg":
         model.stages = fit_boosted_regressor(
             x, y.astype(np.float64), n_estimators=spec.n_estimators,
             max_depth=spec.max_depth, min_leaf=spec.min_leaf,
             learning_rate=spec.learning_rate)
+    else:
+        raise ValueError(f"unknown learner kind {spec.kind!r}")
     return model
 
 
@@ -161,7 +160,9 @@ def predict_scores(model: Model, x: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
     if kind == "adaboost_clf":
         return boosted_classifier_scores(model.stages, x)
-    return boosted_regressor_predict(model.stages, x)
+    if kind == "adaboost_reg":
+        return boosted_regressor_predict(model.stages, x)
+    raise ValueError(f"unknown learner kind {kind!r}")
 
 
 def predict_score(model: Model, x: np.ndarray) -> float:
@@ -219,13 +220,14 @@ def model_from_dict(doc: dict, shared: tuple[dict, LearnerSpec] | None = None) -
         spec = shared[1]
     else:
         spec = LearnerSpec.from_dict(spec_doc, "model", prefix="spec.")
-    width = read_key(doc, "n_features", "an integer", "model", low=1)
+    width = read_key(doc, "n_features", "an integer", "model", bound=at_least(1))
     if "constant_score" in doc:
         return constant_model(spec, width, read_key(doc, "constant_score", "a number", "model"))
     model = Model(spec=spec, n_features=width)
+    features = (f"in 0..{width - 1}", lambda f: 0 <= f < width)  # a split's feature
     kind = spec.kind
     if kind == "decision_tree":
-        model.tree = _tree_from_dict(read_key(doc, "tree", "an object", "model"), width)
+        model.tree = _tree_from_dict(read_key(doc, "tree", "an object", "model"), features)
     elif kind == "knn":
         model.train_x = np.array(read_array(doc, "train_x", "a number", "model",
                                             shape=(None, width)), dtype=np.float64)
@@ -239,22 +241,22 @@ def model_from_dict(doc: dict, shared: tuple[dict, LearnerSpec] | None = None) -
         for st in read_key(doc, "stages", "a non-empty array", "model"):
             tree = read_key(st, "tree", "an object", "boost stage")
             weight = read_key(st, "weight", "a number", "boost stage")
-            model.stages.append(BoostStage(_tree_from_dict(tree, width), float(weight)))
+            model.stages.append(BoostStage(_tree_from_dict(tree, features), float(weight)))
     return model
 
 
-def _tree_from_dict(node: dict, width: int) -> TreeNode:
-    """The tree of a `TreeNode.to_dict` object whose splits read features
-    0..width-1; a ValueError names a missing or wrong-typed key."""
+def _tree_from_dict(node: dict, features: tuple) -> TreeNode:
+    """The tree of a `TreeNode.to_dict` object whose splits read features in
+    the bound `features`; a ValueError names a missing or wrong-typed key."""
     n = read_key(node, "n", "an integer", "tree node")
     if "feature" not in node:
         return TreeNode(value=float(read_key(node, "value", "a number", "tree node")), n_samples=n)
     return TreeNode(
-        feature=read_key(node, "feature", "an integer", "tree node", low=0, high=width - 1),
+        feature=read_key(node, "feature", "an integer", "tree node", bound=features),
         threshold=float(read_key(node, "threshold", "a number", "tree node")),
         n_samples=n,
-        left=_tree_from_dict(read_key(node, "left", "an object", "tree node"), width),
-        right=_tree_from_dict(read_key(node, "right", "an object", "tree node"), width))
+        left=_tree_from_dict(read_key(node, "left", "an object", "tree node"), features),
+        right=_tree_from_dict(read_key(node, "right", "an object", "tree node"), features))
 
 
 def _same_json(a, b: dict) -> bool:

@@ -289,12 +289,12 @@ class TestPipelineCommands:
         ({"methods": ["smote5", "smote05"]},
          "unknown resampling method 'smote05' in 'methods[1]'"),
         ({"presets": {"a1": 1}}, "config key 'presets.a1' must be a string, not 1"),
-        ({"count": -1}, "config key 'count' must be >= 1, got -1"),
-        ({"k": 1}, "config key 'k' must be >= 2, got 1"),
-        ({"k_prime": 1}, "config key 'k_prime' must be >= 2, got 1"),
-        ({"workers": 0}, "config key 'workers' must be >= 1, got 0"),
-        ({"alpha": 2}, "config key 'alpha' must be in (0, 1), got 2"),
-        ({"epsilon": -1}, "config key 'epsilon' must be positive, got -1"),
+        ({"count": -1}, "config key 'count' must be an integer >= 1, not -1"),
+        ({"k": 1}, "config key 'k' must be an integer >= 2, not 1"),
+        ({"k_prime": 1}, "config key 'k_prime' must be an integer >= 2, not 1"),
+        ({"workers": 0}, "config key 'workers' must be an integer >= 1, not 0"),
+        ({"alpha": 2}, "config key 'alpha' must be a number in (0, 1), not 2"),
+        ({"epsilon": -1}, "config key 'epsilon' must be a number > 0, not -1"),
         ({"approaches": ["a1", "a3"]}, "unknown approach 'a3' in 'approaches[1]'"),
         ({"methods": []}, "config key 'methods' must name a method other than 'none'"),
         ({"multipliers": {"min": 0.5, "max": 2.5, "step": 0.5}},
@@ -310,10 +310,10 @@ class TestPipelineCommands:
          "config key 'mixture.mean_range[0]' must be a number, not -Infinity"),
         ({"presets": {"a3": "rs9-nothing"}}, "config has unknown key 'presets.a3'"),
         ({"presets": {"a1": "rs2-dtree"}},
-         'config key \'presets.a1\' must be one of rs1-dtree, rs1-knn, rs1-logreg, '
+         'config key \'presets.a1\' must be a string in (rs1-dtree, rs1-knn, rs1-logreg), '
          'not "rs2-dtree"'),
         ({"presets": {"a2": "rs9-nothing"}},
-         'config key \'presets.a2\' must be one of rs2-dtree, rs2-knn, rs2-logreg, '
+         'config key \'presets.a2\' must be a string in (rs2-dtree, rs2-knn, rs2-logreg), '
          'not "rs9-nothing"'),
         ({"multipliers": {"min": 1.25, "max": 1e12, "step": 0.25}},
          "config key 'multipliers' must list at most 1000 values, "
@@ -343,8 +343,8 @@ class TestPipelineCommands:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flag, value, message", [
-        ("--workers", "0", "config key 'workers' must be >= 1, got 0"),
-        ("--count", "0", "config key 'count' must be >= 1, got 0"),
+        ("--workers", "0", "config key 'workers' must be an integer >= 1, not 0"),
+        ("--count", "0", "config key 'count' must be an integer >= 1, not 0"),
     ])
     def test_override_range_error(self, tmp_path, capsys, flag, value, message):
         assert main(["gen", "--config", str(tiny_config(tmp_path)), flag, value]) == 1
@@ -1057,7 +1057,7 @@ class TestBrokenInputs:
     @pytest.mark.parametrize("edit, problem", [
         (lambda entry: entry["spec"].update(kind="logreg_l1"), "model has no key 'coef'"),
         (lambda entry: entry.update(n_features=4.7),
-         "model key 'n_features' must be an integer >= 1, not 4.7"),
+         "model key 'n_features' must be an integer, not 4.7"),
         (lambda entry: entry["stages"][0]["tree"].update(value="0.5"),
          'tree node key \'value\' must be a number, not "0.5"'),
     ], ids=["spec-of-another-kind", "fractional-width", "string-leaf"])

@@ -442,7 +442,8 @@ class TestRunFiles:
         path = trained.parent / "out" / "grids" / "synth-5-0.meta.json"
         doc = json.loads(path.read_text())
         text = json.dumps(doc).replace(f'"k": {doc["k"]}', f'"k": {k}')
-        problem = f": grid meta {path} key 'k' must be an integer >= 2, not {k}\n"
+        must = "an integer >= 2" if k == "1" else "an integer"
+        problem = f": grid meta {path} key 'k' must be {must}, not {k}\n"
         assert_refused(path, text, ["meta", "--config", str(trained)], "E_GRID_CORRUPT",
                        (problem,))
 

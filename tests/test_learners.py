@@ -54,6 +54,14 @@ class TestSpec:
                 LearnerSpec.from_dict(doc)
             assert str(info.value) == f"learner spec {problem}"
 
+    def test_an_unknown_kind_built_in_code_neither_fits_nor_scores(self):
+        s = make_dataset(20, 8)
+        with pytest.raises(ValueError, match=r"^unknown learner kind 'svm'$"):
+            fit_arrays(LearnerSpec("svm"), s.features, s.labels)
+        model = Model(spec=LearnerSpec("dtree"), n_features=s.features.shape[1])
+        with pytest.raises(ValueError, match=r"^unknown learner kind 'dtree'$"):
+            predict_scores(model, s.features)
+
     def test_round_trip(self):
         spec = DEFAULT_LEARNERS["adaboost_clf"]
         assert LearnerSpec.from_dict(spec.to_dict()) == spec
@@ -761,10 +769,10 @@ class TestPayloadKeys:
         ("adaboost_clf", lambda doc: doc["stages"][0]["tree"].pop("n"), "tree node has no key 'n'"),
         ("adaboost_clf", lambda doc: doc["stages"].append(None), "boost stage is not a JSON object"),
         ("adaboost_clf", _set("n_features", 4.7),
-         "model key 'n_features' must be an integer >= 1, not 4.7"),
+         "model key 'n_features' must be an integer, not 4.7"),
         ("knn", _set("n_features", 0), "model key 'n_features' must be an integer >= 1, not 0"),
         ("decision_tree", _set("n_features", True),
-         "model key 'n_features' must be an integer >= 1, not true"),
+         "model key 'n_features' must be an integer, not true"),
         ("logreg_l1", lambda doc: doc.pop("n_features"), "model has no key 'n_features'"),
     ])
     def test_a_bad_key_is_named(self, kind, edit, problem):
